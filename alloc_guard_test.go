@@ -97,3 +97,23 @@ func TestAllocGuardWarmPythonStream(t *testing.T) {
 		}
 	})
 }
+
+// TestAllocGuardColdPythonParse guards the SLL miss path in the paper's
+// configuration, a fresh DFA per parse, where every decision interns new
+// states. Interning used to deep-copy each state node by node and build its
+// key in fresh buffers (49.6 allocs/token on this input); states are now
+// carved from their cache generation's slabs with keys built in scratch,
+// measured at 0.47 allocs/token. The ceiling is the usual ~10x headroom.
+func TestAllocGuardColdPythonParse(t *testing.T) {
+	src := pylang.Generate(42, 3000)
+	toks, err := pylang.Lang.Tokenize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := parser.MustNew(pylang.Lang.Grammar(), parser.Options{FreshCachePerParse: true})
+	allocGuard(t, len(toks), 5, func() {
+		if res := p.Parse(toks); res.Kind != machine.Unique {
+			t.Fatal(res.Reason)
+		}
+	})
+}

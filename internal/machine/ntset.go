@@ -82,12 +82,13 @@ func (s NTSet) RemoveIn(sl *arena.Slab[uint64], n grammar.NTID) NTSet {
 	return NTSet{lo: s.lo, hi: hi}
 }
 
-// NTSetFromMembers builds a set from strictly-ascending member IDs with at
-// most one allocation (sized from the last, largest member). It is the bulk
-// constructor for the artifact import path, where building by repeated Add
-// would copy the overflow words once per member. Returns ok=false when ids
-// are not strictly ascending or contain a negative.
-func NTSetFromMembers(ids []grammar.NTID) (NTSet, bool) {
+// NTSetFromMembersIn builds a set from strictly-ascending member IDs with
+// its overflow words (sized from the last, largest member) carved from sl
+// in one span (nil allocates them). It is the bulk constructor for the
+// artifact import path, where building by repeated Add would copy the
+// overflow words once per member. Returns ok=false when ids are not
+// strictly ascending or contain a negative.
+func NTSetFromMembersIn(sl *arena.Slab[uint64], ids []grammar.NTID) (NTSet, bool) {
 	if len(ids) == 0 {
 		return NTSet{}, true
 	}
@@ -97,7 +98,7 @@ func NTSetFromMembers(ids []grammar.NTID) (NTSet, bool) {
 	}
 	var s NTSet
 	if last >= 64 {
-		s.hi = make([]uint64, int(last-64)>>6+1)
+		s.hi = makeWords(sl, int(last-64)>>6+1)
 	}
 	prev := grammar.NTID(-1)
 	for _, n := range ids {
@@ -114,15 +115,17 @@ func NTSetFromMembers(ids []grammar.NTID) (NTSet, bool) {
 	return s, true
 }
 
-// Clone returns a copy whose overflow words are freshly heap-allocated, so
-// the result stays valid after any slab the receiver was carved from is
-// recycled. The SLL cache clones visited sets when interning DFA states
-// built from prediction scratch.
-func (s NTSet) Clone() NTSet {
+// CloneIn returns a copy whose overflow words are carved from sl (nil
+// allocates them), so the result stays valid after any slab the receiver
+// was carved from is recycled. The SLL cache clones visited sets into its
+// own memory when interning DFA states built from prediction scratch.
+func (s NTSet) CloneIn(sl *arena.Slab[uint64]) NTSet {
 	if len(s.hi) == 0 {
 		return NTSet{lo: s.lo}
 	}
-	return NTSet{lo: s.lo, hi: append([]uint64(nil), s.hi...)}
+	hi := makeWords(sl, len(s.hi))
+	copy(hi, s.hi)
+	return NTSet{lo: s.lo, hi: hi}
 }
 
 func makeWords(sl *arena.Slab[uint64], width int) []uint64 {

@@ -24,6 +24,8 @@ package prediction
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sort"
 
 	"costar/internal/arena"
@@ -121,6 +123,7 @@ type scratch struct {
 	stableSeen map[dedupKey]bool
 	alts       []int
 	halted     []int
+	keys       keyBuf                           // canonical DFA-state keys
 	suffix     arena.Arena[machine.SuffixStack] // closure-built stack nodes
 	words      arena.Slab[uint64]               // visited-set overflow words
 }
@@ -369,53 +372,49 @@ func (c config) fingerprint(withVisited bool) string {
 	return string(c.appendFingerprint(nil, withVisited))
 }
 
-// canonicalKey orders cfgs canonically in place (by alt, then content
+// keyBuf is reusable memory for canonical state keys: the packed
+// fingerprint buffer, per-config offsets, the sort permutation, and the
+// reordered configs. Interning builds every key here, so probing the cache
+// for an existing state allocates nothing.
+type keyBuf struct {
+	buf    []byte
+	offs   []int // offs[i]: start of config i's length prefix; offs[len]: end
+	idx    []int
+	sorted []config
+	key    []byte
+}
+
+// build orders cfgs canonically in place (by alt, then content
 // fingerprint) and returns the packed state key: one anomaly byte followed
 // by the length-prefixed config fingerprints in sorted order. Fingerprints
-// are built once each into a single shared buffer and compared as byte
-// slices — they dominate DFA-state interning cost, so neither a
-// per-config string nor a comparator-time recomputation is affordable.
-func canonicalKey(anomalous bool, cfgs []config) string {
-	// Build the key layout in one pass: fingerprints are emitted directly
-	// behind their length prefixes into an exactly presized buffer (per
-	// config: 4-byte prefix + 4-byte alt + 1 terminator; per frame: 9-byte
-	// header + 4 bytes per remaining symbol). Append-doubling and a
-	// rebuild-after-sort copy over a multi-megabyte buffer otherwise
-	// dominate snapshot import, where configs arrive already canonical.
-	size := 1
-	for i := range cfgs {
-		size += 9
-		for s := cfgs[i].stack; s != nil; s = s.Below {
-			size += 9 + 4*len(s.F.Rest)
-		}
-	}
-	buf := make([]byte, 0, size)
+// are built once each into the shared buffer and compared as byte slices —
+// they dominate DFA-state interning cost, so neither a per-config string
+// nor a comparator-time recomputation is affordable. The returned key
+// aliases kb and is valid until the next build.
+func (kb *keyBuf) build(anomalous bool, cfgs []config) []byte {
+	buf := append(kb.buf[:0], 0)
 	if anomalous {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		buf[0] = 1
 	}
-	offs := make([]int, len(cfgs)+1) // offs[i]: start of config i's length prefix
-	offs[0] = 1
+	offs := append(kb.offs[:0], 1)
 	for i := range cfgs {
 		buf = appendInt32(buf, 0) // placeholder, patched below
 		start := len(buf)
 		buf = cfgs[i].appendFingerprint(buf, false)
 		n := int32(len(buf) - start)
 		buf[start-4], buf[start-3], buf[start-2], buf[start-1] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-		offs[i+1] = len(buf)
+		offs = append(offs, len(buf))
 	}
-	fp := func(i int) []byte { return buf[offs[i]+4 : offs[i+1]] }
-	idx := make([]int, len(cfgs))
-	for i := range idx {
-		idx[i] = i
+	idx := kb.idx[:0]
+	for i := range cfgs {
+		idx = append(idx, i)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
-		if cfgs[i].alt != cfgs[j].alt {
-			return cfgs[i].alt < cfgs[j].alt
+	kb.buf, kb.offs, kb.idx = buf, offs, idx
+	slices.SortFunc(idx, func(i, j int) int {
+		if c := cmp.Compare(cfgs[i].alt, cfgs[j].alt); c != 0 {
+			return c
 		}
-		return bytes.Compare(fp(i), fp(j)) < 0
+		return bytes.Compare(buf[offs[i]+4:offs[i+1]], buf[offs[j]+4:offs[j+1]])
 	})
 	inOrder := true
 	for i, j := range idx {
@@ -425,28 +424,35 @@ func canonicalKey(anomalous bool, cfgs []config) string {
 		}
 	}
 	if inOrder {
-		return string(buf)
+		return buf
 	}
-	sorted := make([]config, len(cfgs))
-	for a, i := range idx {
-		sorted[a] = cfgs[i]
+	sorted := kb.sorted[:0]
+	for _, i := range idx {
+		sorted = append(sorted, cfgs[i])
 	}
 	copy(cfgs, sorted)
-	key := make([]byte, 1, len(buf))
-	key[0] = buf[0]
+	key := append(kb.key[:0], buf[0])
 	for _, i := range idx {
 		key = append(key, buf[offs[i]:offs[i+1]]...)
 	}
-	return string(key)
+	kb.sorted, kb.key = sorted, key
+	return key
 }
 
 // altSummary returns the distinct alts over stable configs (halted and
 // live), ascending. The returned slices alias engine scratch and are valid
-// until the next altSummary call; Cache.intern copies what it retains. The
-// dedup is a linear scan — a decision has at most a handful of alternatives,
-// where a map costs more than it saves.
+// until the next altSummary call; Cache.intern copies what it retains.
 func (e *engine) altSummary(cfgs []config) (alts []int, haltedAlts []int) {
-	alts, haltedAlts = e.scr.alts[:0], e.scr.halted[:0]
+	alts, haltedAlts = summarizeAlts(cfgs, e.scr.alts[:0], e.scr.halted[:0])
+	e.scr.alts, e.scr.halted = alts[:0], haltedAlts[:0]
+	return alts, haltedAlts
+}
+
+// summarizeAlts appends the distinct alts over cfgs to alts and the
+// distinct halted alts to haltedAlts, each ascending. The dedup is a linear
+// scan — a decision has at most a handful of alternatives, where a map
+// costs more than it saves.
+func summarizeAlts(cfgs []config, alts, haltedAlts []int) ([]int, []int) {
 	for _, c := range cfgs {
 		if !containsInt(alts, c.alt) {
 			alts = append(alts, c.alt)
@@ -457,7 +463,6 @@ func (e *engine) altSummary(cfgs []config) (alts []int, haltedAlts []int) {
 	}
 	sort.Ints(alts)
 	sort.Ints(haltedAlts)
-	e.scr.alts, e.scr.halted = alts[:0], haltedAlts[:0]
 	return alts, haltedAlts
 }
 

@@ -22,35 +22,51 @@ type dfaState struct {
 	haltedAlts []int
 }
 
-// copyConfigs is the recognized deep copy for config slices.
-func copyConfigs(cfgs []config) []config {
-	out := make([]config, len(cfgs))
-	copy(out, cfgs)
-	return out
+// stateMem is the cache generation's memory; its copy methods are the
+// recognized deep copies.
+type stateMem struct {
+	configs []config
+	ints    []int
+}
+
+func (m *stateMem) copyConfigs(cfgs []config) []config {
+	m.configs = append(m.configs, cfgs...)
+	return m.configs[len(m.configs)-len(cfgs):]
+}
+
+func (m *stateMem) copyInts(xs []int) []int {
+	m.ints = append(m.ints, xs...)
+	return m.ints[len(m.ints)-len(xs):]
 }
 
 // newDFAState retains cfgs and haltedAlts (params 1 and 3) in the state
 // it returns; alts is only read.
-func newDFAState(key uint64, cfgs []config, alts []int, haltedAlts []int, anomalous bool) *dfaState {
+func (m *stateMem) newDFAState(key uint64, cfgs []config, alts []int, haltedAlts []int, anomalous bool) *dfaState {
 	_, _, _ = key, alts, anomalous
 	return &dfaState{configs: cfgs, haltedAlts: haltedAlts}
 }
 
 // internRaw hands scratch-aliasing slices straight to the cache: both
 // retained arguments are flagged.
-func internRaw(e *engine, key uint64, alts []int) *dfaState {
-	return newDFAState(key,
+func internRaw(e *engine, m *stateMem, key uint64, alts []int) *dfaState {
+	return m.newDFAState(key,
 		e.scr.stable, // want "retained by the DFA cache"
 		alts,
 		e.scr.halted, // want "retained by the DFA cache"
 		false)
 }
 
-// internCopied is the sanctioned fast path: copyConfigs for the configs,
-// an element-copying append for the halted alternatives (int elements
-// cannot alias pooled memory, so the fresh backing array is a deep copy).
-func internCopied(e *engine, key uint64, alts []int) *dfaState {
-	return newDFAState(key, copyConfigs(e.scr.stable), alts, append([]int(nil), e.scr.halted...), false)
+// internCopied is the sanctioned path: the generation's copies for the
+// configs and the halted alternatives.
+func internCopied(e *engine, m *stateMem, key uint64, alts []int) *dfaState {
+	return m.newDFAState(key, m.copyConfigs(e.scr.stable), alts, m.copyInts(e.scr.halted), false)
+}
+
+// internAppended copies the halted alternatives with an element-copying
+// append (int elements cannot alias pooled memory, so the fresh backing
+// array is a deep copy); accepted.
+func internAppended(e *engine, m *stateMem, key uint64, alts []int) *dfaState {
+	return m.newDFAState(key, m.copyConfigs(e.scr.stable), alts, append([]int(nil), e.scr.halted...), false)
 }
 
 // storeRaw writes scratch into an interned state after construction.
@@ -59,8 +75,8 @@ func storeRaw(e *engine, st *dfaState) {
 }
 
 // storeCopied holds a deep copy; accepted.
-func storeCopied(e *engine, st *dfaState) {
-	st.configs = copyConfigs(e.scr.stable)
+func storeCopied(e *engine, m *stateMem, st *dfaState) {
+	st.configs = m.copyConfigs(e.scr.stable)
 }
 
 // readBack reads cache-owned data; nothing escapes.
