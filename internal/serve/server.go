@@ -470,7 +470,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	res := sess.Parse(ctx, body)
 	elapsed := time.Since(start)
 
-	s.writeResult(w, r, name, res, elapsed)
+	s.writeResult(ctx, w, r, name, res, elapsed)
 }
 
 // writeResult maps a parse Result onto the wire: verdicts to statuses,
@@ -478,7 +478,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 // invariant the fault suite checks lives here: "Reject" is written only
 // when the parser decided Reject (or Recovered without caller opt-in) —
 // every overload, fault, and abuse path has its own kind and status.
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, name string, res parser.Result, elapsed time.Duration) {
+func (s *Server) writeResult(ctx context.Context, w http.ResponseWriter, r *http.Request, name string, res parser.Result, elapsed time.Duration) {
 	wantRecover := r.URL.Query().Get("recover") == "1"
 	wantTree := r.URL.Query().Get("tree") == "1"
 	resp := response{
@@ -529,13 +529,14 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, name string
 		s.met.observe(vReject, res.Usage, ns)
 		writeJSON(w, http.StatusUnprocessableEntity, resp)
 	default: // parser.Error
-		s.writeError(w, resp, res, ns)
+		s.writeError(ctx, w, resp, res, ns)
 	}
 }
 
 // writeError maps structured machine errors to statuses. Every branch is
-// an explicit contract with the fault suite; the fallthrough is 500.
-func (s *Server) writeError(w http.ResponseWriter, resp response, res parser.Result, ns int64) {
+// an explicit contract with the fault suite; the fallthrough is 500. ctx is
+// the request's budget context.
+func (s *Server) writeError(ctx context.Context, w http.ResponseWriter, resp response, res parser.Result, ns int64) {
 	if res.Err != nil {
 		resp.Error = res.Err.Error()
 	}
@@ -546,10 +547,7 @@ func (s *Server) writeError(w http.ResponseWriter, resp response, res parser.Res
 		case machine.ErrDeadline:
 			// The caller's budget expired mid-parse: the slow parse was
 			// charged to the caller, and the worker is already free.
-			s.met.deadlines.Add(1)
-			status = http.StatusGatewayTimeout
-			resp.Reason = "deadline budget exhausted"
-			resp.RetryAfterMS = 1000
+			status = s.budgetExhausted(&resp)
 		case machine.ErrCanceled:
 			s.met.canceled.Add(1)
 			if s.draining.Load() {
@@ -599,6 +597,12 @@ func (s *Server) writeError(w http.ResponseWriter, resp response, res parser.Res
 					resp.RetryAfterMS = 1000
 					break
 				}
+				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+					// The budget expired while the parse was blocked in a
+					// body read, and the unblock hook cut that read short.
+					status = s.budgetExhausted(&resp)
+					break
+				}
 				// The body stream itself failed (disconnect mid-body,
 				// read timeout): a bad request, never a Reject.
 				status = http.StatusBadRequest
@@ -607,4 +611,13 @@ func (s *Server) writeError(w http.ResponseWriter, resp response, res parser.Res
 	}
 	s.met.observe(vError, res.Usage, ns)
 	writeJSON(w, status, resp)
+}
+
+// budgetExhausted marks resp as a spent deadline budget and returns its
+// status.
+func (s *Server) budgetExhausted(resp *response) int {
+	s.met.deadlines.Add(1)
+	resp.Reason = "deadline budget exhausted"
+	resp.RetryAfterMS = 1000
+	return http.StatusGatewayTimeout
 }
