@@ -12,6 +12,7 @@ package costar
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -397,6 +398,53 @@ func BenchmarkParallelWarmCache(b *testing.B) {
 				}
 				wg.Wait()
 			}
+			reportCorpusThroughput(b, tokens)
+		})
+	}
+}
+
+// BenchmarkParallelColdCache measures the DFA write path under concurrency:
+// every iteration empties one shared session's cache and parses a Python
+// batch into it at 1/2/4 workers, so the workers race to intern new states
+// into the same generation. It is the contention guard for Cache.intern:
+// throughput at j>1 must not fall below j1 when GOMAXPROCS > 1, and
+// lockwait-ns/op (the runtime's total time goroutines spent blocked on any
+// sync.Mutex) shows how much of the write path ran one goroutine at a time.
+func BenchmarkParallelColdCache(b *testing.B) {
+	var l bench.Lang
+	for _, cand := range bench.Languages() {
+		if cand.Name == "python" {
+			l = cand
+		}
+	}
+	files, err := bench.Corpus(l, bench.Config{Files: 8, MinTokens: 300, MaxTokens: 1500, Trials: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	words := make([][]grammar.Token, len(files))
+	tokens := 0
+	for i, f := range files {
+		words[i] = f.Tokens
+		tokens += len(f.Tokens)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shared/j%d", workers), func(b *testing.B) {
+			p := parser.MustNew(l.Grammar, parser.Options{})
+			wait := []metrics.Sample{{Name: "/sync/mutex/wait/total:seconds"}}
+			metrics.Read(wait)
+			before := wait[0].Value.Float64()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.ResetCache()
+				for _, r := range p.ParseAll(words, workers) {
+					if r.Kind != machine.Unique {
+						b.Fatal(r.Reason)
+					}
+				}
+			}
+			b.StopTimer()
+			metrics.Read(wait)
+			b.ReportMetric((wait[0].Value.Float64()-before)*1e9/float64(b.N), "lockwait-ns/op")
 			reportCorpusThroughput(b, tokens)
 		})
 	}

@@ -200,6 +200,41 @@ func TestServeBudgetExhaustion(t *testing.T) {
 	}
 }
 
+// TestServeBudgetExpiresDuringBodyRead covers the other way a budget runs
+// out: the parse is blocked waiting for body bytes that never come. The
+// unblock hook cuts the read when the budget expires, and that cut read is
+// the spent budget — a 504 counted as a deadline exhaustion — not a
+// malformed request.
+func TestServeBudgetExpiresDuringBodyRead(t *testing.T) {
+	s := newTestServer(t, Config{})
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	doc := jsonlang.Generate(5, 100)
+	go pw.Write([]byte(doc[:len(doc)/2])) // then stall: the rest never comes
+	req, err := http.NewRequest("POST", fmt.Sprintf("http://%s/parse/json?budget_ms=250", s.Addr()), pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env response
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("decoding response envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 (%+v)", resp.StatusCode, env)
+	}
+	if env.Kind != "Error" || env.Reason != "deadline budget exhausted" {
+		t.Fatalf("unexpected envelope: %+v", env)
+	}
+	if got := scrapeMetric(t, s, "costar_deadline_exhaustions_total"); got != 1 {
+		t.Fatalf("deadline_exhaustions = %d, want 1", got)
+	}
+}
+
 func TestServeAdmissionShed(t *testing.T) {
 	// Gate sized to hold exactly one opaque-length request (UnknownCost 8
 	// of 10 units) with no queue: while a pipelined body holds the gate, a
