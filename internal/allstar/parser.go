@@ -72,19 +72,27 @@ func (p *Parser) WarmUp(words ...[]grammar.Token) {
 	}
 }
 
-// pframe is one mutable parser stack frame: a production in progress.
+// pframe is one mutable parser stack frame: a production in progress. Its
+// children span has exactly len(rhs) capacity, carved from the parse's tree
+// arena, and becomes the finished node's child list.
 type pframe struct {
 	prod     int32
 	dot      int32
 	children []*tree.Tree
 }
 
-// Parse parses w from the grammar's start symbol.
+// Parse parses w from the grammar's start symbol. Leaves, nodes and child
+// lists come from one tree arena per parse, as in the verified engine, so
+// the two engines' comparison (Figure 10) is not an allocator comparison.
 func (p *Parser) Parse(w []grammar.Token) Result {
 	if p.opts.FreshCachePerParse {
 		p.pred.reset()
 	}
 	ig := p.ig
+	ta := tree.NewArena()
+	frame := func(prod int32) pframe {
+		return pframe{prod: prod, children: ta.Forest(len(ig.c.Rhs(int(prod))))}
+	}
 	toks := ig.c.InternTerms(w)
 	// Guard against runaway non-consuming recursion (left-recursive
 	// grammars): a legitimate stack never outgrows this bound.
@@ -130,14 +138,14 @@ func (p *Parser) Parse(w []grammar.Token) Result {
 	if fail != nil {
 		return *fail
 	}
-	stack = append(stack, pframe{prod: prod})
+	stack = append(stack, frame(prod))
 
 	for {
 		top := &stack[len(stack)-1]
 		rhs := ig.c.Rhs(int(top.prod))
 		if int(top.dot) == len(rhs) {
 			// Reduce.
-			node := tree.Node(ig.c.NTName(ig.c.Lhs(int(top.prod))), top.children...)
+			node := ta.Node(ig.c.NTName(ig.c.Lhs(int(top.prod))), top.children)
 			stack = stack[:len(stack)-1]
 			if len(stack) == 0 {
 				if pos != len(toks) {
@@ -165,7 +173,7 @@ func (p *Parser) Parse(w []grammar.Token) Result {
 				return Result{Kind: machine.Reject,
 					Reason: fmt.Sprintf("expected %s, found %s at token %d", ig.src.Prods[top.prod].Rhs[top.dot], w[pos], pos)}
 			}
-			top.children = append(top.children, tree.Leaf(w[pos]))
+			top.children = append(top.children, ta.Leaf(w[pos]))
 			top.dot++
 			pos++
 			continue
@@ -178,7 +186,7 @@ func (p *Parser) Parse(w []grammar.Token) Result {
 		if fail != nil {
 			return *fail
 		}
-		stack = append(stack, pframe{prod: prod})
+		stack = append(stack, frame(prod))
 	}
 }
 

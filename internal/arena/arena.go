@@ -34,7 +34,7 @@ const (
 // Arena is a bump allocator for single elements of type T.
 // The zero value is ready to use.
 type Arena[T any] struct {
-	buf   []T   // active slab (aliases slabs[cur]); buf[:off] are live
+	buf   []T // active slab (aliases slabs[cur]); buf[:off] are live
 	off   int
 	slabs [][]T // every slab ever allocated, reused in order after Reset
 	cur   int   // index of the active slab within slabs
@@ -96,6 +96,10 @@ func (a *Arena[T]) Reset() {
 		a.buf = a.slabs[0]
 	}
 }
+
+// Cap returns the number of elements the arena's slabs hold, used or not:
+// what a pooled arena retains between parses.
+func (a *Arena[T]) Cap() int { return slabsCap(a.slabs) }
 
 // Slab is a bump allocator for []T spans.
 // The zero value is ready to use.
@@ -173,4 +177,16 @@ func (s *Slab[T]) Reset() {
 		s.cur = 0
 		s.buf = s.slabs[0]
 	}
+}
+
+// Cap returns the number of elements the allocator's slabs hold, used or
+// not: what a pooled slab allocator retains between parses.
+func (s *Slab[T]) Cap() int { return slabsCap(s.slabs) }
+
+func slabsCap[T any](slabs [][]T) int {
+	n := 0
+	for _, sl := range slabs {
+		n += len(sl)
+	}
+	return n
 }

@@ -233,24 +233,16 @@ func Decode(b []byte) (*Artifact, error) {
 		ss.Anomalous = d.bool()
 		nConfigs := d.count(12) // alt + frame count + visited count, minimum
 		if nConfigs > 0 && d.err == nil {
-			ss.Configs = make([]prediction.ConfigSnapshot, 0, nConfigs)
+			ss.Configs = carve(&d.configChunk, nConfigs, d.remaining()/12)
 		}
-		for j := 0; j < nConfigs && d.err == nil; j++ {
-			var cs prediction.ConfigSnapshot
+		for j := range ss.Configs {
+			if d.err != nil {
+				break
+			}
+			cs := &ss.Configs[j]
 			cs.Alt = d.i32()
-			nFrames := d.count(12) // lhs + prod + dot per frame
-			if nFrames > 0 && d.err == nil {
-				cs.Frames = make([]prediction.FrameSnapshot, 0, nFrames)
-			}
-			for k := 0; k < nFrames && d.err == nil; k++ {
-				var f prediction.FrameSnapshot
-				f.Lhs = grammar.NTID(d.i32())
-				f.Prod = d.i32()
-				f.Dot = d.i32()
-				cs.Frames = append(cs.Frames, f)
-			}
+			cs.Frames = d.frames()
 			cs.Visited = d.i32s()
-			ss.Configs = append(ss.Configs, cs)
 		}
 		ss.EdgeTerms = d.i32s()
 		ss.EdgeStates = d.i32s()
@@ -318,10 +310,38 @@ func (e *encoder) bools(s []bool) {
 
 // decoder is the sticky-error forward reader. After the first failure
 // every primitive returns zero values and the final error survives.
+//
+// The DFA snapshot holds tens of thousands of configs, each with a frame
+// list and a visited list. Those slices, and the other int32 lists, are
+// carved as exact-capacity sub-slices of decoder-owned chunks, so a load
+// costs O(chunks) allocations rather than two per config. Each fixed-width
+// run is read with one bounds check.
 type decoder struct {
 	b   []byte
 	off int
 	err error
+
+	configChunk []prediction.ConfigSnapshot
+	frameChunk  []prediction.FrameSnapshot
+	intChunk    []int32
+}
+
+// chunkElems is the element count of a fresh decoder chunk, unless a
+// single span needs more or the input cannot fill that many.
+const chunkElems = 8192
+
+// carve returns a span of exactly n zeroed elements (capacity n) from
+// *chunk, starting a new chunk when the current one is full. limit caps a
+// new chunk at what the remaining input could still fill, so hostile
+// counts — already capped by count — never size a chunk beyond the input.
+func carve[T any](chunk *[]T, n, limit int) []T {
+	c := *chunk
+	if len(c)+n > cap(c) {
+		c = make([]T, 0, max(n, min(chunkElems, limit)))
+	}
+	end := len(c) + n
+	*chunk = c[:end]
+	return c[len(c):end:end]
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -417,12 +437,32 @@ func (d *decoder) strs() []string {
 
 func (d *decoder) i32s() []int32 {
 	n := d.count(4)
-	if n == 0 || d.err != nil {
+	b := d.take(4 * n)
+	if n == 0 || b == nil {
 		return nil
 	}
-	out := make([]int32, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.i32())
+	out := carve(&d.intChunk, n, d.remaining()/4+n)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out
+}
+
+// frames reads a counted run of (lhs, prod, dot) config frames.
+func (d *decoder) frames() []prediction.FrameSnapshot {
+	n := d.count(12)
+	b := d.take(12 * n)
+	if n == 0 || b == nil {
+		return nil
+	}
+	out := carve(&d.frameChunk, n, d.remaining()/12+n)
+	for i := range out {
+		e := b[12*i : 12*i+12]
+		out[i] = prediction.FrameSnapshot{
+			Lhs:  grammar.NTID(binary.LittleEndian.Uint32(e)),
+			Prod: int32(binary.LittleEndian.Uint32(e[4:])),
+			Dot:  int32(binary.LittleEndian.Uint32(e[8:])),
+		}
 	}
 	return out
 }

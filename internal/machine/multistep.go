@@ -107,6 +107,13 @@ type Options struct {
 // observes cancellation/deadlines (amortized — ctx.Err is polled every few
 // dozen steps) and enforces Limits; an over-budget or canceled run halts
 // with the governor's sticky structured error, never a false Reject.
+//
+// Linearity: a run whose states carry a Mem and that has no OnStep
+// observer recycles each stepped state, and the stack nodes and
+// accumulators the step replaced, into the Mem (Mem.retire), so its
+// scratch is bounded by the stack depth rather than the step count. The
+// caller must not read st, or any state but Result.Final, after the call.
+// Runs without a Mem, and observed runs, keep every state intact.
 func Multistep(g *grammar.Grammar, pred Predictor, st *State, opts Options) Result {
 	if opts.Certified {
 		st.Certified = true // fresh initial state; the flag propagates through every step
@@ -148,6 +155,9 @@ func Multistep(g *grammar.Grammar, pred Predictor, st *State, opts Options) Resu
 		}
 		switch r.Kind {
 		case StepCont:
+			if opts.OnStep == nil {
+				st.Mem.retire(st, r.State, r.Op)
+			}
 			st = r.State
 			switch r.Op {
 			case OpPush:

@@ -53,14 +53,19 @@ func (s NTSet) AddIn(sl *arena.Slab[uint64], n grammar.NTID) NTSet {
 	if n < 64 {
 		return NTSet{lo: s.lo | 1<<uint(n), hi: s.hi}
 	}
-	w := int(n-64) >> 6
-	width := len(s.hi)
-	if w >= width {
-		width = w + 1
-	}
-	hi := makeWords(sl, width)
-	copy(hi, s.hi)
-	hi[w] |= 1 << uint((n-64)&63)
+	return s.addHi(makeWords(sl, s.addWidth(n)), n)
+}
+
+// addWidth is the overflow width of s with n (>= 64) added.
+func (s NTSet) addWidth(n grammar.NTID) int {
+	return max(len(s.hi), int(n-64)>>6+1)
+}
+
+// addHi is AddIn for n >= 64 with the copied overflow words written to hi,
+// whose length must be s.addWidth(n); its previous contents are ignored.
+func (s NTSet) addHi(hi []uint64, n grammar.NTID) NTSet {
+	clear(hi[copy(hi, s.hi):])
+	hi[int(n-64)>>6] |= 1 << uint((n-64)&63)
 	return NTSet{lo: s.lo, hi: hi}
 }
 
@@ -76,7 +81,12 @@ func (s NTSet) RemoveIn(sl *arena.Slab[uint64], n grammar.NTID) NTSet {
 	if n < 64 {
 		return NTSet{lo: s.lo &^ (1 << uint(n)), hi: s.hi}
 	}
-	hi := makeWords(sl, len(s.hi))
+	return s.removeHi(makeWords(sl, len(s.hi)), n)
+}
+
+// removeHi is RemoveIn for a member n >= 64 with the copied overflow words
+// written to hi, whose length must be len(s.hi).
+func (s NTSet) removeHi(hi []uint64, n grammar.NTID) NTSet {
 	copy(hi, s.hi)
 	hi[int(n-64)>>6] &^= 1 << uint((n-64)&63)
 	return NTSet{lo: s.lo, hi: hi}

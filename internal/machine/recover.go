@@ -115,6 +115,8 @@ func RecoverFrom(g *grammar.Grammar, pred Predictor, an *analysis.Analysis, reje
 			res = r.forceClose(st, steps)
 			break
 		}
+		// The segment may retire nodes next shares with st (a linear run,
+		// see Mem.retire): nothing below reads st or next again.
 		seg := Multistep(g, pred, next, segOpts)
 		steps += seg.Steps
 		seg.Steps = steps
@@ -240,7 +242,7 @@ func (r *recovery) repairConsume(st *State, a grammar.TermID, id grammar.TermID,
 	}
 	r.diags = append(r.diags, diag.Diagnostic{
 		Severity: diag.Error, Code: diag.CodeRepairSkip, Pos: diag.TokenPos(pos), Len: len(leaves),
-		Message: fmt.Sprintf("%s; discarded %d token(s) to resynchronize", reason, len(leaves)),
+		Message:  fmt.Sprintf("%s; discarded %d token(s) to resynchronize", reason, len(leaves)),
 		Expected: expected,
 	})
 	return r.attachSkip(st, leaves), nil
@@ -275,7 +277,7 @@ func (r *recovery) repairPredict(st *State, x grammar.NTID, id grammar.TermID, p
 	}
 	r.diags = append(r.diags, diag.Diagnostic{
 		Severity: diag.Error, Code: diag.CodeRepairSkip, Pos: diag.TokenPos(pos), Len: len(leaves),
-		Message: fmt.Sprintf("%s; discarded %d token(s) to resynchronize", reason, len(leaves)),
+		Message:  fmt.Sprintf("%s; discarded %d token(s) to resynchronize", reason, len(leaves)),
 		Expected: expected,
 	})
 	return r.attachSkip(st, leaves), nil

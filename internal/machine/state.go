@@ -132,7 +132,7 @@ const (
 // Error is a machine or prediction error value.
 type Error struct {
 	Kind      ErrKind
-	NT        string    // offending nonterminal for ErrLeftRecursive
+	NT        string // offending nonterminal for ErrLeftRecursive
 	Msg       string
 	Limit     LimitKind // exhausted limit for ErrLimit
 	Cause     error     // underlying cause (source/context errors); Unwrap exposes it

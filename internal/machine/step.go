@@ -90,7 +90,7 @@ func stepReturn(st *State) StepResult {
 		Suffix:    st.Suffix.Below,
 		Src:       st.Src,
 		Consumed:  st.Consumed,
-		Visited:   st.Visited.RemoveIn(m.wordSlab(), x),
+		Visited:   m.removeVisited(st.Visited, x),
 		Unique:    st.Unique,
 		Certified: st.Certified,
 		Mem:       m,
@@ -182,7 +182,7 @@ func stepPush(g *grammar.Grammar, pred Predictor, st *State, x grammar.NTID) Ste
 		Suffix:    m.pushSuffix(pushed, m.pushSuffix(caller, st.Suffix.Below)),
 		Src:       st.Src,
 		Consumed:  st.Consumed,
-		Visited:   st.Visited.AddIn(m.wordSlab(), x),
+		Visited:   m.addVisited(st.Visited, x),
 		Unique:    st.Unique && p.Kind != PredAmbig,
 		Certified: st.Certified,
 		Mem:       m,

@@ -141,7 +141,7 @@ func (g *cacheGen) installStarts(m map[grammar.NTID]*dfaState) {
 type stateMem struct {
 	states  arena.Arena[dfaState]
 	configs arena.Slab[config]
-	frames  arena.Arena[machine.SuffixStack]
+	frames  arena.Slab[machine.SuffixStack] // one contiguous span per stack chain
 	words   arena.Slab[uint64]
 	ints    arena.Slab[int]
 }
@@ -178,14 +178,32 @@ func (m *stateMem) copyConfigs(cfgs []config) []config {
 }
 
 func (m *stateMem) copyStack(s *machine.SuffixStack) *machine.SuffixStack {
-	var top *machine.SuffixStack
-	link := &top
-	for ; s != nil; s = s.Below {
-		n := m.frames.New(machine.SuffixStack{F: s.F})
-		*link = n
-		link = &n.Below
+	chain := m.chain(s.Height())
+	for i := range chain {
+		chain[i].F = s.F
+		s = s.Below
 	}
-	return top
+	return chainTop(chain)
+}
+
+// chain carves n linked stack nodes, chain[i].Below = &chain[i+1], for the
+// caller to fill top first. Field stores into the span replace a per-node
+// typed copy, which is what a snapshot import of hundreds of thousands of
+// frames spent its time on.
+func (m *stateMem) chain(n int) []machine.SuffixStack {
+	chain := m.frames.Make(n)[:n]
+	for i := 0; i+1 < n; i++ {
+		chain[i].Below = &chain[i+1]
+	}
+	return chain
+}
+
+// chainTop returns a chain's top node, nil for an empty chain.
+func chainTop(chain []machine.SuffixStack) *machine.SuffixStack {
+	if len(chain) == 0 {
+		return nil
+	}
+	return &chain[0]
 }
 
 // copyInts copies xs into m.

@@ -293,9 +293,8 @@ func (m *stateMem) importConfigs(cg *grammar.Compiled, snaps []ConfigSnapshot, i
 		if cs.Alt < 0 || int(cs.Alt) >= nProds {
 			return nil, fmt.Errorf("config %d: alt %d out of range", ci, cs.Alt)
 		}
-		var stack *machine.SuffixStack
-		for fi := len(cs.Frames) - 1; fi >= 0; fi-- {
-			f := cs.Frames[fi]
+		chain := m.chain(len(cs.Frames))
+		for fi, f := range cs.Frames {
 			var rest []grammar.SymID
 			if f.Prod >= 0 {
 				if int(f.Prod) >= nProds {
@@ -315,7 +314,7 @@ func (m *stateMem) importConfigs(cg *grammar.Compiled, snaps []ConfigSnapshot, i
 			} else if f.Lhs < 0 || int(f.Lhs) >= cg.NumNTs() {
 				return nil, fmt.Errorf("config %d frame %d: nonterminal %d out of range", ci, fi, f.Lhs)
 			}
-			stack = m.frames.New(machine.SuffixStack{F: machine.SuffixFrame{Lhs: f.Lhs, Rest: rest}, Below: stack})
+			chain[fi].F = machine.SuffixFrame{Lhs: f.Lhs, Rest: rest}
 		}
 		*ids = (*ids)[:0]
 		for _, id := range cs.Visited {
@@ -328,7 +327,7 @@ func (m *stateMem) importConfigs(cg *grammar.Compiled, snaps []ConfigSnapshot, i
 		if !ok {
 			return nil, fmt.Errorf("config %d: visited members not strictly ascending", ci)
 		}
-		out = append(out, config{alt: int(cs.Alt), stack: stack, visited: visited})
+		out = append(out, config{alt: int(cs.Alt), stack: chainTop(chain), visited: visited})
 	}
 	return out, nil
 }

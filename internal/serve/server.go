@@ -177,8 +177,8 @@ type Server struct {
 func New(cfg Config, reg *Registry) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg: cfg,
-		reg: reg,
+		cfg:     cfg,
+		reg:     reg,
 		adm:     newAdmission(cfg.MaxCost, cfg.MaxQueue),
 		met:     &metrics{},
 		started: make(chan struct{}),
