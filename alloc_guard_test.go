@@ -102,8 +102,10 @@ func TestAllocGuardWarmPythonStream(t *testing.T) {
 // configuration, a fresh DFA per parse, where every decision interns new
 // states. Interning used to deep-copy each state node by node and build its
 // key in fresh buffers (49.6 allocs/token on this input); states are now
-// carved from their cache generation's slabs with keys built in scratch,
-// measured at 0.47 allocs/token. The ceiling is the usual ~10x headroom.
+// carved from slabs with keys built and hashed in scratch, no key is
+// stored, and the parse-private DFA is recycled with the pooled scratch:
+// measured at 0.36 allocs/token (0.51 while each state kept its key string
+// and each parse built a new DFA). The ceiling is the usual ~10x headroom.
 func TestAllocGuardColdPythonParse(t *testing.T) {
 	src := pylang.Generate(42, 3000)
 	toks, err := pylang.Lang.Tokenize(src)

@@ -112,9 +112,11 @@ type Options struct {
 	CheckInvariants bool
 	// DisableSLL answers every prediction in LL mode — the cache ablation.
 	DisableSLL bool
-	// FreshCachePerParse discards the SLL DFA between Parse calls,
+	// FreshCachePerParse gives every parse an empty SLL DFA of its own,
 	// matching the paper's benchmark configuration (each trial starts
-	// cold). Off by default: the session reuses its cache.
+	// cold). The parse-private DFA lives in the pooled per-parse scratch
+	// and is cleared in place when the parse ends, so its memory serves
+	// the next parse. Off by default: the session reuses its cache.
 	FreshCachePerParse bool
 	// MaxSteps bounds machine transitions per parse (0 = unlimited); a
 	// defensive backstop only. Shorthand for Limits.MaxSteps; when both are
@@ -182,18 +184,20 @@ type Parser struct {
 // parseScratch is the pooled per-parse state. Everything here is scratch
 // whose lifetime ends with the parse: the governor and predictor are Reset
 // for each parse, the machine arenas (states, stack frames, accumulators)
-// are cleared once the Result is built, and the cursor keeps only its
-// interned-ID capacity between parses. The tree arena inside mem is the one
-// Result-scoped piece: Mem.Reset detaches it (the Result's tree keeps it
-// alive) and installs a fresh one, so pooled reuse can never reclaim nodes
-// a caller still holds. A scratch is used by one goroutine for one parse at
-// a time; a parse that panics abandons its scratch rather than returning a
-// half-mutated value to the pool.
+// and a FreshCachePerParse session's parse-private DFA are cleared once the
+// Result is built, and the cursor keeps only its interned-ID capacity
+// between parses. The tree arena inside mem is the one Result-scoped piece:
+// Mem.Reset detaches it (the Result's tree keeps it alive) and installs a
+// fresh one, so pooled reuse can never reclaim nodes a caller still holds.
+// A scratch is used by one goroutine for one parse at a time; a parse that
+// panics abandons its scratch rather than returning a half-mutated value to
+// the pool.
 type parseScratch struct {
-	gov *machine.Governor
-	ap  *prediction.AdaptivePredictor
-	mem *machine.Mem
-	cur source.Cursor
+	gov   *machine.Governor
+	ap    *prediction.AdaptivePredictor
+	mem   *machine.Mem
+	cur   source.Cursor
+	cache *prediction.Cache // parse-private DFA (FreshCachePerParse only)
 }
 
 // getScratch fetches pooled per-parse state, or builds a fresh set.
@@ -211,6 +215,9 @@ func (p *Parser) getScratch() *parseScratch {
 func (p *Parser) release(sc *parseScratch) {
 	sc.mem.Reset()
 	sc.cur.Clear()
+	if sc.cache != nil {
+		sc.cache.Clear()
+	}
 	p.pool.Put(sc)
 }
 
@@ -403,7 +410,10 @@ func (p *Parser) parse(ctx context.Context, start string, sc *parseScratch, src 
 	}
 	cache := p.cache
 	if p.opts.FreshCachePerParse {
-		cache = prediction.NewCache()
+		if sc.cache == nil {
+			sc.cache = prediction.NewCache()
+		}
+		cache = sc.cache
 	}
 	// One governor serves the machine loop and the prediction closures, so
 	// cancellation and the cumulative limits cover both layers. Both come

@@ -6,7 +6,8 @@ package parser
 // pooled reuse must be safe under ParseAll concurrency (run these with
 // -race), and aborted parses — panics injected at the token source,
 // cancellation mid-parse — must never return a half-mutated scratch to the
-// pool.
+// pool. A FreshCachePerParse session's parse-private DFA rides in the same
+// scratch and must come back empty.
 
 import (
 	"context"
@@ -17,6 +18,7 @@ import (
 	"costar/internal/faultinject"
 	"costar/internal/grammar"
 	"costar/internal/languages/jsonlang"
+	"costar/internal/languages/pylang"
 	"costar/internal/machine"
 	"costar/internal/source"
 	"costar/internal/tree"
@@ -67,6 +69,90 @@ func TestPooledTreeLifetime(t *testing.T) {
 		}
 		if err := tree.Validate(g, grammar.NT(g.Start), res.Tree, words[i]); err != nil {
 			t.Fatalf("word %d: retained tree no longer validates: %v", i, err)
+		}
+	}
+}
+
+// pyWords tokenizes n generated Python files of roughly size tokens each.
+func pyWords(t testing.TB, n, size int) [][]grammar.Token {
+	t.Helper()
+	out := make([][]grammar.Token, n)
+	for i := range out {
+		toks, err := pylang.Lang.Tokenize(pylang.Generate(int64(i)+7, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = toks
+	}
+	return out
+}
+
+// assertSameColdParse checks that got is the parse want is: the same kind,
+// tree and steps, and the same prediction Stats, cache hits and misses
+// included — which holds only if both parses started from an empty DFA.
+func assertSameColdParse(t *testing.T, got, want Result) {
+	t.Helper()
+	if got.Kind != Unique || want.Kind != Unique {
+		t.Fatalf("kinds %v and %v, want Unique (%s%s)", got.Kind, want.Kind, got.Reason, want.Reason)
+	}
+	if !got.Tree.Equal(want.Tree) || got.Steps != want.Steps {
+		t.Fatalf("tree or steps (%d vs %d) differ from a parse on a new session", got.Steps, want.Steps)
+	}
+	if got.Stats != want.Stats {
+		t.Fatalf("prediction stats %+v, want %+v as on a new session", got.Stats, want.Stats)
+	}
+}
+
+// TestFreshCacheClearedOnRelease checks the lifetime of a FreshCachePerParse
+// session's parse-private DFA, which lives in the pooled scratch and is
+// cleared when its parse ends: after a ~3k-token Python parse fills it, the
+// pooled DFA must export as empty, and a short parse on the same session
+// must start from an empty DFA, exactly as a new session parsing the short
+// file alone does.
+func TestFreshCacheClearedOnRelease(t *testing.T) {
+	g := pylang.Lang.Grammar()
+	long, short := pyWords(t, 1, 1700)[0], pyWords(t, 1, 60)[0]
+	if len(long) < 2500 {
+		t.Fatalf("long input has %d tokens, want about 3k", len(long))
+	}
+	p := MustNew(g, Options{FreshCachePerParse: true})
+	if res := p.Parse(long); res.Kind != Unique {
+		t.Fatalf("long parse: %v (%s)", res.Kind, res.Reason)
+	}
+	// The pool may drop the scratch (it does at random under -race); when
+	// it comes back, its DFA must hold nothing: no start, and no state left
+	// in any shard's table.
+	if sc := p.getScratch(); sc.cache != nil {
+		snap, err := sc.cache.Export(g.Compiled())
+		if err != nil || len(snap.Starts) != 0 || len(snap.States) != 0 {
+			t.Fatalf("released parse-private DFA exports %d starts and %d states (err %v), want none",
+				len(snap.Starts), len(snap.States), err)
+		}
+		p.release(sc)
+	}
+	got := p.Parse(short)
+	want := MustNew(g, Options{FreshCachePerParse: true}).Parse(short)
+	if want.Stats.CacheMisses == 0 {
+		t.Fatal("the short parse builds no DFA state; it cannot tell a cleared cache from a stale one")
+	}
+	assertSameColdParse(t, got, want)
+}
+
+// TestFreshCacheParseAll runs batches on a FreshCachePerParse session: each
+// worker's pooled scratch carries its own parse-private DFA, so every
+// result must equal parsing that word alone on a new session. Run with
+// -race; it also guards against two parses ever sharing one private DFA.
+func TestFreshCacheParseAll(t *testing.T) {
+	words := pyWords(t, 12, 150)
+	g := pylang.Lang.Grammar()
+	want := make([]Result, len(words))
+	for i, w := range words {
+		want[i] = MustNew(g, Options{FreshCachePerParse: true}).Parse(w)
+	}
+	p := MustNew(g, Options{FreshCachePerParse: true})
+	for round := 0; round < 3; round++ {
+		for i, res := range p.ParseAll(words, 4) {
+			assertSameColdParse(t, res, want[i])
 		}
 	}
 }

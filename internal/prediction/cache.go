@@ -2,6 +2,7 @@ package prediction
 
 import (
 	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,14 +19,15 @@ import (
 // edges grows copy-on-write — readers follow transitions with a single
 // atomic load (edge), writers serialize on mu and publish a fresh map
 // (setEdge) — so the warm-cache hit path is lock-free. Edges are keyed by
-// dense terminal IDs and state identity is a packed-int32 byte string;
-// neither hashes a symbol name.
+// dense terminal IDs and state identity is the content of the canonical
+// configs, filed under the hash of their packed-int32 key; neither hashes a
+// symbol name.
 type dfaState struct {
-	key        string
-	configs    []config // stable, canonically ordered (halted included)
-	haltedAlts []int    // alts with a completed simulated parse
-	uniqueAlt  int      // converged alternative, or -1
-	anomalous  bool     // construction involved a subparser kill
+	configs    []config  // stable, canonically ordered (halted included)
+	haltedAlts []int     // alts with a completed simulated parse
+	uniqueAlt  int       // converged alternative, or -1
+	anomalous  bool      // construction involved a subparser kill
+	next       *dfaState // next state filed under the same key hash
 
 	mu    sync.Mutex // serializes edge additions; readers never take it
 	edges atomic.Pointer[map[grammar.TermID]*dfaState]
@@ -70,6 +72,48 @@ func (st *dfaState) installEdges(m map[grammar.TermID]*dfaState) {
 	st.edges.Store(&m)
 }
 
+// sameContent reports whether st is the state for the canonical configs
+// cfgs with the given anomaly flag. It checks exactly what the canonical
+// key encodes: per config the alt, halted-ness, and each frame's Lhs and
+// Rest symbols; visited sets are not part of a state's identity.
+func (st *dfaState) sameContent(anomalous bool, cfgs []config) bool {
+	if st.anomalous != anomalous || len(st.configs) != len(cfgs) {
+		return false
+	}
+	for i, cfg := range cfgs {
+		if !sameConfig(st.configs[i], cfg) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameConfig compares two configs by content. Stacks are walked in step,
+// so unequal depths and halted-ness (a nil stack) both show as one side
+// ending first.
+func sameConfig(a, b config) bool {
+	if a.alt != b.alt {
+		return false
+	}
+	s, t := a.stack, b.stack
+	for ; s != nil && t != nil && s != t; s, t = s.Below, t.Below {
+		if s.F.Lhs != t.F.Lhs || !sameRest(s.F.Rest, t.F.Rest) {
+			return false
+		}
+	}
+	return s == t
+}
+
+// sameRest compares two Rest spans by their symbols. Spans built by closure
+// and by snapshot import both alias the compiled productions, so equal
+// spans usually share their first element and the loop is skipped.
+func sameRest(a, b []grammar.SymID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)
+}
+
 // cacheGen is one generation of cached DFA states; Reset swaps the whole
 // generation so in-flight readers keep a consistent snapshot.
 type cacheGen struct {
@@ -89,17 +133,44 @@ const internShards = 8
 // whose keys hash to it and the memory new ones are carved from.
 type internShard struct {
 	mu     sync.Mutex           // guards states and mem
-	states map[string]*dfaState // canonical key → interned state
+	states map[uint64]*dfaState // key hash → states filed under it, chained by next
 	mem    stateMem
 }
 
-// shardSeed keys the shard hash. Shard choice only spreads lock traffic,
-// so one process-wide seed serves every cache.
-var shardSeed = maphash.MakeSeed()
+// keySeed keys the state-key hash. Only equal keys must hash equally within
+// one process (artifacts never store a hash), so one process-wide seed
+// serves every cache.
+var keySeed = maphash.MakeSeed()
 
-// shard returns the shard that owns key.
-func (g *cacheGen) shard(key []byte) *internShard {
-	return &g.shards[maphash.Bytes(shardSeed, key)%internShards]
+// keyHash hashes a canonical state key. The hash picks the key's shard and
+// files its state there; the key itself is not kept.
+func keyHash(key []byte) uint64 { return maphash.Bytes(keySeed, key) }
+
+// shard returns the shard that owns key hash h.
+func (g *cacheGen) shard(h uint64) *internShard {
+	return &g.shards[h%internShards]
+}
+
+// lookup returns the state filed under h whose content is the canonical
+// configs cfgs with the given anomaly flag, or nil. The caller holds sh.mu
+// or owns an unpublished generation.
+func (sh *internShard) lookup(h uint64, anomalous bool, cfgs []config) *dfaState {
+	for st := sh.states[h]; st != nil; st = st.next {
+		if st.sameContent(anomalous, cfgs) {
+			return st
+		}
+	}
+	return nil
+}
+
+// file adds st under h. st must not be published yet: its next link is
+// written here and never again.
+func (sh *internShard) file(h uint64, st *dfaState) {
+	if sh.states == nil {
+		sh.states = make(map[uint64]*dfaState)
+	}
+	st.next = sh.states[h]
+	sh.states[h] = st
 }
 
 // all returns every state interned in g, in no particular order.
@@ -109,7 +180,9 @@ func (g *cacheGen) all() []*dfaState {
 		sh := &g.shards[i]
 		sh.mu.Lock()
 		for _, st := range sh.states {
-			sts = append(sts, st)
+			for ; st != nil; st = st.next {
+				sts = append(sts, st)
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -133,11 +206,12 @@ func (g *cacheGen) installStarts(m map[grammar.NTID]*dfaState) {
 // stateMem is the cache-owned memory interned states are carved from: bump
 // slabs for the states, their configs, suffix-stack frames, visited-set
 // overflow words, and halted-alt lists. It belongs to one shard of one
-// generation and is never reset — Reset drops the whole generation, and the garbage collector
-// frees its slabs once no in-flight parse holds one of its states — so a
-// new state costs amortized O(1) allocations however many frames it copies.
-// Carving happens under the owning shard's mu, or before the generation is
-// published.
+// generation, so a new state costs amortized O(1) allocations however many
+// frames it copies. A shared cache never resets it — Reset drops the whole
+// generation, and the garbage collector frees its slabs once no in-flight
+// parse holds one of its states; only Clear, on a cache no other goroutine
+// can reach, rewinds it. Carving happens under the owning shard's mu, or
+// before the generation is published.
 type stateMem struct {
 	states  arena.Arena[dfaState]
 	configs arena.Slab[config]
@@ -150,9 +224,8 @@ type stateMem struct {
 // summary (alts drive uniqueAlt; haltedAlts is retained). cfgs and
 // haltedAlts must already be owned by the cache — callers copy scratch with
 // copyConfigs and copyInts before passing it here.
-func (m *stateMem) newDFAState(key string, cfgs []config, alts, haltedAlts []int, anomalous bool) *dfaState {
+func (m *stateMem) newDFAState(cfgs []config, alts, haltedAlts []int, anomalous bool) *dfaState {
 	st := m.states.New(dfaState{
-		key:        key,
 		configs:    cfgs,
 		haltedAlts: haltedAlts,
 		uniqueAlt:  -1,
@@ -163,6 +236,16 @@ func (m *stateMem) newDFAState(key string, cfgs []config, alts, haltedAlts []int
 		st.uniqueAlt = alts[0]
 	}
 	return st
+}
+
+// reset rewinds every slab for reuse; the arenas zero what they handed out,
+// so a reset stateMem pins no state, frame or visited word.
+func (m *stateMem) reset() {
+	m.states.Reset()
+	m.configs.Reset()
+	m.frames.Reset()
+	m.words.Reset()
+	m.ints.Reset()
 }
 
 // copyConfigs deep-copies configs into m: the slice, each stack chain, and
@@ -212,7 +295,7 @@ func (m *stateMem) copyInts(xs []int) []int {
 }
 
 // Cache is the persistent SLL DFA: start states per decision nonterminal
-// and interned states by fingerprint. A Cache belongs to one grammar; reuse
+// and interned states by content. A Cache belongs to one grammar; reuse
 // across inputs is safe and is how the "warmed cache" configurations of
 // Figure 11 and the session API work.
 //
@@ -266,34 +349,34 @@ func (c *Cache) start(nt grammar.NTID, build func() *dfaState) *dfaState {
 // existing identical state when possible. Canonical order and identity are
 // content-based (SLL stacks are shallow — bounded by lookahead depth — so
 // serialization is cheap, and it is what lets distinct parses share
-// states). Identity is a packed byte string of config fingerprints, each
-// length-prefixed so the binary keys cannot collide across configs.
-// Content addressing also makes interning idempotent under concurrency:
-// the key's shard mutex picks one winner per key and every racer gets it.
+// states). The canonical key is a packed byte string of config
+// fingerprints, each length-prefixed so the binary keys cannot collide
+// across configs; a state is filed under the key's hash, and a candidate
+// under that hash is confirmed by comparing content (dfaState.sameContent),
+// which is the equality the key encodes. Content addressing also makes
+// interning idempotent under concurrency: the hash's shard mutex picks one
+// winner per content and every racer gets it.
 //
-// The key is built in the engine's scratch and probed without a copy, so a
-// miss whose successor state already exists allocates nothing. A new state
-// pays for its key string and a deep copy of what it retains into its
-// shard's stateMem: res.stable aliases the engine's decision-scoped
-// scratch, and the copy keeps cached configs from pinning that scratch and
-// makes publication race-free — no published state ever references another
+// The key is built and hashed in the engine's scratch, so a miss whose
+// successor state already exists allocates nothing, and a new state stores
+// no key. It pays only for a deep copy of what it retains into its shard's
+// stateMem: res.stable aliases the engine's decision-scoped scratch, and
+// the copy keeps cached configs from pinning that scratch and makes
+// publication race-free — no published state ever references another
 // predictor's recycled scratch. Warm-path cache hits never reach intern.
 func (c *Cache) intern(e *engine, res closureResult) *dfaState {
 	anomalous := res.anomaly != anomalyNone
-	key := e.scr.keys.build(anomalous, res.stable)
+	h := keyHash(e.scr.keys.build(anomalous, res.stable))
 	g := c.gen.Load()
-	sh := g.shard(key)
+	sh := g.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if st, ok := sh.states[string(key)]; ok {
+	if st := sh.lookup(h, anomalous, res.stable); st != nil {
 		return st
 	}
-	if sh.states == nil {
-		sh.states = make(map[string]*dfaState)
-	}
 	alts, halted := e.altSummary(res.stable)
-	st := sh.mem.newDFAState(string(key), sh.mem.copyConfigs(res.stable), alts, sh.mem.copyInts(halted), anomalous)
-	sh.states[st.key] = st
+	st := sh.mem.newDFAState(sh.mem.copyConfigs(res.stable), alts, sh.mem.copyInts(halted), anomalous)
+	sh.file(h, st)
 	g.nStates.Add(1)
 	return st
 }
@@ -311,4 +394,22 @@ func (c *Cache) Size() (starts, states int) {
 // contributing growth to the new generation.
 func (c *Cache) Reset() {
 	c.gen.Store(newGen())
+}
+
+// Clear empties the cache in place and keeps its memory for the next use:
+// every shard's table and slabs are rewound (the slabs zero what they
+// handed out, so an idle cleared cache pins nothing) and an empty start map
+// is published. Unlike Reset, Clear is not safe concurrently with anything,
+// and no state read from the cache before it may be used after it: it is
+// for a cache no other goroutine can reach, such as a session's
+// parse-private DFA recycled with its pooled scratch.
+func (c *Cache) Clear() {
+	g := c.gen.Load()
+	for i := range g.shards {
+		sh := &g.shards[i]
+		clear(sh.states)
+		sh.mem.reset()
+	}
+	g.nStates.Store(0)
+	g.installStarts(make(map[grammar.NTID]*dfaState))
 }

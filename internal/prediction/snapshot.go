@@ -7,9 +7,11 @@ package prediction
 // The cache's content-addressed design makes it snapshot-friendly: a
 // dfaState's identity is a pure function of its configs, so the snapshot
 // stores configs as grammar positions and the import re-derives keys,
-// uniqueAlt, and haltedAlts instead of trusting serialized copies. Two
-// invariants make the grammar-position encoding mandatory rather than a
-// size optimization:
+// uniqueAlt, and haltedAlts instead of trusting serialized copies. States
+// keep no key, so Export re-derives each one to order the states, and
+// Import files every state under its re-derived key's hash exactly as
+// Cache.intern does. Two invariants make the grammar-position encoding
+// mandatory rather than a size optimization:
 //
 //   - Frame Rest slices must alias the compiled production arrays
 //     (prediction's closure dedup keys on the address of Rest's first
@@ -25,7 +27,7 @@ package prediction
 //     the cold path, so an imported generation is indistinguishable from a
 //     warmed one.
 //
-// Export is deterministic (states sorted by interning key, edges by
+// Export is deterministic (states sorted by canonical key, edges by
 // terminal, starts by nonterminal) so that identical warm-ups produce
 // byte-identical artifacts and golden files are stable.
 
@@ -104,7 +106,7 @@ func restIndex(cg *grammar.Compiled) map[*grammar.SymID]restPos {
 func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 	gen := c.gen.Load()
 	sts := gen.all()
-	sort.Slice(sts, func(i, j int) bool { return sts[i].key < sts[j].key })
+	sortByKey(sts)
 	index := make(map[*dfaState]int32, len(sts))
 	for i, st := range sts {
 		index[st] = int32(i)
@@ -164,6 +166,22 @@ func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 	return snap, nil
 }
 
+// sortByKey orders states by their canonical keys, re-derived from each
+// state's configs. keyBuf.build may reorder equal configs in place, so each
+// state's configs are copied first: a published state is never written.
+func sortByKey(sts []*dfaState) {
+	var (
+		kb  keyBuf
+		tmp []config
+	)
+	keys := make(map[*dfaState]string, len(sts))
+	for _, st := range sts {
+		tmp = append(tmp[:0], st.configs...)
+		keys[st] = string(kb.build(st.anomalous, tmp))
+	}
+	sort.Slice(sts, func(i, j int) bool { return keys[sts[i]] < keys[sts[j]] })
+}
+
 func exportConfig(cg *grammar.Compiled, cfg config, pos map[*grammar.SymID]restPos) (ConfigSnapshot, error) {
 	cs := ConfigSnapshot{Alt: int32(cfg.alt)}
 	for s := cfg.stack; s != nil; s = s.Below {
@@ -201,10 +219,11 @@ func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 	gen := newGen()
 	n := len(snap.States)
 	for i := range gen.shards {
-		gen.shards[i].states = make(map[string]*dfaState, n/internShards+1)
+		gen.shards[i].states = make(map[uint64]*dfaState, n/internShards+1)
 	}
 	// The generation is not published yet, so every state is carved from
-	// one shard's memory without locks; the shards' maps index them by key.
+	// one shard's memory without locks; the shards' tables file them by key
+	// hash.
 	mem := &gen.shards[0].mem
 	sts := make([]*dfaState, n)
 	var (
@@ -220,14 +239,14 @@ func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 		// The key is re-derived from the imported configs — never trusted
 		// from the snapshot — so a rebuilt state lands on exactly the
 		// identity it would have been interned under natively.
-		key := keys.build(ss.Anomalous, cfgs)
-		sh := gen.shard(key)
-		if _, dup := sh.states[string(key)]; dup {
+		h := keyHash(keys.build(ss.Anomalous, cfgs))
+		sh := gen.shard(h)
+		if sh.lookup(h, ss.Anomalous, cfgs) != nil {
 			return fmt.Errorf("prediction: cache snapshot: states %d duplicates an earlier state", i)
 		}
 		alts, halted = summarizeAlts(cfgs, alts[:0], halted[:0])
-		st := mem.newDFAState(string(key), cfgs, alts, mem.copyInts(halted), ss.Anomalous)
-		sh.states[st.key] = st
+		st := mem.newDFAState(cfgs, alts, mem.copyInts(halted), ss.Anomalous)
+		sh.file(h, st)
 		sts[i] = st
 	}
 	gen.nStates.Store(int64(n))

@@ -115,17 +115,16 @@ type engine struct {
 // ends. Results that must outlive a decision — DFA states — are
 // deep-copied by Cache.intern into cache-owned memory.
 type scratch struct {
-	work       []config
-	stable     []config
-	moved      []config
-	initial    []config
-	seen       map[dedupKey]bool
-	stableSeen map[dedupKey]bool
-	alts       []int
-	halted     []int
-	keys       keyBuf                           // canonical DFA-state keys
-	suffix     arena.Arena[machine.SuffixStack] // closure-built stack nodes
-	words      arena.Slab[uint64]               // visited-set overflow words
+	work    []config
+	stable  []config
+	moved   []config
+	initial []config
+	seen    map[dedupKey]bool
+	alts    []int
+	halted  []int
+	keys    keyBuf                           // canonical DFA-state keys
+	suffix  arena.Arena[machine.SuffixStack] // closure-built stack nodes
+	words   arena.Slab[uint64]               // visited-set overflow words
 }
 
 // beginDecision recycles the decision-scoped arenas. Safe because nothing
@@ -189,13 +188,11 @@ func (e *engine) closure(m mode, in []config) (res closureResult) {
 	work := append(e.scr.work[:0], in...)
 	stable := e.scr.stable[:0]
 	seen := e.scr.seen
-	stableSeen := e.scr.stableSeen
 	if seen == nil {
-		seen, stableSeen = make(map[dedupKey]bool), make(map[dedupKey]bool)
-		e.scr.seen, e.scr.stableSeen = seen, stableSeen
+		seen = make(map[dedupKey]bool)
+		e.scr.seen = seen
 	} else {
 		clear(seen)
-		clear(stableSeen)
 	}
 	defer func() {
 		// Hand the (possibly grown) buffers back so later calls reuse them.
@@ -223,8 +220,10 @@ func (e *engine) closure(m mode, in []config) (res closureResult) {
 		}
 		seen[key] = true
 
+		// Every append to stable below follows this first sighting of the
+		// config's key, so stable holds each key once.
 		if cfg.stack == nil {
-			stable = addStable(stable, stableSeen, cfg)
+			stable = append(stable, cfg)
 			continue
 		}
 		top := cfg.stack.F
@@ -260,7 +259,7 @@ func (e *engine) closure(m mode, in []config) (res closureResult) {
 		}
 		head := top.Rest[0]
 		if head.IsT() {
-			stable = addStable(stable, stableSeen, cfg)
+			stable = append(stable, cfg)
 			continue
 		}
 		// Push: expand the nonterminal into each right-hand side.
@@ -290,15 +289,6 @@ func (e *engine) closure(m mode, in []config) (res closureResult) {
 		}
 	}
 	return res
-}
-
-func addStable(stable []config, stableSeen map[dedupKey]bool, cfg config) []config {
-	key := keyOf(cfg)
-	if stableSeen[key] {
-		return stable
-	}
-	stableSeen[key] = true
-	return append(stable, cfg)
 }
 
 // move advances every stable config across terminal t: configs whose top

@@ -179,7 +179,7 @@ func (p *Pass) Filename(pos token.Pos) string {
 }
 
 // Write is one syntactic mutation site: the target of an assignment or
-// IncDec statement, or the first argument of a delete() call.
+// IncDec statement, or the first argument of a delete() or clear() call.
 type Write struct {
 	// Target is the expression being written through.
 	Target ast.Expr
@@ -189,7 +189,9 @@ type Write struct {
 
 // Writes collects every syntactic mutation in f. Short variable
 // declarations (`:=`) are excluded: their left-hand sides introduce new
-// variables rather than writing through existing structure.
+// variables rather than writing through existing structure. The clear
+// builtin counts like delete: it empties a map or zeroes a slice in place,
+// so it writes through whatever shares it.
 func Writes(f *ast.File) []Write {
 	var out []Write
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -204,7 +206,7 @@ func Writes(f *ast.File) []Write {
 		case *ast.IncDecStmt:
 			out = append(out, Write{Target: s.X, Node: s})
 		case *ast.CallExpr:
-			if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "delete" && len(s.Args) > 0 {
+			if id, ok := s.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(s.Args) > 0 {
 				out = append(out, Write{Target: s.Args[0], Node: s})
 			}
 		}

@@ -25,12 +25,13 @@ func g() {
 	x.f += 1           // op-assign
 	x.f++              // incdec
 	delete(x.m, k)     // delete
+	clear(x.m)         // clear
 	z := 1             // define: not a write
 	_ = z              // blank assign: counted, but has no selectors
 }`)
 	ws := Writes(f)
-	if len(ws) != 7 {
-		t.Fatalf("Writes found %d sites, want 7", len(ws))
+	if len(ws) != 8 {
+		t.Fatalf("Writes found %d sites, want 8", len(ws))
 	}
 }
 

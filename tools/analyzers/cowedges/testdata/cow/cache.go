@@ -9,7 +9,7 @@ type dfaState struct {
 
 type atomicMap struct{ p *map[int]*dfaState }
 
-func (m *atomicMap) Load() *map[int]*dfaState  { return m.p }
+func (m *atomicMap) Load() *map[int]*dfaState   { return m.p }
 func (m *atomicMap) Store(v *map[int]*dfaState) { m.p = v }
 
 func setEdge(st *dfaState, k int, v *dfaState) {

@@ -13,3 +13,10 @@ func compile(terms []string) *Compiled {
 	c.ntNames = []string{"S"}
 	return c
 }
+
+// recompile refills a table in the constructor file, where clearing it is
+// part of construction; accepted.
+func recompile(c *Compiled, terms []string) {
+	clear(c.termNames)
+	c.termNames = append(c.termNames[:0], terms...)
+}

@@ -68,7 +68,7 @@ var sanitizers = map[string]bool{
 // path: newDFAState stores cfgs and haltedAlts into the dfaState it
 // returns, but only reads alts.
 var retainedParams = map[string][]int{
-	"newDFAState": {1, 3}, // (key, cfgs, alts, haltedAlts, anomalous)
+	"newDFAState": {0, 2}, // (cfgs, alts, haltedAlts, anomalous)
 }
 
 // retainedTypes are the structs whose fields are retention boundaries:

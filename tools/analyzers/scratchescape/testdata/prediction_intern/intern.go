@@ -1,5 +1,5 @@
 // Fixture: the intern-copy fast path. The SLL DFA cache interns decision
-// scratch into dfaStates; newDFAState retains parameters 1 (cfgs) and 3
+// scratch into dfaStates; newDFAState retains parameters 0 (cfgs) and 2
 // (haltedAlts), so raw scratch slices must be deep-copied before the
 // call, and dfaState field stores must hold copies too. Matching is by
 // declared package name, so this replica is held to the same spec as the
@@ -39,17 +39,17 @@ func (m *stateMem) copyInts(xs []int) []int {
 	return m.ints[len(m.ints)-len(xs):]
 }
 
-// newDFAState retains cfgs and haltedAlts (params 1 and 3) in the state
+// newDFAState retains cfgs and haltedAlts (params 0 and 2) in the state
 // it returns; alts is only read.
-func (m *stateMem) newDFAState(key uint64, cfgs []config, alts []int, haltedAlts []int, anomalous bool) *dfaState {
-	_, _, _ = key, alts, anomalous
+func (m *stateMem) newDFAState(cfgs []config, alts []int, haltedAlts []int, anomalous bool) *dfaState {
+	_, _ = alts, anomalous
 	return &dfaState{configs: cfgs, haltedAlts: haltedAlts}
 }
 
 // internRaw hands scratch-aliasing slices straight to the cache: both
 // retained arguments are flagged.
-func internRaw(e *engine, m *stateMem, key uint64, alts []int) *dfaState {
-	return m.newDFAState(key,
+func internRaw(e *engine, m *stateMem, alts []int) *dfaState {
+	return m.newDFAState(
 		e.scr.stable, // want "retained by the DFA cache"
 		alts,
 		e.scr.halted, // want "retained by the DFA cache"
@@ -58,15 +58,15 @@ func internRaw(e *engine, m *stateMem, key uint64, alts []int) *dfaState {
 
 // internCopied is the sanctioned path: the generation's copies for the
 // configs and the halted alternatives.
-func internCopied(e *engine, m *stateMem, key uint64, alts []int) *dfaState {
-	return m.newDFAState(key, m.copyConfigs(e.scr.stable), alts, m.copyInts(e.scr.halted), false)
+func internCopied(e *engine, m *stateMem, alts []int) *dfaState {
+	return m.newDFAState(m.copyConfigs(e.scr.stable), alts, m.copyInts(e.scr.halted), false)
 }
 
 // internAppended copies the halted alternatives with an element-copying
 // append (int elements cannot alias pooled memory, so the fresh backing
 // array is a deep copy); accepted.
-func internAppended(e *engine, m *stateMem, key uint64, alts []int) *dfaState {
-	return m.newDFAState(key, m.copyConfigs(e.scr.stable), alts, append([]int(nil), e.scr.halted...), false)
+func internAppended(e *engine, m *stateMem, alts []int) *dfaState {
+	return m.newDFAState(m.copyConfigs(e.scr.stable), alts, append([]int(nil), e.scr.halted...), false)
 }
 
 // storeRaw writes scratch into an interned state after construction.

@@ -23,7 +23,7 @@ type report struct {
 
 // retainRaw stores the raw window string into longer-lived structure.
 func retainRaw(t grammar.Token, e *entry, seen map[string]string) {
-	e.name = t.Literal // want "zero-copy input window stored into"
+	e.name = t.Literal       // want "zero-copy input window stored into"
 	seen["last"] = t.Literal // want "stored into a map"
 }
 
