@@ -181,8 +181,8 @@ func compile(langName, g4Path, bnfPath, out string, warm, warmMax int, cold bool
 	if p.Certified() {
 		cert = "certified"
 	}
-	fmt.Printf("%s: %d bytes, fingerprint %016x, %s, %d DFA states / %d starts (warmed on %d files)\n",
-		out, len(data), a.Fingerprint, cert, states, starts, warmed)
+	fmt.Printf("%s: %d bytes, fingerprint %016x, %s, %d DFA states / %d frames / %d starts (warmed on %d files)\n",
+		out, len(data), a.Fingerprint, cert, states, len(a.Cache.Frames), starts, warmed)
 	return nil
 }
 

@@ -40,7 +40,7 @@ import (
 )
 
 // Version is the artifact format version this build reads and writes.
-const Version = 1
+const Version = 2
 
 // magic identifies a CoStar artifact stream.
 var magic = [4]byte{'C', 'S', 'A', 'R'}

@@ -96,7 +96,15 @@ func Encode(a *Artifact) []byte {
 		e.bools(ts.CanFinish)
 	}
 
-	// SLL DFA cache snapshot.
+	// SLL DFA cache snapshot: the shared frame table, then the start table
+	// and the states, whose configs name their top frames.
+	e.u32(uint32(len(a.Cache.Frames)))
+	for _, f := range a.Cache.Frames {
+		e.i32(int32(f.Lhs))
+		e.i32(f.Prod)
+		e.i32(f.Dot)
+		e.i32(f.Below)
+	}
 	e.u32(uint32(len(a.Cache.Starts)))
 	for _, se := range a.Cache.Starts {
 		e.i32(int32(se.NT))
@@ -107,16 +115,9 @@ func Encode(a *Artifact) []byte {
 		ss := &a.Cache.States[i]
 		e.bool(ss.Anomalous)
 		e.u32(uint32(len(ss.Configs)))
-		for j := range ss.Configs {
-			cs := &ss.Configs[j]
+		for _, cs := range ss.Configs {
 			e.i32(cs.Alt)
-			e.u32(uint32(len(cs.Frames)))
-			for _, f := range cs.Frames {
-				e.i32(int32(f.Lhs))
-				e.i32(f.Prod)
-				e.i32(f.Dot)
-			}
-			e.i32s(cs.Visited)
+			e.i32(cs.Top)
 		}
 		e.i32s(ss.EdgeTerms)
 		e.i32s(ss.EdgeStates)
@@ -214,6 +215,19 @@ func Decode(b []byte) (*Artifact, error) {
 	}
 
 	// SLL DFA cache snapshot.
+	nFrames := d.count(16) // lhs, prod, dot, below
+	if b := d.take(16 * nFrames); nFrames > 0 && b != nil {
+		a.Cache.Frames = make([]prediction.FrameSnapshot, nFrames)
+		for i := range a.Cache.Frames {
+			e := b[16*i : 16*i+16]
+			a.Cache.Frames[i] = prediction.FrameSnapshot{
+				Lhs:   grammar.NTID(binary.LittleEndian.Uint32(e)),
+				Prod:  int32(binary.LittleEndian.Uint32(e[4:])),
+				Dot:   int32(binary.LittleEndian.Uint32(e[8:])),
+				Below: int32(binary.LittleEndian.Uint32(e[12:])),
+			}
+		}
+	}
 	nStarts := d.count(8)
 	if nStarts > 0 && d.err == nil {
 		a.Cache.Starts = make([]prediction.StartSnapshot, 0, nStarts)
@@ -231,18 +245,15 @@ func Decode(b []byte) (*Artifact, error) {
 	for i := 0; i < nStates && d.err == nil; i++ {
 		var ss prediction.StateSnapshot
 		ss.Anomalous = d.bool()
-		nConfigs := d.count(12) // alt + frame count + visited count, minimum
-		if nConfigs > 0 && d.err == nil {
-			ss.Configs = carve(&d.configChunk, nConfigs, d.remaining()/12)
-		}
-		for j := range ss.Configs {
-			if d.err != nil {
-				break
+		nConfigs := d.count(8) // alt, top frame
+		if b := d.take(8 * nConfigs); nConfigs > 0 && b != nil {
+			ss.Configs = carve(&d.configChunk, nConfigs, d.remaining()/8+nConfigs)
+			for j := range ss.Configs {
+				ss.Configs[j] = prediction.ConfigSnapshot{
+					Alt: int32(binary.LittleEndian.Uint32(b[8*j:])),
+					Top: int32(binary.LittleEndian.Uint32(b[8*j+4:])),
+				}
 			}
-			cs := &ss.Configs[j]
-			cs.Alt = d.i32()
-			cs.Frames = d.frames()
-			cs.Visited = d.i32s()
 		}
 		ss.EdgeTerms = d.i32s()
 		ss.EdgeStates = d.i32s()
@@ -311,10 +322,10 @@ func (e *encoder) bools(s []bool) {
 // decoder is the sticky-error forward reader. After the first failure
 // every primitive returns zero values and the final error survives.
 //
-// The DFA snapshot holds tens of thousands of configs, each with a frame
-// list and a visited list. Those slices, and the other int32 lists, are
-// carved as exact-capacity sub-slices of decoder-owned chunks, so a load
-// costs O(chunks) allocations rather than two per config. Each fixed-width
+// The DFA snapshot holds thousands of states, each with a config list and
+// two edge lists. Those slices, and the other int32 lists, are carved as
+// exact-capacity sub-slices of decoder-owned chunks, so a load costs
+// O(chunks) allocations rather than several per state. Each fixed-width
 // run is read with one bounds check.
 type decoder struct {
 	b   []byte
@@ -322,7 +333,6 @@ type decoder struct {
 	err error
 
 	configChunk []prediction.ConfigSnapshot
-	frameChunk  []prediction.FrameSnapshot
 	intChunk    []int32
 }
 
@@ -444,25 +454,6 @@ func (d *decoder) i32s() []int32 {
 	out := carve(&d.intChunk, n, d.remaining()/4+n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// frames reads a counted run of (lhs, prod, dot) config frames.
-func (d *decoder) frames() []prediction.FrameSnapshot {
-	n := d.count(12)
-	b := d.take(12 * n)
-	if n == 0 || b == nil {
-		return nil
-	}
-	out := carve(&d.frameChunk, n, d.remaining()/12+n)
-	for i := range out {
-		e := b[12*i : 12*i+12]
-		out[i] = prediction.FrameSnapshot{
-			Lhs:  grammar.NTID(binary.LittleEndian.Uint32(e)),
-			Prod: int32(binary.LittleEndian.Uint32(e[4:])),
-			Dot:  int32(binary.LittleEndian.Uint32(e[8:])),
-		}
 	}
 	return out
 }

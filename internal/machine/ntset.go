@@ -92,52 +92,6 @@ func (s NTSet) removeHi(hi []uint64, n grammar.NTID) NTSet {
 	return NTSet{lo: s.lo, hi: hi}
 }
 
-// NTSetFromMembersIn builds a set from strictly-ascending member IDs with
-// its overflow words (sized from the last, largest member) carved from sl
-// in one span (nil allocates them). It is the bulk constructor for the
-// artifact import path, where building by repeated Add would copy the
-// overflow words once per member. Returns ok=false when ids are not
-// strictly ascending or contain a negative.
-func NTSetFromMembersIn(sl *arena.Slab[uint64], ids []grammar.NTID) (NTSet, bool) {
-	if len(ids) == 0 {
-		return NTSet{}, true
-	}
-	last := ids[len(ids)-1]
-	if ids[0] < 0 {
-		return NTSet{}, false
-	}
-	var s NTSet
-	if last >= 64 {
-		s.hi = makeWords(sl, int(last-64)>>6+1)
-	}
-	prev := grammar.NTID(-1)
-	for _, n := range ids {
-		if n <= prev {
-			return NTSet{}, false
-		}
-		prev = n
-		if n < 64 {
-			s.lo |= 1 << uint(n)
-		} else {
-			s.hi[int(n-64)>>6] |= 1 << uint((n-64)&63)
-		}
-	}
-	return s, true
-}
-
-// CloneIn returns a copy whose overflow words are carved from sl (nil
-// allocates them), so the result stays valid after any slab the receiver
-// was carved from is recycled. The SLL cache clones visited sets into its
-// own memory when interning DFA states built from prediction scratch.
-func (s NTSet) CloneIn(sl *arena.Slab[uint64]) NTSet {
-	if len(s.hi) == 0 {
-		return NTSet{lo: s.lo}
-	}
-	hi := makeWords(sl, len(s.hi))
-	copy(hi, s.hi)
-	return NTSet{lo: s.lo, hi: hi}
-}
-
 func makeWords(sl *arena.Slab[uint64], width int) []uint64 {
 	if sl == nil {
 		return make([]uint64, width)

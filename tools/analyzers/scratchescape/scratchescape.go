@@ -5,8 +5,8 @@
 // the documented machine.Result.Final exception), or the shared SLL DFA
 // cache's retained structures (dfaState fields, the retained parameters
 // of newDFAState) without first passing a recognized deep copy
-// (stateMem.copyConfigs/copyInts, NTSet.CloneIn, or an element-copying
-// append of a value-typed slice).
+// (stateMem.copyConfigs/copyInts, or an element-copying append of a
+// value-typed slice).
 //
 // The analysis is analyzerkit's intra-procedural taint walker: scratch
 // taint enters at a declarative list of field reads (the arena fields of
@@ -55,7 +55,6 @@ var sourceFields = map[string]map[string]map[string]bool{
 var sanitizers = map[string]bool{
 	"stateMem.copyConfigs":      true, // carves from the cache generation's slabs
 	"stateMem.copyInts":         true,
-	"NTSet.CloneIn":             true,
 	"Tree.Clone":                true,
 	"Mem.Trees":                 true, // the Result-scoped tree arena accessor
 	"PrefixFrame.ForestInOrder": true,
@@ -104,7 +103,7 @@ var Analyzer = &analyzerkit.Analyzer{
 	Doc: "flag pooled scratch escaping into Results or the shared DFA cache\n\n" +
 		"Per-parse scratch (machine.Mem arenas, prediction decision scratch) dies at\n" +
 		"Reset; anything that outlives the parse — Result fields, interned dfaStates —\n" +
-		"must hold deep copies (stateMem.copyConfigs/CloneIn). An escape is a\n" +
+		"must hold deep copies (stateMem.copyConfigs/copyInts). An escape is a\n" +
 		"use-after-reset when the pooled Mem serves its next parse.",
 	Run:       run,
 	NeedTypes: true,
@@ -215,7 +214,7 @@ func checkFunc(pass *analyzerkit.Pass, flow *analyzerkit.Flow, fd *ast.FuncDecl)
 				}
 				if retainedTypes[pkg][typ] {
 					pass.Reportf(n.Pos(),
-						"scratch-allocated value stored into cache-retained %s.%s.%s: the shared DFA cache outlives the parse; deep-copy first (stateMem.copyConfigs/CloneIn)",
+						"scratch-allocated value stored into cache-retained %s.%s.%s: the shared DFA cache outlives the parse; deep-copy first (stateMem.copyConfigs/copyInts)",
 						pkg, typ, field)
 					continue
 				}
@@ -299,7 +298,7 @@ func checkRetainingCall(pass *analyzerkit.Pass, flow *analyzerkit.Flow, call *as
 		}
 		if flow.Tainted(call.Args[idx]) {
 			pass.Reportf(call.Args[idx].Pos(),
-				"scratch-allocated value passed to %s parameter %d, which is retained by the DFA cache: deep-copy first (stateMem.copyConfigs/CloneIn)",
+				"scratch-allocated value passed to %s parameter %d, which is retained by the DFA cache: deep-copy first (stateMem.copyConfigs/copyInts)",
 				fn.Name(), idx)
 		}
 	}

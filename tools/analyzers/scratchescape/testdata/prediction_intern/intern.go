@@ -16,6 +16,12 @@ type scratch struct {
 
 type engine struct{ scr *scratch }
 
+// closureResult.stable aliases the decision scratch.
+type closureResult struct {
+	stable  []config
+	anomaly uint8
+}
+
 // dfaState is cache-retained: it outlives every parse.
 type dfaState struct {
 	configs    []config
@@ -67,6 +73,17 @@ func internCopied(e *engine, m *stateMem, alts []int) *dfaState {
 // array is a deep copy); accepted.
 func internAppended(e *engine, m *stateMem, alts []int) *dfaState {
 	return m.newDFAState(m.copyConfigs(e.scr.stable), alts, append([]int(nil), e.scr.halted...), false)
+}
+
+// internResult hands a closure result's stable configs to the cache
+// uncopied: flagged, with no visited-set clone anywhere on the path.
+func internResult(res closureResult, m *stateMem, alts []int) *dfaState {
+	return m.newDFAState(res.stable, alts, nil, res.anomaly != 0) // want "retained by the DFA cache"
+}
+
+// internResultCopied copies the stable configs first; accepted.
+func internResultCopied(res closureResult, m *stateMem, alts []int) *dfaState {
+	return m.newDFAState(m.copyConfigs(res.stable), alts, nil, res.anomaly != 0)
 }
 
 // storeRaw writes scratch into an interned state after construction.
