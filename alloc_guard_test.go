@@ -14,6 +14,7 @@ package costar
 // internal/parser/pool_test.go.
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -41,8 +42,32 @@ func allocGuard(t *testing.T, tokens int, ceiling float64, op func()) {
 	}
 }
 
+// bytesGuard measures steady-state heap bytes/token for op on a warm
+// session — runtime.MemStats.TotalAlloc over repeated parses — and fails if
+// it exceeds ceiling. It runs after allocGuard, so the session is primed.
+func bytesGuard(t *testing.T, tokens int, ceiling float64, op func()) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("byte ceilings are not meaningful under -race")
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	perTok := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(tokens)
+	t.Logf("%.0f B/token over %d tokens (ceiling %.0f)", perTok, tokens, ceiling)
+	if perTok > ceiling {
+		t.Errorf("warm parse allocates %.0f B/token, ceiling %.0f — per-node tree allocation is back", perTok, ceiling)
+	}
+}
+
 // TestAllocGuardWarmJSONParse guards the slice path: parse a pre-tokenized
-// JSON word on a warm session.
+// JSON word on a warm session. Its byte ceiling (~1.3x the measured
+// 85 B/token) fails a return to per-node pointer trees, which allocated
+// 241 B/token.
 func TestAllocGuardWarmJSONParse(t *testing.T) {
 	src := jsonlang.Generate(42, 3000)
 	toks, err := jsonlang.Lang.Tokenize(src)
@@ -50,11 +75,13 @@ func TestAllocGuardWarmJSONParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := parser.MustNew(jsonlang.Lang.Grammar(), parser.Options{})
-	allocGuard(t, len(toks), 0.06, func() {
+	op := func() {
 		if res := p.Parse(toks); res.Kind != machine.Unique {
 			t.Fatal(res.Reason)
 		}
-	})
+	}
+	allocGuard(t, len(toks), 0.06, op)
+	bytesGuard(t, len(toks), 110, op)
 }
 
 // TestAllocGuardWarmJSONStream guards the end-to-end reader pipeline:
@@ -80,10 +107,13 @@ func TestAllocGuardWarmJSONStream(t *testing.T) {
 // the pooled machine arenas used to abandon full slabs at grow time, so
 // every parse re-allocated its whole slab chain (~0.023 allocs/token on
 // Python). With the rewinding queue, slab retention across Reset, and the
-// pre-sized layout state the measured rate is ~0.012 allocs/token — the
-// residue is the Result-scoped tree arena (detached per parse by design)
-// plus the zero-copy scanner's per-refill window fold. The ceiling is the
-// usual ~10x headroom over the measurement.
+// pre-sized layout state the measured rate is ~0.009 allocs/token — the
+// residue is the parse's tree table (its column chunks; each parse builds
+// its own by design) plus the zero-copy scanner's per-refill window fold.
+// The alloc ceiling is the usual ~10x headroom over the measurement. The
+// byte ceiling is ~1.25x the measured 240 B/token, 9.4 tree nodes per
+// token at 16 bytes each plus one 32-byte token per leaf; per-node pointer
+// trees allocated 850 B/token.
 func TestAllocGuardWarmPythonStream(t *testing.T) {
 	src := pylang.Generate(42, 3000)
 	toks, err := pylang.Lang.Tokenize(src)
@@ -91,11 +121,13 @@ func TestAllocGuardWarmPythonStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := parser.MustNew(pylang.Lang.Grammar(), parser.Options{})
-	allocGuard(t, len(toks), 0.12, func() {
+	op := func() {
 		if res := p.ParseSource(pylang.Lang.Cursor(strings.NewReader(src))); res.Kind != machine.Unique {
 			t.Fatal(res.Reason)
 		}
-	})
+	}
+	allocGuard(t, len(toks), 0.12, op)
+	bytesGuard(t, len(toks), 300, op)
 }
 
 // TestAllocGuardColdPythonParse guards the SLL miss path in the paper's

@@ -52,7 +52,8 @@ type (
 	Symbol = grammar.Symbol
 	// Token is a (terminal, literal) input pair.
 	Token = grammar.Token
-	// Tree is a parse tree.
+	// Tree is a parse tree, read through its accessors (IsLeaf, IsErr, NT,
+	// Token, NumChildren, Child).
 	Tree = tree.Tree
 	// Parser is a reusable parsing session with a persistent SLL cache.
 	Parser = parser.Parser

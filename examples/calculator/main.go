@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"costar"
-	"costar/internal/tree"
 )
 
 const calcG4 = `
@@ -58,9 +57,9 @@ func main() {
 }
 
 // evalExpr interprets an expr node: term (addop term)*.
-func evalExpr(n *tree.Tree) float64 {
-	acc := evalTerm(n.Children[0])
-	ops, operands := flatten(n.Children[1]) // expr_star
+func evalExpr(n *costar.Tree) float64 {
+	acc := evalTerm(n.Child(0))
+	ops, operands := flatten(n.Child(1)) // expr_star
 	for i, op := range ops {
 		if op == "+" {
 			acc += evalTerm(operands[i])
@@ -72,9 +71,9 @@ func evalExpr(n *tree.Tree) float64 {
 }
 
 // evalTerm interprets term: factor (mulop factor)*.
-func evalTerm(n *tree.Tree) float64 {
-	acc := evalFactor(n.Children[0])
-	ops, operands := flatten(n.Children[1]) // term_star
+func evalTerm(n *costar.Tree) float64 {
+	acc := evalFactor(n.Child(0))
+	ops, operands := flatten(n.Child(1)) // term_star
 	for i, op := range ops {
 		if op == "*" {
 			acc *= evalFactor(operands[i])
@@ -87,30 +86,30 @@ func evalTerm(n *tree.Tree) float64 {
 
 // flatten walks a desugared star helper (X → op operand X | ε) into
 // parallel op/operand lists.
-func flatten(star *tree.Tree) ([]string, []*tree.Tree) {
+func flatten(star *costar.Tree) ([]string, []*costar.Tree) {
 	var ops []string
-	var operands []*tree.Tree
-	for len(star.Children) == 3 {
+	var operands []*costar.Tree
+	for star.NumChildren() == 3 {
 		// children: (addop/mulop) operand rest
-		ops = append(ops, star.Children[0].Children[0].Token.Terminal)
-		operands = append(operands, star.Children[1])
-		star = star.Children[2]
+		ops = append(ops, star.Child(0).Child(0).Token().Terminal)
+		operands = append(operands, star.Child(1))
+		star = star.Child(2)
 	}
 	return ops, operands
 }
 
-func evalFactor(n *tree.Tree) float64 {
-	if len(n.Children) == 2 { // '-' factor
-		return -evalFactor(n.Children[1])
+func evalFactor(n *costar.Tree) float64 {
+	if n.NumChildren() == 2 { // '-' factor
+		return -evalFactor(n.Child(1))
 	}
-	return evalAtom(n.Children[0])
+	return evalAtom(n.Child(0))
 }
 
-func evalAtom(n *tree.Tree) float64 {
-	if len(n.Children) == 3 { // '(' expr ')'
-		return evalExpr(n.Children[1])
+func evalAtom(n *costar.Tree) float64 {
+	if n.NumChildren() == 3 { // '(' expr ')'
+		return evalExpr(n.Child(1))
 	}
-	f, err := strconv.ParseFloat(n.Children[0].Token.Literal, 64)
+	f, err := strconv.ParseFloat(n.Child(0).Token().Literal, 64)
 	if err != nil {
 		panic(err)
 	}

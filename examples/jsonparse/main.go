@@ -10,7 +10,6 @@ import (
 
 	"costar"
 	"costar/internal/languages/jsonlang"
-	"costar/internal/tree"
 )
 
 const doc = `{
@@ -48,14 +47,15 @@ func main() {
 }
 
 // evalValue interprets a "value" node of the desugared JSON grammar.
-func evalValue(v *tree.Tree) any {
-	child := v.Children[0]
-	if child.IsLeaf {
-		switch child.Token.Terminal {
+func evalValue(v *costar.Tree) any {
+	child := v.Child(0)
+	if child.IsLeaf() {
+		tok := child.Token()
+		switch tok.Terminal {
 		case "STRING":
-			return unquote(child.Token.Literal)
+			return unquote(tok.Literal)
 		case "NUMBER":
-			f, _ := strconv.ParseFloat(child.Token.Literal, 64)
+			f, _ := strconv.ParseFloat(tok.Literal, 64)
 			return f
 		case "true":
 			return true
@@ -65,13 +65,13 @@ func evalValue(v *tree.Tree) any {
 			return nil
 		}
 	}
-	switch child.NT {
+	switch child.NT() {
 	case "obj":
 		out := map[string]any{}
-		child.Walk(func(n *tree.Tree) bool {
-			if !n.IsLeaf && n.NT == "pair" {
-				key := unquote(n.Children[0].Token.Literal)
-				out[key] = evalValue(n.Children[2])
+		child.Walk(func(n *costar.Tree) bool {
+			if n.NT() == "pair" {
+				key := unquote(n.Child(0).Token().Literal)
+				out[key] = evalValue(n.Child(2))
 				return false // pairs do not nest directly
 			}
 			return true
@@ -89,10 +89,10 @@ func evalValue(v *tree.Tree) any {
 
 // collectValues gathers the direct "value" nodes of an arr subtree,
 // flattening the desugared list helpers (arr_star etc.).
-func collectValues(n *tree.Tree) []*tree.Tree {
-	var out []*tree.Tree
-	n.Walk(func(t *tree.Tree) bool {
-		if !t.IsLeaf && t.NT == "value" {
+func collectValues(n *costar.Tree) []*costar.Tree {
+	var out []*costar.Tree
+	n.Walk(func(t *costar.Tree) bool {
+		if t.NT() == "value" {
 			out = append(out, t)
 			return false
 		}
@@ -101,13 +101,13 @@ func collectValues(n *tree.Tree) []*tree.Tree {
 	return out
 }
 
-func findChild(n *tree.Tree, nt string) *tree.Tree {
-	var found *tree.Tree
-	n.Walk(func(t *tree.Tree) bool {
+func findChild(n *costar.Tree, nt string) *costar.Tree {
+	var found *costar.Tree
+	n.Walk(func(t *costar.Tree) bool {
 		if found != nil {
 			return false
 		}
-		if !t.IsLeaf && t.NT == nt {
+		if t.NT() == nt {
 			found = t
 			return false
 		}

@@ -60,7 +60,7 @@ func TestAmbiguityDetection(t *testing.T) {
 	if res.Kind != machine.Ambig {
 		t.Fatalf("result = %v, want Ambig", res.Kind)
 	}
-	if res.Tree.Children[0].NT != "X" {
+	if res.Tree.Child(0).NT() != "X" {
 		t.Errorf("should resolve to lowest alternative: %s", res.Tree)
 	}
 }

@@ -73,25 +73,26 @@ func (p *Parser) WarmUp(words ...[]grammar.Token) {
 }
 
 // pframe is one mutable parser stack frame: a production in progress. Its
-// children span has exactly len(rhs) capacity, carved from the parse's tree
-// arena, and becomes the finished node's child list.
+// children so far are the parse's ID stack from base up.
 type pframe struct {
-	prod     int32
-	dot      int32
-	children []*tree.Tree
+	prod int32
+	dot  int32
+	base int32
 }
 
-// Parse parses w from the grammar's start symbol. Leaves, nodes and child
-// lists come from one tree arena per parse, as in the verified engine, so
-// the two engines' comparison (Figure 10) is not an allocator comparison.
+// Parse parses w from the grammar's start symbol. Leaves and nodes go into
+// one tree table per parse and frames keep their children on one ID stack,
+// as in the verified engine, so the two engines' comparison (Figure 10) is
+// not an allocator comparison.
 func (p *Parser) Parse(w []grammar.Token) Result {
 	if p.opts.FreshCachePerParse {
 		p.pred.reset()
 	}
 	ig := p.ig
-	ta := tree.NewArena()
+	t := tree.NewTable(ig.c.NTNames())
+	var kids []tree.ID
 	frame := func(prod int32) pframe {
-		return pframe{prod: prod, children: ta.Forest(len(ig.c.Rhs(int(prod))))}
+		return pframe{prod: prod, base: int32(len(kids))}
 	}
 	toks := ig.c.InternTerms(w)
 	// Guard against runaway non-consuming recursion (left-recursive
@@ -145,7 +146,8 @@ func (p *Parser) Parse(w []grammar.Token) Result {
 		rhs := ig.c.Rhs(int(top.prod))
 		if int(top.dot) == len(rhs) {
 			// Reduce.
-			node := ta.Node(ig.c.NTName(ig.c.Lhs(int(top.prod))), top.children)
+			node := t.Node(ig.c.Lhs(int(top.prod)), kids[top.base:])
+			kids = kids[:top.base]
 			stack = stack[:len(stack)-1]
 			if len(stack) == 0 {
 				if pos != len(toks) {
@@ -156,11 +158,10 @@ func (p *Parser) Parse(w []grammar.Token) Result {
 				if !unique {
 					kind = machine.Ambig
 				}
-				return Result{Kind: kind, Tree: node}
+				return Result{Kind: kind, Tree: t.Tree(node)}
 			}
-			parent := &stack[len(stack)-1]
-			parent.children = append(parent.children, node)
-			parent.dot++
+			kids = append(kids, node)
+			stack[len(stack)-1].dot++
 			continue
 		}
 		sym := rhs[top.dot]
@@ -173,7 +174,7 @@ func (p *Parser) Parse(w []grammar.Token) Result {
 				return Result{Kind: machine.Reject,
 					Reason: fmt.Sprintf("expected %s, found %s at token %d", ig.src.Prods[top.prod].Rhs[top.dot], w[pos], pos)}
 			}
-			top.children = append(top.children, ta.Leaf(w[pos]))
+			kids = append(kids, t.Leaf(w[pos]))
 			top.dot++
 			pos++
 			continue

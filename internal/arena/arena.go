@@ -7,8 +7,9 @@
 // disciplines, chosen per use site:
 //
 //   - GC-scoped: the arena is dropped when the values it backs become
-//     unreachable (e.g. the tree arena referenced, transitively, by a
-//     parser.Result). The garbage collector releases every slab at once.
+//     unreachable (e.g. a shared SLL cache generation's state slabs, once
+//     no parse holds one of its states). The garbage collector releases
+//     every slab at once.
 //   - Pooled: the arena lives in a per-session pool and is Reset between
 //     parses. Reset zeroes the used prefix of every touched slab and rewinds
 //     to the first, retaining the slabs themselves — a warm arena serves the

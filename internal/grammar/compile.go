@@ -185,6 +185,10 @@ func (c *Compiled) NTName(n NTID) string {
 	return c.ntNames[n]
 }
 
+// NTNames returns the NTID → name table itself, for tables that resolve
+// labels by NTID (tree.Table). It is shared: callers must not modify it.
+func (c *Compiled) NTNames() []string { return c.ntNames }
+
 // SymName returns the name of a compiled symbol.
 func (c *Compiled) SymName(s SymID) string {
 	if s.IsT() {

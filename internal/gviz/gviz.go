@@ -27,20 +27,21 @@ func TreeDOT(v *tree.Tree) string {
 		me := id
 		id++
 		errStyle := ""
-		if n.Err {
+		if n.IsErr() {
 			errStyle = `, style=filled, fillcolor="#ffcccc"`
 		}
-		if n.IsLeaf {
-			label := n.Token.Terminal + ": " + n.Token.Literal
-			if n.Err {
+		if n.IsLeaf() {
+			tok := n.Token()
+			label := tok.Terminal + ": " + tok.Literal
+			if n.IsErr() {
 				label += " (inserted)"
 			}
 			fmt.Fprintf(&b, "  n%d [shape=box, label=%s%s];\n", me, quote(label), errStyle)
 			return me
 		}
-		fmt.Fprintf(&b, "  n%d [label=%s%s];\n", me, quote(n.NT), errStyle)
-		for _, c := range n.Children {
-			child := walk(c)
+		fmt.Fprintf(&b, "  n%d [label=%s%s];\n", me, quote(n.NT()), errStyle)
+		for i := 0; i < n.NumChildren(); i++ {
+			child := walk(n.Child(i))
 			fmt.Fprintf(&b, "  n%d -> n%d;\n", me, child)
 		}
 		return me

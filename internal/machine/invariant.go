@@ -33,7 +33,7 @@ func CheckStacksWf(g *grammar.Grammar, st *State) error {
 	p, s := st.Prefix, st.Suffix
 	var above *SuffixFrame
 	for level := 0; s != nil; level++ {
-		if err := checkPrefixFrame(c, p.F); err != nil {
+		if err := checkPrefixFrame(c, st.Trees, p.F); err != nil {
 			return fmt.Errorf("prefix frame %d: %w", level, err)
 		}
 		// Reconstruct the full sentential form this frame is processing:
@@ -72,12 +72,12 @@ func CheckStacksWf(g *grammar.Grammar, st *State) error {
 	return nil
 }
 
-func checkPrefixFrame(c *grammar.Compiled, f PrefixFrame) error {
+func checkPrefixFrame(c *grammar.Compiled, t *tree.Table, f PrefixFrame) error {
 	if len(f.Proc) != len(f.Trees) {
 		return fmt.Errorf("%d processed symbols vs %d trees", len(f.Proc), len(f.Trees))
 	}
 	for i, sym := range f.Proc {
-		if got := f.Trees[i].Symbol(); got != c.SymOf(sym) {
+		if got := t.Tree(f.Trees[i]).Symbol(); got != c.SymOf(sym) {
 			return fmt.Errorf("tree %d roots %s but processed symbol is %s", i, got, c.SymOf(sym))
 		}
 	}
@@ -113,7 +113,8 @@ func idsEqual(a, b []grammar.SymID) bool {
 func CheckTrees(g *grammar.Grammar, st *State) error {
 	level := 0
 	for p := st.Prefix; p != nil; p = p.Below {
-		for i, v := range p.F.Trees {
+		for i, id := range p.F.Trees {
+			v := st.Trees.Tree(id)
 			if err := tree.Validate(g, v.Symbol(), v, v.Yield()); err != nil {
 				return fmt.Errorf("frame %d, tree %d: %w", level, i, err)
 			}

@@ -219,7 +219,7 @@ func TestEpsilonGrammar(t *testing.T) {
 	if res.Kind != Unique {
 		t.Fatalf("ε-grammar on ε: %v", res.Kind)
 	}
-	if res.Tree.Size() != 1 || res.Tree.NT != "S" {
+	if res.Tree.Size() != 1 || res.Tree.NT() != "S" {
 		t.Errorf("tree = %s", res.Tree)
 	}
 	if res := run(g, word("a"), Options{}); res.Kind != Reject {
@@ -499,15 +499,16 @@ func TestStackHelpers(t *testing.T) {
 }
 
 func TestPrefixFrameOrdering(t *testing.T) {
+	tab := tree.NewTable(nil)
 	f := PrefixFrame{}
-	f = f.consProc(grammar.TermSym(0), tree.Leaf(grammar.Tok("a", "1")))
-	f = f.consProc(grammar.TermSym(1), tree.Leaf(grammar.Tok("b", "2")))
+	f = f.consProc(grammar.TermSym(0), tab.Leaf(grammar.Tok("a", "1")))
+	f = f.consProc(grammar.TermSym(1), tab.Leaf(grammar.Tok("b", "2")))
 	proc := f.ProcInOrder()
 	if len(proc) != 2 || proc[0] != grammar.TermSym(0) || proc[1] != grammar.TermSym(1) {
 		t.Errorf("ProcInOrder = %v", proc)
 	}
 	forest := f.ForestInOrder()
-	if forest[0].Token.Literal != "1" || forest[1].Token.Literal != "2" {
+	if tab.Tree(forest[0]).Token().Literal != "1" || tab.Tree(forest[1]).Token().Literal != "2" {
 		t.Errorf("ForestInOrder = %v", forest)
 	}
 }

@@ -8,22 +8,23 @@ import (
 
 // Mem is the machine's allocation context: slab arenas backing the values a
 // run produces in O(nodes) quantity — states, stack nodes, the frames'
-// processed-symbol and partial-forest accumulators, visited-set overflow
-// words — plus the Result-scoped tree arena the final parse tree is built
-// in. With a Mem attached a run costs O(slabs) heap allocations; without
-// one (a nil *Mem everywhere) every helper falls back to plain allocation,
-// so the functional machine API and its tests are unchanged.
+// processed-symbol and partial-forest accumulators (tree IDs, no pointers),
+// visited-set overflow words. With a Mem attached a run costs O(slabs) heap
+// allocations; without one (a nil *Mem everywhere) every helper falls back
+// to plain allocation, so the functional machine API and its tests are
+// unchanged.
 //
 // Lifetime contract (see DESIGN.md §5f):
 //
-//   - Everything except the tree arena is scratch: it dies when the caller
-//     drops the machine Result's Final state. Reset recycles it. A pooled
-//     Mem must therefore never be Reset (or returned to a pool) while a
-//     *State, stack node, or NTSet from the previous run is still
-//     reachable — the parser drops Result.Final before releasing its Mem.
-//   - The tree arena is NOT scratch: the parse tree escapes into the
-//     caller's Result and keeps its slabs alive. Reset detaches the old
-//     arena (ownership passes to the Result) and installs a fresh one.
+//   - Everything in a Mem is scratch: it dies when the caller drops the
+//     machine Result's Final state. Reset recycles it. A pooled Mem must
+//     therefore never be Reset (or returned to a pool) while a *State,
+//     stack node, or NTSet from the previous run is still reachable — the
+//     parser drops Result.Final before releasing its Mem.
+//   - The run's tree table (State.Trees) is NOT scratch and not in the Mem:
+//     the parse tree escapes into the caller's Result and keeps the table
+//     alive. Reset clears the states that referenced it, which detaches it;
+//     the next run starts a table of its own.
 //   - A run is linear (see retire): Multistep with no OnStep observer
 //     recycles each stepped state and the scratch the step replaced, so
 //     the arenas grow with the stack depth, not the step count. Only the
@@ -35,26 +36,24 @@ type Mem struct {
 	prefix arena.Arena[PrefixStack]
 	suffix arena.Arena[SuffixStack]
 	syms   arena.Slab[grammar.SymID]
-	acc    arena.Slab[*tree.Tree] // PrefixFrame.Trees accumulators (scratch)
-	words  arena.Slab[uint64]     // NTSet overflow words
-	trees  *tree.Arena            // Result-scoped; replaced, never reset
+	acc    arena.Slab[tree.ID] // PrefixFrame.Trees accumulators
+	words  arena.Slab[uint64]  // NTSet overflow words
 
 	// Retired scratch, drawn from before the arenas above are bumped.
 	spare      *State
 	freePrefix *PrefixStack // linked through Below
 	freeSuffix *SuffixStack // linked through Below
 	freeSyms   freeSpans[grammar.SymID]
-	freeAcc    freeSpans[*tree.Tree]
+	freeAcc    freeSpans[tree.ID]
 	freeWords  freeSpans[uint64]
 }
 
 // NewMem returns a fresh allocation context.
-func NewMem() *Mem { return &Mem{trees: tree.NewArena()} }
+func NewMem() *Mem { return &Mem{} }
 
-// Reset recycles the scratch arenas for the next run and detaches the tree
-// arena, whose slabs now belong to whatever retained the previous parse
-// tree. Used prefixes are zeroed, so an idle pooled Mem pins no memory from
-// the parse it last served.
+// Reset recycles the scratch arenas for the next run. Used prefixes are
+// zeroed, so an idle pooled Mem pins no memory from the parse it last
+// served — in particular not the tree table its states referenced.
 func (m *Mem) Reset() {
 	m.states.Reset()
 	m.prefix.Reset()
@@ -62,20 +61,10 @@ func (m *Mem) Reset() {
 	m.syms.Reset()
 	m.acc.Reset()
 	m.words.Reset()
-	m.trees = tree.NewArena()
 	m.spare, m.freePrefix, m.freeSuffix = nil, nil, nil
 	m.freeSyms.reset()
 	m.freeAcc.reset()
 	m.freeWords.reset()
-}
-
-// Trees returns the Result-scoped tree arena (nil for a nil Mem — the tree
-// package treats a nil arena as plain allocation).
-func (m *Mem) Trees() *tree.Arena {
-	if m == nil {
-		return nil
-	}
-	return m.trees
 }
 
 func (m *Mem) newState(v State) *State {
@@ -125,9 +114,9 @@ func (m *Mem) symSpan(n int) []grammar.SymID {
 	return m.syms.Make(n)
 }
 
-func (m *Mem) accSpan(n int) []*tree.Tree {
+func (m *Mem) accSpan(n int) []tree.ID {
 	if m == nil {
-		return make([]*tree.Tree, 0, n)
+		return make([]tree.ID, 0, n)
 	}
 	if s, ok := m.freeAcc.take(n); ok {
 		return s
@@ -159,23 +148,12 @@ func (m *Mem) wordSpan(n int) []uint64 {
 }
 
 // consProcIn is PrefixFrame.consProc with the copies carved from m.
-func (m *Mem) consProcIn(f PrefixFrame, s grammar.SymID, v *tree.Tree) PrefixFrame {
+func (m *Mem) consProcIn(f PrefixFrame, s grammar.SymID, v tree.ID) PrefixFrame {
 	proc := append(m.symSpan(len(f.Proc)+1), s)
 	proc = append(proc, f.Proc...)
 	trees := append(m.accSpan(len(f.Trees)+1), v)
 	trees = append(trees, f.Trees...)
 	return PrefixFrame{Proc: proc, Trees: trees}
-}
-
-// forestInOrderIn is PrefixFrame.ForestInOrder allocating the forest from
-// the tree arena: the slice becomes the children of a parse-tree node, so
-// its lifetime is the tree's, not the run's.
-func (m *Mem) forestInOrderIn(f PrefixFrame) []*tree.Tree {
-	out := m.Trees().Forest(len(f.Trees))[:len(f.Trees)]
-	for i, v := range f.Trees {
-		out[len(f.Trees)-1-i] = v
-	}
-	return out
 }
 
 // retire recycles what the continuing step st → next (taken by op) left

@@ -128,7 +128,7 @@ func RecoverFrom(g *grammar.Grammar, pred Predictor, an *analysis.Analysis, reje
 		// A post-repair accept is a Recovered outcome, never a (false)
 		// accept: the input as given is not in the language.
 		out.Kind = Recovered
-		out.Tree = r.wrapRoot(res.Tree)
+		out.Tree = r.wrapRoot(res.Final.Trees, res.Final.Prefix.F.Trees[0])
 	}
 	diag.Sort(out.Diags)
 	return out
@@ -147,8 +147,8 @@ type recovery struct {
 	// the bottom frame must finalize with exactly one tree: leading
 	// garbage (before the start symbol was ever entered) and trailing
 	// garbage (after a complete parse). wrapRoot folds them in.
-	leading  []*tree.Tree
-	trailing []*tree.Tree
+	leading  []tree.ID
+	trailing []tree.ID
 }
 
 // repair applies one repair to suspended state st and returns the state to
@@ -203,7 +203,7 @@ func (r *recovery) repairConsume(st *State, a grammar.TermID, id grammar.TermID,
 	// one is an intruder.
 	if id2, ok2 := st.Src.Peek(1); ok2 && id2 == a {
 		tok, _ := st.Src.Token(0)
-		leaf := st.Mem.Trees().Leaf(tok)
+		leaf := st.Trees.Leaf(tok)
 		st.Src.Advance()
 		if gErr := r.gov.LookaheadTick(); gErr != nil {
 			return nil, gErr
@@ -212,7 +212,7 @@ func (r *recovery) repairConsume(st *State, a grammar.TermID, id grammar.TermID,
 			Severity: diag.Error, Code: diag.CodeRepairSkip, Pos: diag.TokenPos(pos), Len: 1,
 			Message: reason + "; discarded 1 token", Expected: expected,
 		})
-		return r.attachSkip(st, []*tree.Tree{leaf}), nil
+		return r.attachSkip(st, []tree.ID{leaf}), nil
 	}
 
 	// Insert: the lookahead continues the parse right after a — the
@@ -356,9 +356,8 @@ func (r *recovery) popOK(st *State, id grammar.TermID) bool {
 // token in FIRST(probeNT) is vetted with a prediction probe — the
 // "lookahead probe during sync scanning" — and scanning continues while
 // the predictor still rejects there.
-func (r *recovery) skipToAnchor(st *State, anchor []uint64, probeNT grammar.NTID, probe bool) ([]*tree.Tree, *Error) {
-	ta := st.Mem.Trees()
-	var leaves []*tree.Tree
+func (r *recovery) skipToAnchor(st *State, anchor []uint64, probeNT grammar.NTID, probe bool) ([]tree.ID, *Error) {
+	var leaves []tree.ID
 	probes := 0
 	for {
 		tok, ok := st.Src.Token(0)
@@ -390,7 +389,7 @@ func (r *recovery) skipToAnchor(st *State, anchor []uint64, probeNT grammar.NTID
 				}
 			}
 		}
-		leaves = append(leaves, ta.Leaf(tok))
+		leaves = append(leaves, st.Trees.Leaf(tok))
 		st.Src.Advance()
 		if gErr := r.gov.LookaheadTick(); gErr != nil {
 			return leaves, gErr
@@ -399,15 +398,14 @@ func (r *recovery) skipToAnchor(st *State, anchor []uint64, probeNT grammar.NTID
 }
 
 // drain discards every remaining token into leaves.
-func (r *recovery) drain(st *State) ([]*tree.Tree, *Error) {
-	ta := st.Mem.Trees()
-	var leaves []*tree.Tree
+func (r *recovery) drain(st *State) ([]tree.ID, *Error) {
+	var leaves []tree.ID
 	for {
 		tok, ok := st.Src.Token(0)
 		if !ok {
 			break
 		}
-		leaves = append(leaves, ta.Leaf(tok))
+		leaves = append(leaves, st.Trees.Leaf(tok))
 		st.Src.Advance()
 		if gErr := r.gov.LookaheadTick(); gErr != nil {
 			return leaves, gErr
@@ -425,13 +423,13 @@ func (r *recovery) drain(st *State) ([]*tree.Tree, *Error) {
 // bottom frame — leading garbage, before the start symbol was entered —
 // the leaves are buffered for wrapRoot instead: finalize requires the
 // bottom frame to hold exactly one tree.
-func (r *recovery) attachSkip(st *State, leaves []*tree.Tree) *State {
+func (r *recovery) attachSkip(st *State, leaves []tree.ID) *State {
 	m := st.Mem
 	prefix := st.Prefix
 	if st.Suffix.Below == nil {
 		r.leading = append(r.leading, leaves...)
 	} else if len(leaves) > 0 {
-		node := m.Trees().ErrorNode(tree.ErrLabel, leaves)
+		node := st.Trees.ErrorNode(tree.ErrNT, leaves)
 		f := st.Prefix.F
 		trees := append(m.accSpan(len(f.Trees)+1), node)
 		trees = append(trees, f.Trees...)
@@ -450,7 +448,7 @@ func (r *recovery) reposition(st *State, prefix *PrefixStack) *State {
 		C: st.C, Start: st.Start,
 		Prefix: prefix, Suffix: st.Suffix,
 		Src: st.Src, Consumed: st.Src.Pos(),
-		Unique: st.Unique, Certified: st.Certified, Mem: m,
+		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: m,
 	})
 }
 
@@ -463,13 +461,13 @@ func (r *recovery) insertTerminal(st *State, a grammar.TermID) *State {
 	m := st.Mem
 	tok := grammar.Token{Terminal: r.c.TermName(a)}
 	topSuffix := SuffixFrame{Lhs: st.Suffix.F.Lhs, Rest: st.Suffix.F.Rest[1:]}
-	topPrefix := m.consProcIn(st.Prefix.F, grammar.TermSym(a), m.Trees().ErrorLeaf(tok))
+	topPrefix := m.consProcIn(st.Prefix.F, grammar.TermSym(a), st.Trees.ErrorLeaf(tok))
 	return m.newState(State{
 		C: st.C, Start: st.Start,
 		Prefix: m.pushPrefix(topPrefix, st.Prefix.Below),
 		Suffix: m.pushSuffix(topSuffix, st.Suffix.Below),
 		Src:    st.Src, Consumed: st.Consumed,
-		Unique: st.Unique, Certified: st.Certified, Mem: m,
+		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: m,
 	})
 }
 
@@ -482,7 +480,7 @@ func (r *recovery) insertTerminal(st *State, a grammar.TermID) *State {
 // budget force-closes the parse.
 func (r *recovery) dropNT(st *State, x grammar.NTID) *State {
 	m := st.Mem
-	node := m.Trees().ErrorNode(r.c.NTName(x), nil)
+	node := st.Trees.ErrorNode(x, nil)
 	topSuffix := SuffixFrame{Lhs: st.Suffix.F.Lhs, Rest: st.Suffix.F.Rest[1:]}
 	topPrefix := m.consProcIn(st.Prefix.F, grammar.NTSym(x), node)
 	return m.newState(State{
@@ -490,7 +488,7 @@ func (r *recovery) dropNT(st *State, x grammar.NTID) *State {
 		Prefix: m.pushPrefix(topPrefix, st.Prefix.Below),
 		Suffix: m.pushSuffix(topSuffix, st.Suffix.Below),
 		Src:    st.Src, Consumed: st.Consumed,
-		Unique: st.Unique, Certified: st.Certified, Mem: m,
+		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: m,
 	})
 }
 
@@ -502,14 +500,14 @@ func (r *recovery) dropNT(st *State, x grammar.NTID) *State {
 func (r *recovery) popFrame(st *State) *State {
 	x := st.Suffix.F.Lhs
 	m := st.Mem
-	node := m.Trees().ErrorNode(r.c.NTName(x), m.forestInOrderIn(st.Prefix.F))
+	node := st.Trees.ErrorNode(x, st.Prefix.F.ForestInOrder())
 	caller := m.consProcIn(st.Prefix.Below.F, grammar.NTSym(x), node)
 	return m.newState(State{
 		C: st.C, Start: st.Start,
 		Prefix: m.pushPrefix(caller, st.Prefix.Below.Below),
 		Suffix: st.Suffix.Below,
 		Src:    st.Src, Consumed: st.Consumed,
-		Unique: st.Unique, Certified: st.Certified, Mem: m,
+		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: m,
 	})
 }
 
@@ -528,50 +526,37 @@ func (r *recovery) forceClose(st *State, steps int) Result {
 			Message: fmt.Sprintf("discarded %d remaining token(s)", len(leaves)),
 		})
 	}
-	m := st.Mem
+	t := st.Trees
 	p, s := st.Prefix, st.Suffix
 	pending := leaves
-	var carry *tree.Tree
+	var carry []tree.ID // the error node closing the frame above, once there is one
 	//costar:allow governortick -- bounded by the suffix stack depth at the halt, already accounted by StepTick's stackDepth argument during the parse that built it
 	for s != nil && s.Below != nil {
-		kids := m.forestInOrderIn(p.F)
-		if len(pending) > 0 {
-			kids = append(kids, pending...)
-			pending = nil
-		}
-		if carry != nil {
-			kids = append(kids, carry)
-		}
-		carry = m.Trees().ErrorNode(r.c.NTName(s.F.Lhs), kids)
+		kids := append(append(p.F.ForestInOrder(), pending...), carry...)
+		pending = nil
+		carry = append(carry[:0], t.ErrorNode(s.F.Lhs, kids))
 		p, s = p.Below, s.Below
 	}
-	kids := m.forestInOrderIn(p.F)
-	if len(pending) > 0 {
-		kids = append(kids, pending...)
-	}
-	if carry != nil {
-		kids = append(kids, carry)
-	}
-	root := m.Trees().ErrorNode(r.c.NTName(r.start), kids)
+	root := t.ErrorNode(r.start, append(append(p.F.ForestInOrder(), pending...), carry...))
 	r.gov.NotePeakWindow(st.Src.PeakWindow())
 	return Result{
-		Kind: Recovered, Tree: r.wrapRoot(root),
+		Kind: Recovered, Tree: r.wrapRoot(t, root),
 		Steps: steps, Consumed: st.Src.Pos(),
 		Usage: r.gov.Usage(), Final: st,
 	}
 }
 
 // wrapRoot folds buffered leading/trailing garbage around the recovered
-// tree so its source yield covers the whole input.
-func (r *recovery) wrapRoot(t *tree.Tree) *tree.Tree {
+// tree rooted at root so its source yield covers the whole input.
+func (r *recovery) wrapRoot(t *tree.Table, root tree.ID) *tree.Tree {
 	if len(r.leading) == 0 && len(r.trailing) == 0 {
-		return t
+		return t.Tree(root)
 	}
-	kids := make([]*tree.Tree, 0, len(r.leading)+1+len(r.trailing))
+	kids := make([]tree.ID, 0, len(r.leading)+1+len(r.trailing))
 	kids = append(kids, r.leading...)
-	kids = append(kids, t)
+	kids = append(kids, root)
 	kids = append(kids, r.trailing...)
-	return tree.ErrorNode(r.c.NTName(r.start), kids...)
+	return t.Tree(t.ErrorNode(r.start, kids))
 }
 
 // errResult wraps a terminal error (cancellation, source failure, limit)

@@ -263,8 +263,8 @@ func TestRecoverMultipleDiagnostics(t *testing.T) {
 	}
 }
 
-// TestRecoverUsesResultArena: the recovered tree must live in the result
-// arena (reachable after Mem reset/detach), like accepted trees do.
+// TestRecoverTreeSurvivesReset: the recovered tree must live in the run's
+// tree table (reachable after Mem.Reset), like accepted trees do.
 func TestRecoverTreeSurvivesReset(t *testing.T) {
 	g := grammar.MustParseBNF(`S -> a b c`)
 	w := word("a", "c")

@@ -23,12 +23,13 @@ import (
 )
 
 // PrefixFrame is one frame [α, f] of the prefix stack Φ: the symbols already
-// matched in this frame and the parse trees derived for them. Both slices
-// are stored in reverse order (most recently processed first), the standard
-// functional-accumulator layout; they are reversed once at return time.
+// matched in this frame and the parse trees derived for them, as IDs into
+// the run's tree table (State.Trees). Both slices are stored in reverse
+// order (most recently processed first), the standard functional-accumulator
+// layout; they are reversed once at return time.
 type PrefixFrame struct {
 	Proc  []grammar.SymID // processed symbols α, reversed
-	Trees []*tree.Tree    // partial derivation f, reversed
+	Trees []tree.ID       // partial derivation f, reversed
 }
 
 // PrefixStack is a persistent stack of prefix frames; nil is invalid — a
@@ -111,19 +112,19 @@ func (s *SuffixStack) Unproc() []grammar.SymID {
 // the processed accumulators. Copying keeps older states intact; frames are
 // bounded by the grammar's longest right-hand side, so the copy is O(1) per
 // grammar.
-func (f PrefixFrame) consProc(s grammar.SymID, v *tree.Tree) PrefixFrame {
+func (f PrefixFrame) consProc(s grammar.SymID, v tree.ID) PrefixFrame {
 	proc := make([]grammar.SymID, 0, len(f.Proc)+1)
 	proc = append(proc, s)
 	proc = append(proc, f.Proc...)
-	trees := make([]*tree.Tree, 0, len(f.Trees)+1)
+	trees := make([]tree.ID, 0, len(f.Trees)+1)
 	trees = append(trees, v)
 	trees = append(trees, f.Trees...)
 	return PrefixFrame{Proc: proc, Trees: trees}
 }
 
 // ForestInOrder returns the frame's trees in left-to-right derivation order.
-func (f PrefixFrame) ForestInOrder() []*tree.Tree {
-	out := make([]*tree.Tree, len(f.Trees))
+func (f PrefixFrame) ForestInOrder() []tree.ID {
+	out := make([]tree.ID, len(f.Trees))
 	for i, v := range f.Trees {
 		out[len(f.Trees)-1-i] = v
 	}
@@ -153,13 +154,14 @@ func (s *SuffixStack) StringWith(c *grammar.Compiled) string {
 	return strings.Join(parts, " ")
 }
 
-// StringWith renders the prefix stack top-to-bottom with tree summaries.
-func (s *PrefixStack) StringWith(c *grammar.Compiled) string {
+// StringWith renders the prefix stack top-to-bottom with tree summaries,
+// reading the frames' trees from t.
+func (s *PrefixStack) StringWith(c *grammar.Compiled, t *tree.Table) string {
 	var parts []string
 	for ; s != nil; s = s.Below {
 		var ts []string
 		for _, v := range s.F.ForestInOrder() {
-			ts = append(ts, v.String())
+			ts = append(ts, t.Tree(v).String())
 		}
 		parts = append(parts, "["+strings.Join(ts, " ")+"]")
 	}

@@ -41,6 +41,10 @@ type State struct {
 	// termination measure (measure.go) reads Visited — so certified and
 	// uncertified runs take bit-identical transitions on certified grammars.
 	Certified bool
+	// Trees is the table the run builds its parse tree in; PrefixFrame.Trees
+	// holds IDs into it. It is propagated unchanged through every step and
+	// never pooled: the tree the run returns keeps it alive.
+	Trees *tree.Table
 	// Mem is the run's allocation context, propagated unchanged through
 	// every step. Nil means plain heap allocation (the default for Init and
 	// InitSource); InitSourceIn attaches one. See Mem for the lifetime
@@ -82,6 +86,7 @@ func InitSourceIn(m *Mem, g *grammar.Grammar, start string, src *source.Cursor) 
 		Src:      src,
 		Consumed: src.Pos(),
 		Unique:   true,
+		Trees:    tree.NewTable(c.NTNames()),
 		Mem:      m,
 	})
 }
@@ -94,7 +99,7 @@ func (st *State) String() string {
 		flag = "ambig"
 	}
 	return fmt.Sprintf("⟨%s | %s | %d consumed | %s | %s⟩",
-		st.Prefix.StringWith(st.C), st.Suffix.StringWith(st.C), st.Consumed,
+		st.Prefix.StringWith(st.C, st.Trees), st.Suffix.StringWith(st.C), st.Consumed,
 		st.Visited.StringWith(st.C), flag)
 }
 

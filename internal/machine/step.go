@@ -60,7 +60,7 @@ func finalize(st *State) StepResult {
 		return StepResult{Kind: StepError, Err: InvalidState(
 			"final prefix frame holds %d trees, want exactly 1", len(st.Prefix.F.Trees))}
 	}
-	return StepResult{Kind: StepAccept, Tree: st.Prefix.F.Trees[0]}
+	return StepResult{Kind: StepAccept, Tree: st.Trees.Tree(st.Prefix.F.Trees[0])}
 }
 
 // stepReturn pops the completed top frames and stores Node(X, f) in the
@@ -77,7 +77,7 @@ func stepReturn(st *State) StepResult {
 			st.Prefix.Height(), st.Suffix.Height())}
 	}
 	m := st.Mem
-	node := m.Trees().Node(st.C.NTName(x), m.forestInOrderIn(st.Prefix.F))
+	node := st.Trees.NodeRev(x, st.Prefix.F.Trees)
 	caller := m.consProcIn(st.Prefix.Below.F, grammar.NTSym(x), node)
 	// X is now fully processed, so it leaves the visited set (it is present
 	// only when X derived ε-so-far, i.e. no token was consumed since its
@@ -93,6 +93,7 @@ func stepReturn(st *State) StepResult {
 		Visited:   m.removeVisited(st.Visited, x),
 		Unique:    st.Unique,
 		Certified: st.Certified,
+		Trees:     st.Trees,
 		Mem:       m,
 	})
 	return StepResult{Kind: StepCont, Op: OpReturn, State: next}
@@ -117,7 +118,7 @@ func stepConsume(st *State, a grammar.TermID) StepResult {
 	}
 	m := st.Mem
 	topSuffix := SuffixFrame{Lhs: st.Suffix.F.Lhs, Rest: st.Suffix.F.Rest[1:]}
-	topPrefix := m.consProcIn(st.Prefix.F, grammar.TermSym(a), m.Trees().Leaf(tok))
+	topPrefix := m.consProcIn(st.Prefix.F, grammar.TermSym(a), st.Trees.Leaf(tok))
 	st.Src.Advance()
 	next := m.newState(State{
 		C:         st.C,
@@ -128,6 +129,7 @@ func stepConsume(st *State, a grammar.TermID) StepResult {
 		Consumed:  st.Consumed + 1,
 		Unique:    st.Unique,
 		Certified: st.Certified,
+		Trees:     st.Trees,
 		Mem:       m,
 	})
 	return StepResult{Kind: StepCont, Op: OpConsume, State: next}
@@ -185,6 +187,7 @@ func stepPush(g *grammar.Grammar, pred Predictor, st *State, x grammar.NTID) Ste
 		Visited:   m.addVisited(st.Visited, x),
 		Unique:    st.Unique && p.Kind != PredAmbig,
 		Certified: st.Certified,
+		Trees:     st.Trees,
 		Mem:       m,
 	})
 	return StepResult{Kind: StepCont, Op: OpPush, State: next}

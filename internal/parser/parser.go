@@ -186,9 +186,9 @@ type Parser struct {
 // for each parse, the machine arenas (states, stack frames, accumulators)
 // and a FreshCachePerParse session's parse-private DFA are cleared once the
 // Result is built, and the cursor keeps only its interned-ID capacity
-// between parses. The tree arena inside mem is the one Result-scoped piece:
-// Mem.Reset detaches it (the Result's tree keeps it alive) and installs a
-// fresh one, so pooled reuse can never reclaim nodes a caller still holds.
+// between parses. None of it is Result-scoped: each run builds its tree in
+// a table of its own that only the Result's tree keeps alive, so pooled
+// reuse can never reclaim nodes a caller still holds.
 // A scratch is used by one goroutine for one parse at a time; a parse that
 // panics abandons its scratch rather than returning a half-mutated value to
 // the pool.
@@ -210,7 +210,7 @@ func (p *Parser) getScratch() *parseScratch {
 
 // release returns scratch to the pool. Callers must have dropped every
 // reference into the scratch arenas first (in parse, the deferred release
-// runs after the Result — which aliases only the detached tree arena — is
+// runs after the Result — which aliases only the run's tree table — is
 // fully built and the machine's final state is out of scope).
 func (p *Parser) release(sc *parseScratch) {
 	sc.mem.Reset()

@@ -96,8 +96,8 @@ func TestParseFrom(t *testing.T) {
 	if res.Kind != Unique {
 		t.Fatalf("ParseFrom(A) = %s", res)
 	}
-	if res.Tree.NT != "A" {
-		t.Errorf("root = %s", res.Tree.NT)
+	if res.Tree.NT() != "A" {
+		t.Errorf("root = %s", res.Tree.NT())
 	}
 	if res := p.ParseFrom("Ghost", nil); res.Kind != Error {
 		t.Errorf("ParseFrom(Ghost) = %s", res)

@@ -1,7 +1,7 @@
 package parser
 
 // Lifetime tests for the pooled per-parse scratch (parseScratch) and the
-// Result-scoped tree arena: parse trees must stay valid for the Result's
+// Result-scoped tree table: parse trees must stay valid for the Result's
 // whole life no matter how much the session's pool is churned afterwards,
 // pooled reuse must be safe under ParseAll concurrency (run these with
 // -race), and aborted parses — panics injected at the token source,

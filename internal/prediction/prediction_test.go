@@ -90,7 +90,7 @@ func TestAmbiguityViaLLFallback(t *testing.T) {
 		t.Error("ambiguity must be confirmed in LL mode (SLL AmbigP fails over)")
 	}
 	// ANTLR-style resolution: lowest-numbered alternative.
-	if res.Tree.Children[0].NT != "X" {
+	if res.Tree.Child(0).NT() != "X" {
 		t.Errorf("ambiguity should resolve to the first alternative, got %s", res.Tree)
 	}
 }

@@ -13,9 +13,9 @@
 // Mem and prediction's scratch struct), propagates through assignments,
 // arena allocation calls, and same-package call summaries, is filtered by
 // a type gate (only types that can alias pooled memory carry taint — a
-// *tree.Tree copied out of a scratch accumulator is clean, the []*tree.Tree
-// accumulator itself is not), and is reported where it crosses a retention
-// boundary. Escapes a human can prove safe are suppressed in place with
+// tree.ID copied out of a scratch accumulator is clean, the []tree.ID
+// accumulator span itself is not), and is reported where it crosses a
+// retention boundary. Escapes a human can prove safe are suppressed in place with
 // `//costar:allow scratchescape -- <why>`.
 //
 // Matching is by declared package name (machine, prediction, parser), so
@@ -36,8 +36,9 @@ import (
 // pkgName → typeName → field set. A nil field set means every field.
 var sourceFields = map[string]map[string]map[string]bool{
 	"machine": {
-		// Mem's arenas are scratch; trees (the Result-scoped tree arena)
-		// deliberately is not — see the §5f contract in mem.go.
+		// Mem's arenas are scratch. The run's tree table (State.Trees) is
+		// Result-scoped and deliberately not a source — see the §5f
+		// contract in mem.go.
 		"Mem": {"states": true, "prefix": true, "suffix": true, "syms": true, "acc": true, "words": true},
 	},
 	"prediction": {
@@ -55,10 +56,7 @@ var sourceFields = map[string]map[string]map[string]bool{
 var sanitizers = map[string]bool{
 	"stateMem.copyConfigs":      true, // carves from the cache generation's slabs
 	"stateMem.copyInts":         true,
-	"Tree.Clone":                true,
-	"Mem.Trees":                 true, // the Result-scoped tree arena accessor
 	"PrefixFrame.ForestInOrder": true,
-	"Mem.forestInOrderIn":       true, // allocates from the tree arena
 }
 
 // retainedParams maps same-package functions that retain specific

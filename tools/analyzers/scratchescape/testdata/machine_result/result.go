@@ -6,15 +6,21 @@ package machine
 
 type State struct{ step int }
 
+// ID names a node of a Result-scoped tree table.
+type ID int32
+
 type Result struct {
 	Steps int
 	Final *State
 	Trace []*State
+	Root  ID
+	Kids  []ID
 }
 
-// Mem is the pooled per-parse arena bundle; states is scratch.
+// Mem is the pooled per-parse arena bundle; states and acc are scratch.
 type Mem struct {
 	states []State
+	acc    []ID // tree-ID accumulator spans
 }
 
 func (m *Mem) newState() *State {
@@ -41,6 +47,19 @@ func leakLiteral(m *Mem) Result {
 	return Result{
 		Trace: []*State{m.newState()}, // want "deep-copy before it outlives the parse"
 	}
+}
+
+// leakAccSpan stores a scratch accumulator span of tree IDs: pointer-free,
+// but the pooled Mem overwrites the span on its next parse.
+func leakAccSpan(m *Mem) Result {
+	var r Result
+	r.Kids = m.acc[:2] // want "Results outlive the pooled Mem"
+	return r
+}
+
+// an ID copied out of the accumulator is a value, and clean.
+func rootOf(m *Mem) Result {
+	return Result{Root: m.acc[0]}
 }
 
 // derived values (counts, flags) computed from scratch are clean.
