@@ -14,6 +14,7 @@ package costar
 // internal/parser/pool_test.go.
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"costar/internal/languages/pylang"
 	"costar/internal/machine"
 	"costar/internal/parser"
+	"costar/internal/serve"
 )
 
 // allocGuard measures steady-state allocs/token for op on a warm session
@@ -150,4 +152,36 @@ func TestAllocGuardColdPythonParse(t *testing.T) {
 			t.Fatal(res.Reason)
 		}
 	})
+}
+
+// TestAllocGuardWarmServeSession guards the costar serve request path: a
+// warmed built-in JSON session parses a ~1k-token body through
+// Session.Parse, which lexes into the session parser's pooled cursor.
+// Measured at 19 allocations per request (testing.AllocsPerRun, 50 runs,
+// 1,001 tokens); building a fresh cursor per request cost 25. The ceiling
+// of 22 leaves 3 allocations (~15 %) of headroom and fails a return to
+// per-request cursors.
+func TestAllocGuardWarmServeSession(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are not meaningful under -race")
+	}
+	sess, err := serve.NewRegistry().AddLanguage("json", parser.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := jsonlang.Generate(7, 1000)
+	op := func() {
+		if res := sess.Parse(context.Background(), strings.NewReader(src)); res.Kind != machine.Unique {
+			t.Fatalf("%v: %s", res.Kind, res.Reason)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		op() // prime the scratch pool
+	}
+	const ceiling = 22
+	perReq := testing.AllocsPerRun(50, op)
+	t.Logf("%.1f allocs/request (ceiling %d)", perReq, ceiling)
+	if perReq > ceiling {
+		t.Errorf("warm serve session allocates %.1f per request, ceiling %d — requests no longer reuse the pooled cursor", perReq, ceiling)
+	}
 }

@@ -11,6 +11,7 @@ package costar
 // Figure 8 is a static table (BenchmarkFig8Corpus times corpus+lexing).
 
 import (
+	"context"
 	"fmt"
 	"runtime/metrics"
 	"strings"
@@ -366,10 +367,10 @@ func BenchmarkParallelWarmCache(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("shared/j%d", workers), func(b *testing.B) {
 			p := parser.MustNew(l.Grammar, parser.Options{})
-			checkAll(b, p.ParseAll(words, workers)) // warm the shared DFA
+			checkAll(b, parseWords(context.Background(), p, words, workers)) // warm the shared DFA
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				checkAll(b, p.ParseAll(words, workers))
+				checkAll(b, parseWords(context.Background(), p, words, workers))
 			}
 			reportCorpusThroughput(b, tokens)
 		})
@@ -436,7 +437,7 @@ func BenchmarkParallelColdCache(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p.ResetCache()
-				for _, r := range p.ParseAll(words, workers) {
+				for _, r := range parseWords(context.Background(), p, words, workers) {
 					if r.Kind != machine.Unique {
 						b.Fatal(r.Reason)
 					}

@@ -17,6 +17,7 @@ package main
 // in certified mode; a grammar with warnings still compiles, uncertified.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -25,35 +26,15 @@ import (
 	"strings"
 
 	"costar"
-	"costar/internal/languages/dotlang"
-	"costar/internal/languages/jsonlang"
-	"costar/internal/languages/langkit"
-	"costar/internal/languages/pylang"
-	"costar/internal/languages/xmllang"
+	"costar/internal/languages"
 )
-
-// builtinLanguage resolves a built-in language to its bundle and synthetic
-// corpus generator.
-func builtinLanguage(name string) (*langkit.Language, func(int64, int) string, error) {
-	switch name {
-	case "json":
-		return jsonlang.Lang, jsonlang.Generate, nil
-	case "xml":
-		return xmllang.Lang, xmllang.Generate, nil
-	case "dot":
-		return dotlang.Lang, dotlang.Generate, nil
-	case "python":
-		return pylang.Lang, pylang.Generate, nil
-	}
-	return nil, nil, fmt.Errorf("unknown language %q (json, xml, dot, python)", name)
-}
 
 // runCompile implements the compile subcommand over args (everything after
 // "compile"); the returned value is the process exit code.
 func runCompile(args []string) int {
 	fs := flag.NewFlagSet("costar compile", flag.ExitOnError)
 	var (
-		langName = fs.String("lang", "", "built-in language: json, xml, dot, python")
+		langName = fs.String("lang", "", "built-in language: "+strings.Join(languages.Names(), ", "))
 		g4Path   = fs.String("g4", "", "path to an ANTLR-style .g4 grammar")
 		bnfPath  = fs.String("bnf", "", "path to a BNF grammar file")
 		out      = fs.String("o", "", "output artifact path (default <name>.csar)")
@@ -75,47 +56,12 @@ func runCompile(args []string) int {
 
 func compile(langName, g4Path, bnfPath, out string, warm, warmMax int, cold bool, corpus []string) error {
 	// Resolve the grammar, the artifact name, the lexer source to embed,
-	// and the cursor used both for warming and by later -artifact runs.
-	var (
-		name     string
-		g        *costar.Grammar
-		lexerG4  string
-		cursor   func(io.Reader) *costar.TokenSource
-		generate func(int64, int) string
-	)
-	switch {
-	case langName != "":
-		lang, gen, err := builtinLanguage(langName)
-		if err != nil {
-			return err
-		}
-		name, g, lexerG4, generate = langName, lang.Grammar(), lang.Source, gen
-		cursor = func(r io.Reader) *costar.TokenSource { return lang.Cursor(r) }
-	case g4Path != "":
-		src, err := os.ReadFile(g4Path)
-		if err != nil {
-			return err
-		}
-		gg, lex, err := costar.LoadG4(string(src))
-		if err != nil {
-			return err
-		}
-		name, g, lexerG4 = strings.TrimSuffix(baseName(g4Path), ".g4"), gg, string(src)
-		cursor = func(r io.Reader) *costar.TokenSource { return costar.NewTokenSource(gg, lex.Pull(r)) }
-	case bnfPath != "":
-		src, err := os.ReadFile(bnfPath)
-		if err != nil {
-			return err
-		}
-		gg, err := costar.ParseBNF(string(src))
-		if err != nil {
-			return err
-		}
-		name, g = strings.TrimSuffix(baseName(bnfPath), ".bnf"), gg
-		cursor = func(r io.Reader) *costar.TokenSource { return costar.NewTokenSource(gg, wordPull(r)) }
-	default:
-		return fmt.Errorf("one of -lang, -g4, -bnf is required (see -h)")
+	// and the pull used both for warming and by later -artifact runs.
+	fe, err := languages.Open(langName, g4Path, bnfPath)
+	if err != nil {
+		return err
 	}
+	g := fe.Grammar
 
 	// Certify when clean, so the artifact carries the certificate and
 	// -artifact sessions start certified. Not clean is not fatal — the
@@ -132,6 +78,9 @@ func compile(langName, g4Path, bnfPath, out string, warm, warmMax int, cold bool
 	if err != nil {
 		return err
 	}
+	parse := func(r io.Reader) costar.Result {
+		return p.ParseInput(context.Background(), costar.Input{Pull: fe.Pull(r)})
+	}
 
 	// Warm the DFA cache: user-supplied corpus files first; for built-in
 	// languages with no files, a deterministic synthetic corpus (log-spaced
@@ -143,19 +92,19 @@ func compile(langName, g4Path, bnfPath, out string, warm, warmMax int, cold bool
 			if err != nil {
 				return err
 			}
-			res := p.ParseSource(cursor(f))
+			res := parse(f)
 			f.Close()
 			if res.Kind != costar.Unique && res.Kind != costar.Ambig {
 				return fmt.Errorf("warm corpus %s did not parse: %s", path, failure(res))
 			}
 			warmed++
 		}
-		if len(corpus) == 0 && generate != nil {
+		if len(corpus) == 0 && fe.Generate != nil {
 			for i := 0; i < warm; i++ {
 				frac := float64(i) / math.Max(float64(warm-1), 1)
 				target := 200 * math.Pow(float64(warmMax)/200, frac)
-				src := generate(int64(i)+1, int(target))
-				res := p.ParseSource(cursor(strings.NewReader(src)))
+				src := fe.Generate(int64(i)+1, int(target))
+				res := parse(strings.NewReader(src))
 				if res.Kind != costar.Unique {
 					return fmt.Errorf("synthetic warm corpus (seed %d) did not parse: %s", i+1, failure(res))
 				}
@@ -164,13 +113,13 @@ func compile(langName, g4Path, bnfPath, out string, warm, warmMax int, cold bool
 		}
 	}
 
-	a, err := p.ExportArtifact(name, lexerG4)
+	a, err := p.ExportArtifact(fe.Name, fe.LexerG4)
 	if err != nil {
 		return err
 	}
 	data := costar.EncodeArtifact(a)
 	if out == "" {
-		out = name + ".csar"
+		out = fe.Name + ".csar"
 	}
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
@@ -192,12 +141,4 @@ func failure(res costar.Result) string {
 		return "rejected: " + res.Reason
 	}
 	return fmt.Sprintf("%v: %v", res.Kind, res.Err)
-}
-
-// baseName is filepath.Base without pulling in path/filepath for one call.
-func baseName(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

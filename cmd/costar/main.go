@@ -5,7 +5,7 @@
 //	costar -lang json file.json           # built-in benchmark language
 //	costar -lang json -j 4 a.json b.json  # batch-parse many files in parallel
 //	costar -g4 mygrammar.g4 input.txt     # ANTLR-style grammar + lexer
-//	costar -bnf grammar.bnf -tokens "a b d"  # BNF grammar, pre-tokenized word
+//	costar -bnf grammar.bnf -tokens "a b d"  # BNF grammar, input given inline
 //	costar vet grammar.bnf                # statically verify a grammar (see vet.go)
 //
 // Inputs stream: each file (or stdin) is lexed and parsed incrementally
@@ -17,6 +17,8 @@
 //
 // Flags:
 //
+//	-tokens T   parse the text T instead of stdin or files, read like a file
+//	            of the grammar's input (for -bnf: space-separated terminals)
 //	-j N        parse input files on N workers (0 = one per CPU)
 //	-tree       print the parse tree (s-expression)
 //	-pretty     print the parse tree (indented)
@@ -38,25 +40,18 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
 
 	"costar"
-	"costar/internal/grammar"
 	"costar/internal/gviz"
-	"costar/internal/languages/dotlang"
-	"costar/internal/languages/jsonlang"
-	"costar/internal/languages/langkit"
-	"costar/internal/languages/pylang"
-	"costar/internal/languages/xmllang"
+	"costar/internal/languages"
 )
 
 func main() {
@@ -74,11 +69,11 @@ func main() {
 		}
 	}
 	var (
-		langName = flag.String("lang", "", "built-in language: json, xml, dot, python")
+		langName = flag.String("lang", "", "built-in language: "+strings.Join(languages.Names(), ", "))
 		g4Path   = flag.String("g4", "", "path to an ANTLR-style .g4 grammar")
 		bnfPath  = flag.String("bnf", "", "path to a BNF grammar file")
 		artPath  = flag.String("artifact", "", "path to an ahead-of-time artifact (see `costar compile`)")
-		tokens   = flag.String("tokens", "", "space-separated terminal names (with -bnf)")
+		tokens   = flag.String("tokens", "", "input text to parse instead of stdin or files (-bnf and lexer-less artifacts: space-separated terminal names)")
 		workers  = flag.Int("j", 1, "worker goroutines for multiple input files (0 = one per CPU)")
 		showTree = flag.Bool("tree", false, "print the parse tree as an s-expression")
 		pretty   = flag.Bool("pretty", false, "print the parse tree indented")
@@ -182,7 +177,7 @@ func run(langName, g4Path, bnfPath, artPath, tokens string, opts cliOptions, arg
 		ctx, cancel = context.WithTimeout(ctx, opts.timeout)
 		defer cancel()
 	}
-	results := p.ParseSourceAllContext(ctx, len(inputs), func(i int) (*costar.TokenSource, func(), error) {
+	results := p.ParseInputs(ctx, len(inputs), func(i int) (costar.Input, func(), error) {
 		return inputs[i].open()
 	}, opts.workers)
 	var firstErr error
@@ -295,76 +290,29 @@ func jsonOutput(name string, res costar.Result, opts cliOptions) resultJSON {
 
 // input is one parse input: a display name plus a deferred open — the file
 // is not touched (and nothing is lexed) until a worker starts parsing it.
-// open returns a fresh token cursor and a cleanup to run after the parse
-// (nil when there is nothing to release).
+// open returns the input's token stream and a cleanup to run after the
+// parse (nil when there is nothing to release).
 type input struct {
 	name string
-	open func() (*costar.TokenSource, func(), error)
+	open func() (costar.Input, func(), error)
 }
 
-// loadInputs resolves the grammar and builds a deferred-open input per
-// positional argument (stdin when absent). Lexing errors surface later, as
-// Error results of the parse that pulled the offending bytes.
+// loadInputs resolves the grammar named by -lang, -g4 or -bnf and builds
+// its inputs (see frontendInputs). Lexing errors surface later, as Error
+// results of the parse that pulled the offending bytes.
 func loadInputs(langName, g4Path, bnfPath, tokens string, args []string) (*costar.Grammar, []input, error) {
-	switch {
-	case langName != "":
-		var lang *langkit.Language
-		switch langName {
-		case "json":
-			lang = jsonlang.Lang
-		case "xml":
-			lang = xmllang.Lang
-		case "dot":
-			lang = dotlang.Lang
-		case "python":
-			lang = pylang.Lang
-		default:
-			return nil, nil, fmt.Errorf("unknown language %q (json, xml, dot, python)", langName)
-		}
-		cursor := func(r io.Reader) *costar.TokenSource { return lang.Cursor(r) }
-		return lang.Grammar(), fileInputs(cursor, args), nil
-	case g4Path != "":
-		gsrc, err := os.ReadFile(g4Path)
-		if err != nil {
-			return nil, nil, err
-		}
-		g, lex, err := costar.LoadG4(string(gsrc))
-		if err != nil {
-			return nil, nil, err
-		}
-		cursor := func(r io.Reader) *costar.TokenSource { return costar.NewTokenSource(g, lex.Pull(r)) }
-		return g, fileInputs(cursor, args), nil
-	case bnfPath != "":
-		gsrc, err := os.ReadFile(bnfPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		g, err := costar.ParseBNF(string(gsrc))
-		if err != nil {
-			return nil, nil, err
-		}
-		cursor := func(r io.Reader) *costar.TokenSource { return costar.NewTokenSource(g, wordPull(r)) }
-		if tokens != "" {
-			return g, []input{{
-				name: "<tokens>",
-				open: func() (*costar.TokenSource, func(), error) {
-					return cursor(strings.NewReader(tokens)), nil, nil
-				},
-			}}, nil
-		}
-		return g, fileInputs(cursor, args), nil
-	default:
-		return nil, nil, fmt.Errorf("one of -lang, -g4, -bnf is required (see -h)")
+	fe, err := languages.Open(langName, g4Path, bnfPath)
+	if err != nil {
+		return nil, nil, err
 	}
+	inputs, err := frontendInputs(fe, tokens, args)
+	return fe.Grammar, inputs, err
 }
 
 // loadArtifact builds a session from an ahead-of-time artifact (skipping
 // grammar compilation, analysis, and cache warm-up — the load verifies what
-// it skips; see `costar compile`) and resolves the token cursor for it:
-// artifacts named after a built-in language use that language's full lexer
-// and layout pipeline (layout passes are Go code, resolved from the
-// registry by name); artifacts carrying embedded .g4 source recompile their
-// lexer from it; everything else reads the -bnf whitespace word format.
+// it skips; see `costar compile`) and its inputs, which become tokens as
+// languages.FromArtifact decides.
 func loadArtifact(path, tokens string, popts costar.Options, args []string) (*costar.Parser, []input, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -378,75 +326,50 @@ func loadArtifact(path, tokens string, popts costar.Options, args []string) (*co
 	if err != nil {
 		return nil, nil, err
 	}
-	var cursor func(io.Reader) *costar.TokenSource
-	if lang, _, err := builtinLanguage(a.Name); err == nil &&
-		lang.Grammar().Compiled().Fingerprint() == a.Fingerprint {
-		// Same name AND same grammar: a stale artifact named "json" built
-		// from an older grammar falls through to its embedded lexer source
-		// instead of silently pairing with the current language pipeline.
-		cursor = lang.Cursor
+	fe, err := languages.FromArtifact(a, p.Grammar())
+	if err != nil {
+		return nil, nil, err
 	}
-	if cursor == nil && a.LexerG4 != "" {
-		_, lex, err := costar.LoadG4(a.LexerG4)
-		if err != nil {
-			return nil, nil, fmt.Errorf("recompiling artifact lexer: %w", err)
-		}
-		g := p.Grammar()
-		cursor = func(r io.Reader) *costar.TokenSource { return costar.NewTokenSource(g, lex.Pull(r)) }
-	}
-	if cursor == nil {
-		g := p.Grammar()
-		cursor = func(r io.Reader) *costar.TokenSource { return costar.NewTokenSource(g, wordPull(r)) }
-	}
+	inputs, err := frontendInputs(fe, tokens, args)
+	return p, inputs, err
+}
+
+// frontendInputs builds a deferred-open input per file argument (stdin when
+// there is none), or a single input over the -tokens text; each is read
+// through fe. -tokens with file arguments is a usage error.
+func frontendInputs(fe *languages.Frontend, tokens string, args []string) ([]input, error) {
 	if tokens != "" {
-		return p, []input{{
+		if len(args) > 0 {
+			return nil, fmt.Errorf("-tokens replaces file arguments (got %d)", len(args))
+		}
+		return []input{{
 			name: "<tokens>",
-			open: func() (*costar.TokenSource, func(), error) {
-				return cursor(strings.NewReader(tokens)), nil, nil
+			open: func() (costar.Input, func(), error) {
+				return costar.Input{Pull: fe.Pull(strings.NewReader(tokens))}, nil, nil
 			},
 		}}, nil
 	}
-	return p, fileInputs(cursor, args), nil
-}
-
-// fileInputs wraps each file argument (stdin when none) as a deferred-open
-// input over the given cursor constructor.
-func fileInputs(cursor func(io.Reader) *costar.TokenSource, args []string) []input {
 	if len(args) == 0 {
 		return []input{{
 			name: "<stdin>",
-			open: func() (*costar.TokenSource, func(), error) {
-				return cursor(os.Stdin), nil, nil
+			open: func() (costar.Input, func(), error) {
+				return costar.Input{Pull: fe.Pull(os.Stdin)}, nil, nil
 			},
-		}}
+		}}, nil
 	}
 	inputs := make([]input, len(args))
 	for i, path := range args {
 		path := path
 		inputs[i] = input{
 			name: path,
-			open: func() (*costar.TokenSource, func(), error) {
+			open: func() (costar.Input, func(), error) {
 				f, err := os.Open(path)
 				if err != nil {
-					return nil, nil, err
+					return costar.Input{}, nil, err
 				}
-				return cursor(f), func() { f.Close() }, nil
+				return costar.Input{Pull: fe.Pull(f)}, func() { f.Close() }, nil
 			},
 		}
 	}
-	return inputs
-}
-
-// wordPull streams whitespace-separated terminal names from r as tokens
-// (the -bnf input format: each word is both terminal and literal).
-func wordPull(r io.Reader) func() (grammar.Token, bool, error) {
-	sc := bufio.NewScanner(r)
-	sc.Split(bufio.ScanWords)
-	return func() (grammar.Token, bool, error) {
-		if !sc.Scan() {
-			return grammar.Token{}, false, sc.Err()
-		}
-		n := sc.Text()
-		return grammar.Tok(n, n), true, nil
-	}
+	return inputs, nil
 }

@@ -20,8 +20,8 @@ func write(t *testing.T, name, content string) string {
 	return p
 }
 
-// drain opens an input's cursor and pulls every token — how the tests
-// observe what the deferred-open inputs would feed the parser.
+// drain opens an input and pulls every token — how the tests observe what
+// the deferred-open inputs would feed the parser.
 func drain(t *testing.T, in input) []costar.Token {
 	t.Helper()
 	src, cleanup, err := in.open()
@@ -33,17 +33,15 @@ func drain(t *testing.T, in input) []costar.Token {
 	}
 	var out []costar.Token
 	for {
-		if _, ok := src.Peek(0); !ok {
-			break
+		tok, ok, err := src.Pull()
+		if err != nil {
+			t.Fatal(err)
 		}
-		tok, _ := src.Token(0)
+		if !ok {
+			return out
+		}
 		out = append(out, tok)
-		src.Advance()
 	}
-	if err := src.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func TestLoadInputsLang(t *testing.T) {
@@ -60,6 +58,17 @@ func TestLoadInputsLang(t *testing.T) {
 	}
 	if _, _, err := loadInputs("klingon", "", "", "", []string{f}); err == nil {
 		t.Error("unknown language accepted")
+	}
+	// -tokens is input text, lexed like a file of the language.
+	_, inputs, err = loadInputs("json", "", "", `{"a": 1}`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks := drain(t, inputs[0]); len(inputs) != 1 || len(toks) != 5 || toks[1].Terminal != "STRING" {
+		t.Errorf("-tokens inputs=%d tokens=%v", len(inputs), toks)
+	}
+	if _, _, err := loadInputs("json", "", "", `{"a": 1}`, []string{f}); err == nil {
+		t.Error("-tokens with file arguments accepted")
 	}
 }
 
@@ -80,6 +89,13 @@ func TestLoadInputsG4(t *testing.T) {
 	}
 	if toks := drain(t, inputs[0]); len(toks) != 5 {
 		t.Errorf("tokens = %v", toks)
+	}
+	_, inputs, err = loadInputs("", gf, "", "1 + 2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks := drain(t, inputs[0]); len(toks) != 3 || toks[0].Literal != "1" {
+		t.Errorf("-tokens tokens = %v", toks)
 	}
 }
 
@@ -134,6 +150,14 @@ func TestRunEndToEnd(t *testing.T) {
 	all := cliOptions{workers: 1, showTree: true, pretty: true, stats: true, check: true, dot: true}
 	if err := run("json", "", "", "", "", all, []string{f}); err != nil {
 		t.Fatal(err)
+	}
+	// The same file through an artifact of the built-in language.
+	art := filepath.Join(t.TempDir(), "json.csar")
+	if err := compile("json", "", "", art, 0, 0, true, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := run("", "", "", art, "", all, []string{f}); err != nil {
+		t.Fatalf("-artifact: %v", err)
 	}
 	bad := write(t, "bad.json", `{"k": }`)
 	err := run("json", "", "", "", "", cliOptions{workers: 1}, []string{bad})
@@ -216,6 +240,17 @@ func TestExitCodes(t *testing.T) {
 	}
 	if err := run("json", "", "", "", "", cliOptions{workers: 1, format: "yaml"}, []string{good}); exitCodeFor(err) != exitUsage {
 		t.Errorf("bad format exit = %d (%v), want %d", exitCodeFor(err), err, exitUsage)
+	}
+	// -tokens is the input: parsed by the language's lexer, and exclusive
+	// with file arguments.
+	if err := run("json", "", "", "", `{"k": [1, 2]}`, cliOptions{workers: 1}, nil); err != nil {
+		t.Errorf("-tokens accept: %v", err)
+	}
+	if err := run("json", "", "", "", `{"k": }`, cliOptions{workers: 1}, nil); exitCodeFor(err) != exitReject {
+		t.Errorf("-tokens reject exit = %d (%v), want %d", exitCodeFor(err), err, exitReject)
+	}
+	if err := run("json", "", "", "", `{"k": 1}`, cliOptions{workers: 1}, []string{good}); exitCodeFor(err) != exitUsage {
+		t.Errorf("-tokens with files exit = %d (%v), want %d", exitCodeFor(err), err, exitUsage)
 	}
 	// Mixed batch: an engine error outranks a reject.
 	err = run("json", "", "", "", "", cliOptions{workers: 1}, []string{bad, lexbad})

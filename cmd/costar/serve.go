@@ -26,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"costar/internal/languages"
 	"costar/internal/parser"
 	"costar/internal/serve"
 )
@@ -40,7 +41,7 @@ func runServe(args []string) int {
 	fs := flag.NewFlagSet("costar serve", flag.ExitOnError)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8143", "listen address (host:port; port 0 picks a free port)")
-		langs     = fs.String("lang", "", "comma-separated built-in languages to serve: "+strings.Join(serve.BuiltinNames(), ", "))
+		langs     = fs.String("lang", "", "comma-separated built-in languages to serve: "+strings.Join(languages.Names(), ", "))
 		artifacts stringList
 		maxBody   = fs.Int64("max-body", 8<<20, "request body size bound in bytes (over it: typed 413 shed)")
 		budget    = fs.Duration("budget", 2*time.Second, "default per-request deadline budget")

@@ -22,17 +22,14 @@ import (
 	"costar"
 	"costar/internal/grammar"
 	"costar/internal/grammarlint"
-	"costar/internal/languages/dotlang"
-	"costar/internal/languages/jsonlang"
-	"costar/internal/languages/pylang"
-	"costar/internal/languages/xmllang"
+	"costar/internal/languages"
 )
 
 // runVet implements the vet subcommand over args (everything after "vet");
 // the returned value is the process exit code.
 func runVet(args []string) int {
 	fs := flag.NewFlagSet("costar vet", flag.ExitOnError)
-	langName := fs.String("lang", "", "built-in language: json, xml, dot, python")
+	langName := fs.String("lang", "", "built-in language: "+strings.Join(languages.Names(), ", "))
 	all := fs.Bool("all", false, "also print info-level findings (SLL lookahead conflicts)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: costar vet [-all] (-lang NAME | grammar.bnf | grammar.g4)...")
@@ -46,20 +43,26 @@ func runVet(args []string) int {
 	}
 	var targets []target
 	if *langName != "" {
-		g, err := languageGrammar(*langName)
+		fe, err := languages.Builtin(*langName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "costar vet:", err)
 			return 1
 		}
-		targets = append(targets, target{*langName, g})
+		targets = append(targets, target{*langName, fe.Grammar})
 	}
 	for _, path := range fs.Args() {
-		g, err := loadGrammarFile(path)
+		// Dispatch on extension: .g4 through the ANTLR-style pipeline,
+		// everything else as BNF.
+		g4Path, bnfPath := "", path
+		if strings.HasSuffix(path, ".g4") {
+			g4Path, bnfPath = path, ""
+		}
+		fe, err := languages.Open("", g4Path, bnfPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "costar vet:", err)
 			return 1
 		}
-		targets = append(targets, target{path, g})
+		targets = append(targets, target{path, fe.Grammar})
 	}
 	if len(targets) == 0 {
 		fs.Usage()
@@ -95,33 +98,4 @@ func runVet(args []string) int {
 		}
 	}
 	return exit
-}
-
-// languageGrammar resolves a built-in language name to its grammar.
-func languageGrammar(name string) (*grammar.Grammar, error) {
-	switch name {
-	case "json":
-		return jsonlang.Grammar(), nil
-	case "xml":
-		return xmllang.Grammar(), nil
-	case "dot":
-		return dotlang.Grammar(), nil
-	case "python":
-		return pylang.Grammar(), nil
-	}
-	return nil, fmt.Errorf("unknown language %q (json, xml, dot, python)", name)
-}
-
-// loadGrammarFile reads a grammar from path, dispatching on extension:
-// .g4 through the ANTLR-style pipeline, everything else as BNF.
-func loadGrammarFile(path string) (*grammar.Grammar, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasSuffix(path, ".g4") {
-		g, _, err := costar.LoadG4(string(src))
-		return g, err
-	}
-	return grammar.ParseBNF(string(src))
 }

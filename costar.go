@@ -26,9 +26,6 @@
 package costar
 
 import (
-	"context"
-	"io"
-
 	"costar/internal/artifact"
 	"costar/internal/diag"
 	"costar/internal/ebnf"
@@ -61,6 +58,11 @@ type (
 	Options = parser.Options
 	// Result is a parse outcome: Unique(tree), Ambig(tree), Reject, Error.
 	Result = parser.Result
+	// Input is one parse input for Parser.ParseInput and ParseInputs: a
+	// start symbol ("" means the grammar's) and either a resident token
+	// word (Tokens) or a demand-driven stream (Pull, e.g. Lexer.Pull(r)),
+	// of which only the sliding lookahead window stays in memory.
+	Input = parser.Input
 	// Limits bounds the resources one parse may consume: machine steps,
 	// tokens, stack depth, prediction closure work, tree nodes. The zero
 	// value is unlimited; each exhausted limit surfaces as a structured
@@ -118,7 +120,7 @@ const (
 	// which the test suite shows cannot happen for well-formed grammars).
 	Error = parser.Error
 	// Recovered: the input is not in the language, but recovering parse
-	// mode (Options.Recover, or ParseRecover) repaired it — the Result
+	// mode (Options.Recover) repaired it — the Result
 	// carries a partial tree whose error nodes cover the repaired spans
 	// and one positioned Diagnostic per repair. Only produced when
 	// recovery is on; never a silent accept (Accepts treats it as false).
@@ -170,69 +172,10 @@ func NewParser(g *Grammar, opts Options) (*Parser, error) { return parser.New(g,
 func MustNewParser(g *Grammar, opts Options) *Parser { return parser.MustNew(g, opts) }
 
 // Parse is the one-shot API of the paper's Section 3.1: parse w from start
-// in g.
+// in g. Contexts and Limits, recovery, streamed input and batches are
+// session features: build a Parser with NewParser and call ParseInput or
+// ParseInputs.
 func Parse(g *Grammar, start string, w []Token) Result { return parser.Parse(g, start, w) }
-
-// ParseContext is Parse under a context and resource limits: cancellation,
-// deadline expiry, or an exhausted limit halts the engine within a bounded
-// amount of work and surfaces as a structured Error result — never a false
-// Reject — with the measured high-water marks in Result.Usage. Parser
-// sessions offer the same as methods (ParseContext, ParseReaderContext,
-// ParseAllContext, ...) with Limits configured once in Options.
-func ParseContext(ctx context.Context, g *Grammar, start string, w []Token, limits Limits) Result {
-	return parser.ParseContext(ctx, g, start, w, limits)
-}
-
-// ParseRecover is Parse in recovering mode: a rejected input is repaired by
-// panic-mode error recovery (skip / insert / pop / drop guided by the
-// grammar's FOLLOW and anchor sets) and comes back as a Recovered result —
-// a partial tree covering the whole input, with error nodes over the
-// repaired spans and one positioned Diagnostic per repair, so a caller can
-// report several syntax errors from a single run. Inputs in the language
-// parse exactly as Parse does (recovery activates only after a would-be
-// Reject). Sessions offer the same via Options.Recover, with the repair
-// budget bounded by Limits.MaxRepairs.
-func ParseRecover(g *Grammar, start string, w []Token) Result {
-	return parser.ParseRecover(g, start, w)
-}
-
-// ParseAll parses every word from start in g on a pool of workers
-// goroutines (workers <= 0 means GOMAXPROCS), all sharing one SLL DFA
-// cache; results are in input order. For repeated batches construct a
-// Parser once and call its ParseAll method — sessions are safe for
-// concurrent use and keep the DFA warm across batches.
-func ParseAll(g *Grammar, start string, words [][]Token, workers int) []Result {
-	return parser.ParseAll(g, start, words, workers)
-}
-
-// ParseAllContext is ParseAll under a context and resource limits. A
-// canceled batch stops promptly: in-flight parses abort through their
-// governors, remaining items are drained with Canceled results (every slot
-// is filled), and no goroutine outlives the call. Items are isolated — one
-// item's panic or blowup is that item's Error result, and the batch goes on.
-func ParseAllContext(ctx context.Context, g *Grammar, start string, words [][]Token, workers int, limits Limits) []Result {
-	return parser.ParseAllContext(ctx, g, start, words, workers, limits)
-}
-
-// ParseReader lexes r incrementally with lex and parses the token stream
-// from start in g — the streaming counterpart of Parse. Lexing and parsing
-// are interleaved: tokens are produced only as the parser's lookahead needs
-// them, and memory stays bounded by the deepest lookahead any single
-// prediction uses, not by the input length. Lexing or reader failures
-// surface as Error results, never as false accepts.
-func ParseReader(g *Grammar, start string, lex *Lexer, r io.Reader) Result {
-	return parser.ParseReader(g, start, lex, r)
-}
-
-// ParseReaderContext is ParseReader under a context and resource limits.
-// Cancellation is observed between machine steps and prediction closure
-// expansions; a Read already blocked in r cannot be interrupted (use a
-// context-aware reader for that), but no further reads are issued once the
-// context ends, and a reader that fails with the context's error surfaces
-// as the same structured Canceled/DeadlineExceeded result.
-func ParseReaderContext(ctx context.Context, g *Grammar, start string, lex *Lexer, r io.Reader, limits Limits) Result {
-	return parser.ParseReaderContext(ctx, g, start, lex, r, limits)
-}
 
 // NewTokenSource builds a TokenSource for g from a pull function: each call
 // returns the next token, false at end of input, or an error (sticky; the
@@ -240,12 +183,6 @@ func ParseReaderContext(ctx context.Context, g *Grammar, start string, lex *Lexe
 // have exactly this shape.
 func NewTokenSource(g *Grammar, pull func() (Token, bool, error)) *TokenSource {
 	return source.FromPull(g.Compiled(), pull)
-}
-
-// SliceSource wraps an in-memory token word as a TokenSource (the fully
-// resident special case; Parse does this internally).
-func SliceSource(g *Grammar, w []Token) *TokenSource {
-	return source.FromTokens(g.Compiled(), w)
 }
 
 // LoadG4 compiles a grammar in the ANTLR-4-like syntax (parser rules with

@@ -1,6 +1,7 @@
 package costar
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync"
@@ -140,7 +141,7 @@ func TestFacadeConcurrentSmoke(t *testing.T) {
 	}
 	wg.Wait()
 
-	results := ParseAll(g, "S", words, 4)
+	results := parseWords(context.Background(), p, words, 4)
 	for i, res := range results[:3] {
 		if res.Kind != Unique {
 			t.Errorf("batch word %d: %s", i, res)
@@ -152,6 +153,13 @@ func TestFacadeConcurrentSmoke(t *testing.T) {
 	if starts, states := p.CacheSize(); starts == 0 || states == 0 {
 		t.Errorf("concurrent parses left the cache empty (%d, %d)", starts, states)
 	}
+}
+
+// parseWords batch-parses resident words through ParseInputs under ctx.
+func parseWords(ctx context.Context, p *Parser, words [][]Token, workers int) []Result {
+	return p.ParseInputs(ctx, len(words), func(i int) (Input, func(), error) {
+		return Input{Tokens: words[i]}, nil, nil
+	}, workers)
 }
 
 func TestFacadeBuilders(t *testing.T) {

@@ -114,7 +114,7 @@ func TestFaultInjectionDifferential(t *testing.T) {
 				defer cancel()
 				r := faultinject.NewReader(strings.NewReader(src),
 					faultinject.StallAt(int64(len(src)/2), ctx))
-				res := p.ParseSourceContext(ctx, fl.lang.Cursor(r))
+				res := p.ParseInput(ctx, Input{Pull: fl.lang.Pull(r)})
 				if !res.Canceled() {
 					t.Fatalf("want a canceled result, got %s", res)
 				}
@@ -126,7 +126,7 @@ func TestFaultInjectionDifferential(t *testing.T) {
 			t.Run("cancel-mid-parse", func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
-				res := p.ParseSourceContext(ctx, fl.lang.Cursor(strings.NewReader(src)))
+				res := p.ParseInput(ctx, Input{Pull: fl.lang.Pull(strings.NewReader(src))})
 				if !res.Canceled() {
 					t.Fatalf("want a canceled result, got %s", res)
 				}
@@ -188,7 +188,7 @@ func TestParseAllContextCancelDrains(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		start := time.Now()
-		results := ParseAllContext(ctx, g, "S", words, 8, Limits{})
+		results := parseWords(ctx, MustNewParser(g, Options{}), words, 8)
 		if d := time.Since(start); d > 2*time.Second {
 			t.Fatalf("canceled batch took %v", d)
 		}
@@ -211,10 +211,10 @@ func TestParseAllContextCancelDrains(t *testing.T) {
 		defer cancel()
 		p := MustNewParser(jsonlang.Lang.Grammar(), Options{})
 		const n = 32
-		results := p.ParseSourceAllContext(ctx, n, func(i int) (*TokenSource, func(), error) {
+		results := p.ParseInputs(ctx, n, func(i int) (Input, func(), error) {
 			r := faultinject.NewReader(strings.NewReader(src),
 				faultinject.StallAt(int64(len(src)/2), ctx))
-			return jsonlang.Lang.Cursor(r), nil, nil
+			return Input{Pull: jsonlang.Lang.Pull(r)}, nil, nil
 		}, 4)
 		if len(results) != n {
 			t.Fatalf("got %d results for %d inputs", len(results), n)
@@ -234,15 +234,14 @@ func TestParseAllContextItemIsolation(t *testing.T) {
 	g := MustParseBNF(`S -> A c | A d ; A -> a A | b`)
 	p := MustNewParser(g, Options{})
 	const n = 8
-	results := p.ParseSourceAllContext(context.Background(), n,
-		func(i int) (*TokenSource, func(), error) {
-			pull := NewTokenSource(g, func() (Token, bool, error) {
-				panic("poisoned item")
-			})
+	results := p.ParseInputs(context.Background(), n,
+		func(i int) (Input, func(), error) {
 			if i == 3 {
-				return pull, nil, nil
+				return Input{Pull: func() (Token, bool, error) {
+					panic("poisoned item")
+				}}, nil, nil
 			}
-			return SliceSource(g, Words("a", "b", "d")), nil, nil
+			return Input{Tokens: Words("a", "b", "d")}, nil, nil
 		}, 4)
 	for i, res := range results {
 		if i == 3 {

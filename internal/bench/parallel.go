@@ -10,6 +10,7 @@ package bench
 // for concurrent use.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -24,7 +25,7 @@ import (
 type ParallelRow struct {
 	Benchmark string
 	Workers   int
-	// SharedSeconds: wall time for one warm ParseAll pass over the corpus
+	// SharedSeconds: wall time for one warm ParseInputs pass over the corpus
 	// with a single shared session.
 	SharedSeconds float64
 	// PerWorkerSeconds: wall time with one private warm session per worker
@@ -71,9 +72,9 @@ func ParallelScaling(cfg Config, workerCounts []int, langNames ...string) (*Para
 		var base float64
 		for _, workers := range workerCounts {
 			shared := parser.MustNew(l.Grammar, parser.Options{})
-			checkBatch(l, files, shared.ParseAll(words, workers)) // warm
+			checkBatch(l, files, parseAll(shared, words, workers)) // warm
 			sharedT, _ := timeIt(cfg.Trials, func() {
-				checkBatch(l, files, shared.ParseAll(words, workers))
+				checkBatch(l, files, parseAll(shared, words, workers))
 			})
 
 			sessions := warmSessions(l, words, workers)
@@ -113,7 +114,7 @@ func warmSessions(l Lang, words [][]grammar.Token, workers int) []*parser.Parser
 }
 
 // runPerWorker parses the corpus with one private session per worker,
-// round-robin, mirroring ParseAll's pool shape without the shared cache.
+// round-robin, mirroring ParseInputs' pool shape without the shared cache.
 func runPerWorker(l Lang, files []File, words [][]grammar.Token, sessions []*parser.Parser) {
 	var wg sync.WaitGroup
 	for k := range sessions {
@@ -127,6 +128,13 @@ func runPerWorker(l Lang, files []File, words [][]grammar.Token, sessions []*par
 		}(k)
 	}
 	wg.Wait()
+}
+
+// parseAll parses every word on the session's shared-cache worker pool.
+func parseAll(p *parser.Parser, words [][]grammar.Token, workers int) []parser.Result {
+	return p.ParseInputs(context.Background(), len(words), func(i int) (parser.Input, func(), error) {
+		return parser.Input{Tokens: words[i]}, nil, nil
+	}, workers)
 }
 
 func checkBatch(l Lang, files []File, results []parser.Result) {

@@ -58,7 +58,7 @@ type State struct {
 // The word is wrapped in a slice-backed cursor, interning its terminals once
 // here; every later consume is an integer compare. Init panics if start was
 // never interned (i.e. it is neither defined nor referenced in g);
-// Parser.ParseFrom screens that out with HasNT before reaching the machine.
+// the parser screens that out with HasNT before reaching the machine.
 func Init(g *grammar.Grammar, start string, w []grammar.Token) *State {
 	return InitSource(g, start, source.FromTokens(g.Compiled(), w))
 }

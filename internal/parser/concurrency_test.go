@@ -1,12 +1,13 @@
 package parser
 
 // Session concurrency tests: one Parser used from many goroutines, the
-// ParseAll worker pool, and the determinism-under-parallelism property —
+// ParseInputs worker pool, and the determinism-under-parallelism property —
 // a concurrently-warmed SLL DFA must yield results identical to a
 // sequentially-warmed one. Run with -race; the differential generators
 // (genGrammar/genWords) supply the random grammar/word corpus.
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ import (
 )
 
 // multiStartGrammar has several independent decision nonterminals so that
-// concurrent ParseFrom calls with distinct start symbols exercise the lazy
+// concurrent ParseInput calls with distinct start symbols exercise the lazy
 // per-start targets map.
 func multiStartGrammar() *grammar.Grammar {
 	return grammar.MustParseBNF(`
@@ -51,8 +52,8 @@ func TestConcurrentParseFromDistinctStarts(t *testing.T) {
 			defer wg.Done()
 			c := cases[k]
 			for i := 0; i < rounds; i++ {
-				if res := p.ParseFrom(c.start, c.w); res.Kind != c.want {
-					t.Errorf("ParseFrom(%s, %s) = %v, want %v", c.start, grammar.WordString(c.w), res.Kind, c.want)
+				if res := p.ParseInput(context.Background(), Input{Start: c.start, Tokens: c.w}); res.Kind != c.want {
+					t.Errorf("ParseInput(%s, %s) = %v, want %v", c.start, grammar.WordString(c.w), res.Kind, c.want)
 					return
 				}
 			}
@@ -97,7 +98,7 @@ func TestParseAllMatchesSequential(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 2, 4, 8} {
 		par := MustNew(g, Options{})
-		got := par.ParseAll(words, workers)
+		got := parseWords(par, words, workers)
 		if len(got) != len(words) {
 			t.Fatalf("workers=%d: %d results for %d words", workers, len(got), len(words))
 		}
@@ -110,19 +111,27 @@ func TestParseAllMatchesSequential(t *testing.T) {
 func TestParseAllOneShot(t *testing.T) {
 	g := multiStartGrammar()
 	words := [][]grammar.Token{word("b", "c"), word("x")}
-	res := ParseAll(g, "S", words, 2)
+	res := parseWords(MustNew(g, Options{}), words, 2)
 	if res[0].Kind != Unique || res[1].Kind != Reject {
 		t.Errorf("results = %v, %v", res[0], res[1])
 	}
-	// Grammar validation failure is replicated into every result.
-	bad := grammar.New("S", []grammar.Production{{Lhs: "S", Rhs: []grammar.Symbol{grammar.NT("Undefined")}}})
-	res = ParseAll(bad, "S", words, 2)
+	// A batch from a start symbol the grammar lacks fails every item.
+	res = MustNew(g, Options{}).ParseInputs(context.Background(), len(words), func(i int) (Input, func(), error) {
+		return Input{Start: "Undefined", Tokens: words[i]}, nil, nil
+	}, 2)
 	if len(res) != 2 || res[0].Kind != Error || res[1].Kind != Error {
-		t.Errorf("invalid grammar results = %v", res)
+		t.Errorf("unknown start results = %v", res)
 	}
-	if out := ParseAll(g, "S", nil, 4); len(out) != 0 {
+	if out := parseWords(MustNew(g, Options{}), nil, 4); len(out) != 0 {
 		t.Errorf("empty batch returned %d results", len(out))
 	}
+}
+
+// parseWords batch-parses resident words through ParseInputs.
+func parseWords(p *Parser, words [][]grammar.Token, workers int) []Result {
+	return p.ParseInputs(context.Background(), len(words), func(i int) (Input, func(), error) {
+		return Input{Tokens: words[i]}, nil, nil
+	}, workers)
 }
 
 // assertSameResult checks the observable parse outcome fields match —
@@ -183,7 +192,7 @@ func TestConcurrentWarmDeterminism(t *testing.T) {
 		}
 
 		par := MustNew(g, Options{MaxSteps: 200000})
-		got := par.ParseAll(words, 8)
+		got := parseWords(par, words, 8)
 		for i := range words {
 			assertSameResult(t, got[i], want[i], g, words[i])
 			// Oracle cross-check: parallel warm-up must not flip membership.
@@ -195,7 +204,7 @@ func TestConcurrentWarmDeterminism(t *testing.T) {
 		}
 
 		// A second, now fully warm, parallel pass must be stable too.
-		again := par.ParseAll(words, 4)
+		again := parseWords(par, words, 4)
 		for i := range words {
 			assertSameResult(t, again[i], want[i], g, words[i])
 		}

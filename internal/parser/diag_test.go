@@ -48,7 +48,7 @@ func TestLexerErrorDiagnostic(t *testing.T) {
 		{Name: "a", Pattern: rx.Str("a")},
 		lexer.Skip("ws", `[ \n]+`),
 	}})
-	res := ParseReader(g, "S", lex, strings.NewReader("a\n!"))
+	res := MustNew(g, Options{}).ParseReader(lex, strings.NewReader("a\n!"))
 	if res.Kind != Error {
 		t.Fatalf("result = %s", res)
 	}

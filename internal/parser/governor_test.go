@@ -120,7 +120,7 @@ func TestParseContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := MustNew(fig2(), Options{})
-	res := p.ParseContext(ctx, longWord(5000))
+	res := p.ParseInput(ctx, Input{Tokens: longWord(5000)})
 	if !res.Canceled() {
 		t.Fatalf("want a canceled result, got %s", res)
 	}
@@ -137,7 +137,7 @@ func TestParseContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	p := MustNew(fig2(), Options{})
-	res := p.ParseContext(ctx, longWord(5000))
+	res := p.ParseInput(ctx, Input{Tokens: longWord(5000)})
 	if !res.Canceled() {
 		t.Fatalf("want a canceled result, got %s", res)
 	}
@@ -154,7 +154,7 @@ func TestContextIgnoredWhileHealthy(t *testing.T) {
 	// A live context must not perturb results: same tree as the plain path.
 	p := MustNew(fig2(), Options{})
 	plain := p.Parse(longWord(50))
-	ctxed := p.ParseContext(context.Background(), longWord(50))
+	ctxed := p.ParseInput(context.Background(), Input{Tokens: longWord(50)})
 	if plain.Kind != Unique || ctxed.Kind != Unique {
 		t.Fatalf("plain=%s ctx=%s", plain, ctxed)
 	}
@@ -226,7 +226,7 @@ func TestCancellationNeverFalseReject(t *testing.T) {
 	for _, after := range []int{0, 1, 64, 65, 1000} {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
-		src := source.FromPull(p.g.Compiled(), func() (grammar.Token, bool, error) {
+		pull := func() (grammar.Token, bool, error) {
 			if n == after {
 				cancel()
 			}
@@ -236,8 +236,8 @@ func TestCancellationNeverFalseReject(t *testing.T) {
 			tok := w[n]
 			n++
 			return tok, true, nil
-		})
-		res := p.ParseSourceContext(ctx, src)
+		}
+		res := p.ParseInput(ctx, Input{Pull: pull})
 		switch {
 		case res.Kind == Unique:
 		case res.Canceled():

@@ -16,7 +16,7 @@
 //
 // Sessions are additionally safe for concurrent use: many goroutines can
 // parse through one Parser at once, sharing (and jointly growing) a single
-// SLL DFA, and ParseAll exposes a worker-pool batch API on top.
+// SLL DFA, and ParseInputs exposes a worker-pool batch API on top.
 package parser
 
 import (
@@ -153,12 +153,12 @@ type Options struct {
 // Parser is a reusable parsing session for one grammar.
 //
 // A Parser is safe for concurrent use: any number of goroutines may call
-// Parse/ParseFrom (and the read-only accessors) on one session at the same
+// Parse/ParseInput (and the read-only accessors) on one session at the same
 // time, all sharing — and jointly warming — the single SLL DFA cache. The
 // grammar and its static analyses are immutable after New; per-start-symbol
 // targets intern through a sync.Map; session statistics accumulate under a
 // mutex; and the cache itself is concurrent (see prediction.Cache).
-// ParseAll layers a worker pool on top for batch workloads.
+// ParseInputs layers a worker pool on top for batch workloads.
 type Parser struct {
 	g       *grammar.Grammar
 	an      *analysis.Analysis
@@ -286,84 +286,63 @@ func (p *Parser) CacheSize() (starts, states int) { return p.cache.Size() }
 // of the Figure 11 experiment).
 func (p *Parser) ResetCache() { p.cache.Reset() }
 
-// Parse parses w starting from the grammar's start symbol.
-func (p *Parser) Parse(w []grammar.Token) Result {
-	return p.ParseFrom(p.g.Start, w)
+// Input is one parse input: a start symbol and a token word, resident or
+// pulled on demand. Start == "" means the grammar's start symbol; Tokens
+// holds a resident word, Pull streams one (only the sliding lookahead
+// window stays in memory). Input{} is the empty word. Setting both Tokens
+// and Pull is a structured Error result.
+type Input struct {
+	Start  string
+	Tokens []grammar.Token
+	Pull   source.Pull
 }
 
-// ParseContext is Parse under a context: cancellation or deadline expiry
-// halts the machine loop and the prediction closures within a bounded
-// amount of work and surfaces as a structured Error result (ErrCanceled /
-// ErrDeadline) — never a false Reject.
-func (p *Parser) ParseContext(ctx context.Context, w []grammar.Token) Result {
-	return p.ParseFromContext(ctx, p.g.Start, w)
-}
-
-// ParseFrom parses w starting from nonterminal start. It is reentrant:
-// concurrent calls on one session share the SLL DFA cache safely.
-func (p *Parser) ParseFrom(start string, w []grammar.Token) Result {
-	return p.ParseFromContext(context.Background(), start, w)
-}
-
-// ParseFromContext is ParseFrom under a context.
-func (p *Parser) ParseFromContext(ctx context.Context, start string, w []grammar.Token) Result {
+// ParseInput parses in under ctx: the session's one entry point, which
+// Parse, ParseReader and ParseInputs call. It is reentrant: concurrent
+// calls on one session share the SLL DFA cache safely. Cancellation or
+// deadline expiry halts the machine loop and the prediction closures within
+// a bounded amount of work and surfaces as a structured Error result
+// (ErrCanceled / ErrDeadline), never a false Reject. A Read already blocked
+// in a reader behind Pull cannot be interrupted (wrap the reader itself for
+// that), but no further pulls are issued once ctx ends. Pull failures
+// (lexing or reader errors) surface as Error results with a
+// machine.ErrSource cause, never as false accepts.
+func (p *Parser) ParseInput(ctx context.Context, in Input) Result {
+	if in.Tokens != nil && in.Pull != nil {
+		return Result{Kind: Error, Err: errors.New("parser: Input sets both Tokens and Pull")}
+	}
+	start := in.Start
+	if start == "" {
+		start = p.g.Start
+	}
 	sc := p.getScratch()
-	sc.cur.ResetTokens(p.g.Compiled(), w)
-	return p.parse(ctx, start, sc, &sc.cur, len(w))
+	if in.Pull != nil {
+		sc.cur.ResetPull(p.g.Compiled(), in.Pull)
+		return p.parse(ctx, start, sc, &sc.cur, -1)
+	}
+	sc.cur.ResetTokens(p.g.Compiled(), in.Tokens)
+	return p.parse(ctx, start, sc, &sc.cur, len(in.Tokens))
 }
 
-// ParseSource parses the tokens of src from the grammar's start symbol. The
-// cursor is consumed by the parse (it is a single-use value); on a Reject or
-// Error result it is left at the failure position for diagnostics.
-func (p *Parser) ParseSource(src *source.Cursor) Result {
-	return p.ParseSourceFrom(p.g.Start, src)
-}
-
-// ParseSourceContext is ParseSource under a context.
-func (p *Parser) ParseSourceContext(ctx context.Context, src *source.Cursor) Result {
-	return p.ParseSourceFromContext(ctx, p.g.Start, src)
-}
-
-// ParseSourceFrom is ParseSource starting from nonterminal start. This is
-// the streaming core every other entry point reduces to: tokens are pulled
-// from the cursor on demand and only the sliding lookahead window is
-// retained, so memory stays bounded regardless of input length.
-func (p *Parser) ParseSourceFrom(start string, src *source.Cursor) Result {
-	return p.ParseSourceFromContext(context.Background(), start, src)
-}
-
-// ParseSourceFromContext is ParseSourceFrom under a context.
-func (p *Parser) ParseSourceFromContext(ctx context.Context, start string, src *source.Cursor) Result {
-	return p.parse(ctx, start, p.getScratch(), src, -1)
+// Parse parses w starting from the grammar's start symbol: the paper's
+// parse (Section 3.1).
+func (p *Parser) Parse(w []grammar.Token) Result {
+	return p.ParseInput(context.Background(), Input{Tokens: w})
 }
 
 // ParseReader lexes r incrementally with lex and parses the token stream
 // from the grammar's start symbol, in bounded memory end to end.
 func (p *Parser) ParseReader(lex *lexer.Lexer, r io.Reader) Result {
-	return p.ParseReaderFrom(p.g.Start, lex, r)
+	return p.ParseInput(context.Background(), Input{Pull: lex.Pull(r)})
 }
 
-// ParseReaderContext is ParseReader under a context. Cancellation is
-// observed between machine steps and prediction closure expansions; a Read
-// already blocked in the underlying reader cannot be interrupted (wrap the
-// reader itself for that), but no further reads are issued once the context
-// ends.
-func (p *Parser) ParseReaderContext(ctx context.Context, lex *lexer.Lexer, r io.Reader) Result {
-	return p.ParseReaderFromContext(ctx, p.g.Start, lex, r)
-}
-
-// ParseReaderFrom is ParseReader starting from nonterminal start. Lexing
-// failures (including reader errors) surface as Error results with a
-// machine.ErrSource cause, never as false accepts.
-func (p *Parser) ParseReaderFrom(start string, lex *lexer.Lexer, r io.Reader) Result {
-	return p.ParseReaderFromContext(context.Background(), start, lex, r)
-}
-
-// ParseReaderFromContext is ParseReaderFrom under a context.
-func (p *Parser) ParseReaderFromContext(ctx context.Context, start string, lex *lexer.Lexer, r io.Reader) Result {
-	sc := p.getScratch()
-	sc.cur.ResetPull(p.g.Compiled(), lex.Pull(r))
-	return p.parse(ctx, start, sc, &sc.cur, -1)
+// ParseSource parses the tokens of src from the grammar's start symbol. The
+// cursor is consumed by the parse (it is a single-use value); on a Reject or
+// Error result it is left at the failure position for diagnostics. It is
+// the one entry point that takes a caller-built cursor; ParseInput builds
+// its cursor in the pooled scratch instead.
+func (p *Parser) ParseSource(src *source.Cursor) Result {
+	return p.parse(context.Background(), p.g.Start, p.getScratch(), src, -1)
 }
 
 // limits folds the MaxSteps shorthand into the session's Limits.
@@ -514,48 +493,31 @@ func (p *Parser) Accepts(w []grammar.Token) bool {
 	}
 }
 
-// ParseAll parses every word from the grammar's start symbol on a pool of
-// workers goroutines and returns the results in input order. All workers
-// share the session's SLL DFA, so each word's predictions benefit from
-// states any other word already forced — the cross-input cache monotonicity
-// of the Figure 11 warm-cache experiment, spent on multi-core throughput.
-// workers <= 0 means runtime.GOMAXPROCS(0).
-func (p *Parser) ParseAll(words [][]grammar.Token, workers int) []Result {
-	return p.ParseAllFrom(p.g.Start, words, workers)
-}
-
-// ParseAllContext is ParseAll under a context. Cancellation stops the batch
-// promptly: in-flight parses abort through their governors, not-yet-started
-// items are drained with Canceled results (every slot of the returned slice
-// is filled — completed items keep their real results), and all workers have
-// exited by the time it returns, so a canceled batch leaks no goroutines.
-// Items are isolated: one item's panic or resource blowup becomes that
-// item's Error result and the rest of the batch proceeds.
-func (p *Parser) ParseAllContext(ctx context.Context, words [][]grammar.Token, workers int) []Result {
-	return p.ParseAllFromContext(ctx, p.g.Start, words, workers)
-}
-
-// ParseAllFrom is ParseAll starting from nonterminal start.
-func (p *Parser) ParseAllFrom(start string, words [][]grammar.Token, workers int) []Result {
-	return p.ParseAllFromContext(context.Background(), start, words, workers)
-}
-
-// ParseAllFromContext is ParseAllFrom under a context.
-func (p *Parser) ParseAllFromContext(ctx context.Context, start string, words [][]grammar.Token, workers int) []Result {
-	return p.batch(ctx, len(words), workers, func(i int) Result {
-		return p.ParseFromContext(ctx, start, words[i])
-	})
-}
-
-// batch runs one() for indices 0..n-1 on a pool of workers goroutines and
-// returns the results in input order. Once ctx ends, remaining items are
-// drained without parsing — each gets a structured Canceled result — so the
-// call returns promptly with every slot filled and no goroutine left behind
-// (workers are joined before batch returns).
-func (p *Parser) batch(ctx context.Context, n, workers int, one func(i int) Result) []Result {
+// ParseInputs parses n inputs on a pool of workers goroutines and returns
+// the results in input order; workers <= 0 means runtime.GOMAXPROCS(0). All
+// workers share the session's SLL DFA, so each input's predictions benefit
+// from states any other input already forced — the cross-input cache
+// monotonicity of the Figure 11 warm-cache experiment, spent on multi-core
+// throughput.
+//
+// open(i) builds input i only when a worker picks it up, so at most workers
+// inputs are resident at once; the cleanup it returns (nil allowed) runs
+// after that input's parse — typically closing a file. Items are isolated:
+// an open failure, a panic in open, or one item's resource blowup becomes
+// that item's Error result and the rest of the batch proceeds. Once ctx
+// ends the batch stops promptly: in-flight parses abort through their
+// governors, not-yet-started items are drained with Canceled results
+// without being opened (every slot is filled; completed items keep their
+// real results), and all workers have exited by the time ParseInputs
+// returns, so a canceled batch leaks no goroutines.
+func (p *Parser) ParseInputs(ctx context.Context, n int, open func(i int) (Input, func(), error), workers int) []Result {
 	out := make([]Result, n)
-	if n == 0 {
-		return out
+	work := func(i int) {
+		if err := ctx.Err(); err != nil {
+			out[i] = Result{Kind: Error, Err: machine.CanceledErr(err)}
+			return
+		}
+		out[i] = p.openAndParse(ctx, i, open)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -563,14 +525,7 @@ func (p *Parser) batch(ctx context.Context, n, workers int, one func(i int) Resu
 	if workers > n {
 		workers = n
 	}
-	work := func(i int) {
-		if err := ctx.Err(); err != nil {
-			out[i] = Result{Kind: Error, Err: machine.CanceledErr(err)}
-			return
-		}
-		out[i] = one(i)
-	}
-	if workers == 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			work(i)
 		}
@@ -595,49 +550,23 @@ func (p *Parser) batch(ctx context.Context, n, workers int, one func(i int) Resu
 	return out
 }
 
-// ParseSourceAll is the streaming counterpart of ParseAll: it parses n
-// inputs, each opened on demand by open, on a pool of workers goroutines
-// sharing the session's SLL DFA. open(i) returns a fresh cursor for input i
-// plus a cleanup function (nil allowed) invoked after that input's parse —
-// typically closing the underlying file. An open failure becomes an Error
-// result for that input; the rest of the batch proceeds. Because each input
-// is opened only when a worker picks it up, at most workers inputs are
-// resident at once.
-func (p *Parser) ParseSourceAll(n int, open func(i int) (*source.Cursor, func(), error), workers int) []Result {
-	return p.ParseSourceAllFrom(p.g.Start, n, open, workers)
-}
-
-// ParseSourceAllContext is ParseSourceAll under a context, with the same
-// prompt-drain and isolation guarantees as ParseAllContext; inputs are not
-// even opened once the context ends.
-func (p *Parser) ParseSourceAllContext(ctx context.Context, n int, open func(i int) (*source.Cursor, func(), error), workers int) []Result {
-	return p.ParseSourceAllFromContext(ctx, p.g.Start, n, open, workers)
-}
-
-// ParseSourceAllFrom is ParseSourceAll starting from nonterminal start.
-func (p *Parser) ParseSourceAllFrom(start string, n int, open func(i int) (*source.Cursor, func(), error), workers int) []Result {
-	return p.ParseSourceAllFromContext(context.Background(), start, n, open, workers)
-}
-
-// ParseSourceAllFromContext is ParseSourceAllFrom under a context.
-func (p *Parser) ParseSourceAllFromContext(ctx context.Context, start string, n int, open func(i int) (*source.Cursor, func(), error), workers int) []Result {
-	return p.batch(ctx, n, workers, func(i int) (res Result) {
-		// open runs caller code; contain its panics like the parse's own so
-		// one poisoned input cannot kill a batch worker.
-		defer func() {
-			if r := recover(); r != nil {
-				res = Result{Kind: Error, Err: machine.PanicErr(r, debug.Stack())}
-			}
-		}()
-		src, cleanup, err := open(i)
-		if err != nil {
-			return Result{Kind: Error, Err: fmt.Errorf("parser: opening input %d: %w", i, err)}
+// openAndParse is one ParseInputs item. open runs caller code; its panics
+// are contained like the parse's own, so one poisoned input cannot kill a
+// batch worker.
+func (p *Parser) openAndParse(ctx context.Context, i int, open func(i int) (Input, func(), error)) (res Result) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = Result{Kind: Error, Err: machine.PanicErr(r, debug.Stack())}
 		}
-		if cleanup != nil {
-			defer cleanup()
-		}
-		return p.ParseSourceFromContext(ctx, start, src)
-	})
+	}()
+	in, cleanup, err := open(i)
+	if err != nil {
+		return Result{Kind: Error, Err: fmt.Errorf("parser: opening input %d: %w", i, err)}
+	}
+	if cleanup != nil {
+		defer cleanup()
+	}
+	return p.ParseInput(ctx, in)
 }
 
 func (p *Parser) accumulate(s prediction.Stats) {
@@ -663,80 +592,7 @@ func Parse(g *grammar.Grammar, start string, w []grammar.Token) Result {
 	if err != nil {
 		return Result{Kind: Error, Err: err}
 	}
-	return p.ParseFrom(start, w)
-}
-
-// ParseContext is the one-shot Parse under a context and resource limits.
-func ParseContext(ctx context.Context, g *grammar.Grammar, start string, w []grammar.Token, limits Limits) Result {
-	p, err := New(g, Options{Limits: limits})
-	if err != nil {
-		return Result{Kind: Error, Err: err}
-	}
-	return p.ParseFromContext(ctx, start, w)
-}
-
-// ParseRecover is the one-shot Parse in recovering mode: rejected inputs
-// are repaired by panic-mode recovery and come back as Recovered results
-// with a partial tree and positioned diagnostics.
-func ParseRecover(g *grammar.Grammar, start string, w []grammar.Token) Result {
-	p, err := New(g, Options{Recover: true})
-	if err != nil {
-		return Result{Kind: Error, Err: err}
-	}
-	return p.ParseFrom(start, w)
-}
-
-// ParseReader is the one-shot streaming API: lex r incrementally with lex
-// and parse the token stream from start in g with default options, holding
-// only the sliding lookahead window in memory.
-func ParseReader(g *grammar.Grammar, start string, lex *lexer.Lexer, r io.Reader) Result {
-	p, err := New(g, Options{})
-	if err != nil {
-		return Result{Kind: Error, Err: err}
-	}
-	return p.ParseReaderFrom(start, lex, r)
-}
-
-// ParseReaderContext is the one-shot ParseReader under a context and
-// resource limits.
-func ParseReaderContext(ctx context.Context, g *grammar.Grammar, start string, lex *lexer.Lexer, r io.Reader, limits Limits) Result {
-	p, err := New(g, Options{Limits: limits})
-	if err != nil {
-		return Result{Kind: Error, Err: err}
-	}
-	return p.ParseReaderFromContext(ctx, start, lex, r)
-}
-
-// ParseAll is the one-shot batch API: parse every word from start in g on
-// workers goroutines (workers <= 0 means GOMAXPROCS), sharing one freshly
-// warmed SLL DFA across the whole batch. Results are in input order. It
-// validates the grammar once up front; a validation error is replicated
-// into every Result.
-func ParseAll(g *grammar.Grammar, start string, words [][]grammar.Token, workers int) []Result {
-	p, err := New(g, Options{})
-	if err != nil {
-		out := make([]Result, len(words))
-		for i := range out {
-			out[i] = Result{Kind: Error, Err: err}
-		}
-		return out
-	}
-	return p.ParseAllFrom(start, words, workers)
-}
-
-// ParseAllContext is the one-shot ParseAll under a context and resource
-// limits, with ParseAllContext's prompt-drain, per-item isolation, and
-// no-leak guarantees.
-func ParseAllContext(ctx context.Context, g *grammar.Grammar, start string, words [][]grammar.Token, workers int, limits Limits) []Result {
-	p, err := New(g, Options{Limits: limits})
-	if err != nil {
-		out := make([]Result, len(words))
-		for i := range out {
-			out[i] = Result{Kind: Error, Err: err}
-		}
-		return out
-	}
-	return p.ParseAllFromContext(ctx, start, words, workers)
+	return p.ParseInput(context.Background(), Input{Start: start, Tokens: w})
 }
 
 // expectedAt computes the terminals that could have continued the parse at

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -92,15 +93,23 @@ func TestNewRejectsMalformedGrammar(t *testing.T) {
 
 func TestParseFrom(t *testing.T) {
 	p := MustNew(fig2(), Options{})
-	res := p.ParseFrom("A", word("a", "a", "b"))
+	res := p.ParseInput(context.Background(), Input{Start: "A", Tokens: word("a", "a", "b")})
 	if res.Kind != Unique {
-		t.Fatalf("ParseFrom(A) = %s", res)
+		t.Fatalf("ParseInput(A) = %s", res)
 	}
 	if res.Tree.NT() != "A" {
 		t.Errorf("root = %s", res.Tree.NT())
 	}
-	if res := p.ParseFrom("Ghost", nil); res.Kind != Error {
-		t.Errorf("ParseFrom(Ghost) = %s", res)
+	if res := p.ParseInput(context.Background(), Input{Start: "Ghost"}); res.Kind != Error {
+		t.Errorf("ParseInput(Ghost) = %s", res)
+	}
+	// Input{} is the empty word; Tokens and Pull together are an Error.
+	if res := p.ParseInput(context.Background(), Input{}); res.Kind != Reject || res.Consumed != 0 {
+		t.Errorf("ParseInput(Input{}) = %s", res)
+	}
+	eof := func() (grammar.Token, bool, error) { return grammar.Token{}, false, nil }
+	if res := p.ParseInput(context.Background(), Input{Tokens: word("b", "c"), Pull: eof}); res.Kind != Error {
+		t.Errorf("ParseInput with Tokens and Pull = %s", res)
 	}
 }
 

@@ -3,7 +3,7 @@ package parser
 // Lifetime tests for the pooled per-parse scratch (parseScratch) and the
 // Result-scoped tree table: parse trees must stay valid for the Result's
 // whole life no matter how much the session's pool is churned afterwards,
-// pooled reuse must be safe under ParseAll concurrency (run these with
+// pooled reuse must be safe under ParseInputs concurrency (run these with
 // -race), and aborted parses — panics injected at the token source,
 // cancellation mid-parse — must never return a half-mutated scratch to the
 // pool. A FreshCachePerParse session's parse-private DFA rides in the same
@@ -151,13 +151,13 @@ func TestFreshCacheParseAll(t *testing.T) {
 	}
 	p := MustNew(g, Options{FreshCachePerParse: true})
 	for round := 0; round < 3; round++ {
-		for i, res := range p.ParseAll(words, 4) {
+		for i, res := range parseWords(p, words, 4) {
 			assertSameColdParse(t, res, want[i])
 		}
 	}
 }
 
-// TestPooledReuseConcurrent races pooled scratch through ParseAll: many
+// TestPooledReuseConcurrent races pooled scratch through ParseInputs: many
 // goroutines draw from the session pool at once, repeatedly, and every
 // result must match a sequential reference. Run with -race; it also guards
 // against two parses ever sharing one scratch.
@@ -170,7 +170,7 @@ func TestPooledReuseConcurrent(t *testing.T) {
 		want[i] = ref.Parse(w)
 	}
 	for round := 0; round < 4; round++ {
-		results := p.ParseAll(words, 8)
+		results := parseWords(p, words, 8)
 		for i, res := range results {
 			if res.Kind != Unique {
 				t.Fatalf("round %d word %d: %v (%s)", round, i, res.Kind, res.Reason)
@@ -217,7 +217,7 @@ func TestAbortedParseDoesNotPoisonPool(t *testing.T) {
 		// A canceled parse.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if res := p.ParseContext(ctx, toks); !res.Canceled() {
+		if res := p.ParseInput(ctx, Input{Tokens: toks}); !res.Canceled() {
 			t.Fatalf("cancel %d: got %v, want canceled error", i, res)
 		}
 		// After each abort, a normal parse through the (possibly recycled)

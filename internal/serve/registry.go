@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -11,45 +10,14 @@ import (
 	"sync"
 
 	"costar/internal/artifact"
-	"costar/internal/ebnf"
-	"costar/internal/g4"
-	"costar/internal/grammar"
-	"costar/internal/languages/dotlang"
-	"costar/internal/languages/jsonlang"
-	"costar/internal/languages/langkit"
-	"costar/internal/languages/pylang"
-	"costar/internal/languages/xmllang"
-	"costar/internal/lexer"
+	"costar/internal/languages"
 	"costar/internal/parser"
 	"costar/internal/source"
 )
 
-// builtins maps the bundled benchmark languages to their full lexer+layout
-// pipelines and corpus generators (the generators drive session warm-up and
-// the serve load figure).
-var builtins = map[string]struct {
-	lang *langkit.Language
-	gen  func(seed int64, targetTokens int) string
-}{
-	"json":   {jsonlang.Lang, jsonlang.Generate},
-	"xml":    {xmllang.Lang, xmllang.Generate},
-	"dot":    {dotlang.Lang, dotlang.Generate},
-	"python": {pylang.Lang, pylang.Generate},
-}
-
-// BuiltinNames lists the languages AddLanguage accepts, sorted.
-func BuiltinNames() []string {
-	names := make([]string, 0, len(builtins))
-	for n := range builtins {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Session is one pre-warmed parser keyed by grammar name: the long-lived
 // parser session (shared concurrent SLL DFA cache, pooled scratch) plus the
-// token-cursor constructor that turns a request body into its input. A
+// pull constructor that turns a request body into its token stream. A
 // Session serves concurrent requests; the parser's batch-safe internals do
 // the sharing.
 type Session struct {
@@ -57,7 +25,7 @@ type Session struct {
 	fingerprint uint64
 	origin      string // "builtin" or "artifact"
 	p           *parser.Parser
-	cursor      func(io.Reader) *source.Cursor
+	pull        func(io.Reader) source.Pull
 }
 
 // Name is the grammar key clients address in /parse/{name}.
@@ -76,11 +44,12 @@ func (s *Session) Certified() bool { return s.p.Certified() }
 // Parser exposes the underlying session for stats scraping.
 func (s *Session) Parser() *parser.Parser { return s.p }
 
-// Parse runs one request body through the session under ctx. Cancellation,
-// deadlines, limits, and panics all come back as structured Results — the
-// caller never sees a goroutine die or a verdict invented by failure.
+// Parse runs one request body through the session under ctx, on the
+// session's pooled token cursor. Cancellation, deadlines, limits, and
+// panics all come back as structured Results — the caller never sees a
+// goroutine die or a verdict invented by failure.
 func (s *Session) Parse(ctx context.Context, r io.Reader) parser.Result {
-	return s.p.ParseSourceContext(ctx, s.cursor(r))
+	return s.p.ParseInput(ctx, parser.Input{Pull: s.pull(r)})
 }
 
 // Registry is the set of sessions a server exposes, keyed by grammar name.
@@ -116,14 +85,22 @@ func (reg *Registry) Sessions() []*Session {
 	return out
 }
 
-func (reg *Registry) add(s *Session) error {
+// add registers p as the session for fe's grammar.
+func (reg *Registry) add(fe *languages.Frontend, origin string, p *parser.Parser) (*Session, error) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	if _, dup := reg.byName[s.name]; dup {
-		return fmt.Errorf("serve: duplicate grammar %q", s.name)
+	if _, dup := reg.byName[fe.Name]; dup {
+		return nil, fmt.Errorf("serve: duplicate grammar %q", fe.Name)
+	}
+	s := &Session{
+		name:        fe.Name,
+		fingerprint: p.Grammar().Compiled().Fingerprint(),
+		origin:      origin,
+		p:           p,
+		pull:        fe.Pull,
 	}
 	reg.byName[s.name] = s
-	return nil
+	return s, nil
 }
 
 // AddLanguage registers a built-in benchmark language and warms its SLL DFA
@@ -132,85 +109,40 @@ func (reg *Registry) add(s *Session) error {
 // server always parses in recovering mode and collapses the verdict at the
 // HTTP layer when the caller did not opt in (see the handler).
 func (reg *Registry) AddLanguage(name string, opts parser.Options) (*Session, error) {
-	b, ok := builtins[name]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown language %q (have %s)", name, strings.Join(BuiltinNames(), ", "))
+	fe, err := languages.Builtin(name)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	opts.Recover = true
-	p, err := parser.New(b.lang.Grammar(), opts)
+	p, err := parser.New(fe.Grammar, opts)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building %s session: %w", name, err)
 	}
 	for seed := int64(1); seed <= 2; seed++ {
-		toks, err := b.lang.Tokenize(b.gen(seed, 400))
-		if err != nil {
-			return nil, fmt.Errorf("serve: warming %s session: %w", name, err)
-		}
-		if res := p.Parse(toks); res.Kind == parser.Error {
+		in := parser.Input{Pull: fe.Pull(strings.NewReader(fe.Generate(seed, 400)))}
+		if res := p.ParseInput(context.Background(), in); res.Kind == parser.Error {
 			return nil, fmt.Errorf("serve: warming %s session: %w", name, res.Err)
 		}
 	}
-	s := &Session{
-		name:        name,
-		fingerprint: b.lang.Grammar().Compiled().Fingerprint(),
-		origin:      "builtin",
-		p:           p,
-		cursor:      b.lang.Cursor,
-	}
-	if err := reg.add(s); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return reg.add(fe, "builtin", p)
 }
 
 // AddArtifact registers a session booted from an ahead-of-time artifact —
 // the fleet-member warm start: tables, certificate, and the warmed DFA
 // snapshot all come from the artifact, so the session answers its first
-// request with a hot cache. The token cursor resolves exactly like the CLI:
-// an artifact named after a built-in language with a matching grammar
-// fingerprint uses that language's full lexer+layout pipeline; an embedded
-// lexer grammar is recompiled; anything else reads the whitespace word
-// format.
+// request with a hot cache. Request bodies become tokens exactly as in the
+// CLI (see languages.FromArtifact).
 func (reg *Registry) AddArtifact(a *artifact.Artifact, opts parser.Options) (*Session, error) {
 	opts.Recover = true
 	p, err := parser.NewFromArtifact(a, opts)
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading artifact %q: %w", a.Name, err)
 	}
-	var cursor func(io.Reader) *source.Cursor
-	if b, ok := builtins[a.Name]; ok && b.lang.Grammar().Compiled().Fingerprint() == a.Fingerprint {
-		cursor = b.lang.Cursor
+	fe, err := languages.FromArtifact(a, p.Grammar())
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if cursor == nil && a.LexerG4 != "" {
-		f, err := g4.Parse(a.LexerG4)
-		if err != nil {
-			return nil, fmt.Errorf("serve: recompiling artifact lexer: %w", err)
-		}
-		if _, err := ebnf.Desugar(f.Parser); err != nil {
-			return nil, fmt.Errorf("serve: recompiling artifact lexer: %w", err)
-		}
-		lex, err := lexer.New(f.Lexer)
-		if err != nil {
-			return nil, fmt.Errorf("serve: recompiling artifact lexer: %w", err)
-		}
-		cg := p.Grammar().Compiled()
-		cursor = func(r io.Reader) *source.Cursor { return source.FromPull(cg, lex.Pull(r)) }
-	}
-	if cursor == nil {
-		cg := p.Grammar().Compiled()
-		cursor = func(r io.Reader) *source.Cursor { return source.FromPull(cg, wordPull(r)) }
-	}
-	s := &Session{
-		name:        a.Name,
-		fingerprint: a.Fingerprint,
-		origin:      "artifact",
-		p:           p,
-		cursor:      cursor,
-	}
-	if err := reg.add(s); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return reg.add(fe, "artifact", p)
 }
 
 // AddArtifactFile reads, decodes, and registers an artifact file.
@@ -224,18 +156,4 @@ func (reg *Registry) AddArtifactFile(path string, opts parser.Options) (*Session
 		return nil, fmt.Errorf("serve: %s: %w", path, err)
 	}
 	return reg.AddArtifact(a, opts)
-}
-
-// wordPull streams whitespace-separated terminal names as tokens — the
-// -bnf word format, mirrored from the CLI for artifacts with no lexer.
-func wordPull(r io.Reader) func() (grammar.Token, bool, error) {
-	sc := bufio.NewScanner(r)
-	sc.Split(bufio.ScanWords)
-	return func() (grammar.Token, bool, error) {
-		if !sc.Scan() {
-			return grammar.Token{}, false, sc.Err()
-		}
-		n := sc.Text()
-		return grammar.Tok(n, n), true, nil
-	}
 }

@@ -1,11 +1,12 @@
 package costar
 
-// Facade-level tests of the streaming pipeline: the ParseReader quickstart,
+// Facade-level tests of the streaming pipeline: the streaming quickstart,
 // the TokenSource building blocks, and the acceptance bound — on a million-
 // token input, the sliding window must retain only max-lookahead + O(1)
 // tokens, never anything proportional to the input.
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -22,18 +23,22 @@ func TestParseReaderQuickstart(t *testing.T) {
 		NUM : [0-9]+ ;
 		WS : [ ]+ -> skip ;
 	`)
-	res := ParseReader(g, "e", lex, strings.NewReader("1 + 22 + 333"))
+	p := MustNewParser(g, Options{})
+	parse := func(text string) Result {
+		return p.ParseInput(context.Background(), Input{Start: "e", Pull: lex.Pull(strings.NewReader(text))})
+	}
+	res := parse("1 + 22 + 333")
 	if res.Kind != Unique {
 		t.Fatalf("result = %s", res)
 	}
 	if res.Consumed != 5 {
 		t.Errorf("consumed = %d, want 5", res.Consumed)
 	}
-	if res := ParseReader(g, "e", lex, strings.NewReader("1 + + 2")); res.Kind != Reject {
+	if res := parse("1 + + 2"); res.Kind != Reject {
 		t.Errorf("bad input: %s", res)
 	}
 	// Unlexable bytes surface as an Error result, never a false accept.
-	if res := ParseReader(g, "e", lex, strings.NewReader("1 + \x01")); res.Kind != Error {
+	if res := parse("1 + \x01"); res.Kind != Error {
 		t.Errorf("unlexable input: %s", res)
 	}
 }
@@ -43,7 +48,7 @@ func TestTokenSourceHelpers(t *testing.T) {
 	p := MustNewParser(g, Options{})
 
 	w := Words("a", "a", "b", "d")
-	if res := p.ParseSource(SliceSource(g, w)); res.Kind != Unique {
+	if res := p.ParseInput(context.Background(), Input{Tokens: w}); res.Kind != Unique {
 		t.Fatalf("slice source: %s", res)
 	}
 
