@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short-race stress bench bench-parallel bench-stream bench-mem bench-cold cold-gate bench-recover recover-gate bench-serve serve-gate serve-smoke alloc-guard fuzz-smoke vet lint lint-baseline vet-grammars
+.PHONY: all build test race short-race stress bench perf-gate serve-smoke alloc-guard fuzz-smoke vet lint lint-baseline vet-grammars
 
 all: build test race
 
@@ -33,54 +33,16 @@ stress:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# The parallel batch-parse scaling benchmark behind BENCH_parallel.json.
-bench-parallel:
-	$(GO) test -bench=BenchmarkParallelWarmCache -benchtime=2x -count=1 .
-
-# The streaming-window benchmark behind BENCH_stream.json: ns/token, B/op,
-# and the peak retained-window size for the reader pipeline.
-bench-stream:
-	$(GO) test -bench=BenchmarkStreamingWindow -benchmem -count=1 .
-
-# The memory figure behind BENCH_alloc.json: steady-state allocs/op, B/op,
-# and process peak RSS per language on a warm (pooled, cached) session.
-bench-mem:
-	$(GO) run ./cmd/costar-bench -fig mem
-
-# The cold-start figure behind BENCH_cold.json: compile+warm vs artifact
-# load per language (see DESIGN.md §5g).
-bench-cold:
-	$(GO) run ./cmd/costar-bench -fig cold
-	$(GO) test ./internal/bench -run xxx -bench BenchmarkColdStart -benchtime 5x -count=1
-
-# The cold-start CI gate: artifact load must stay >=5x faster than
-# compile+warm on Python (best-of-trials; self-skips under -race).
-cold-gate:
-	$(GO) test ./internal/bench -run TestColdStartGate -count=1 -v
-
-# The recovery figure behind BENCH_recover.json: recover-off vs recover-on
-# ns/token on clean corpora plus repair throughput on mutated ones (see
-# DESIGN.md §5h).
-bench-recover:
-	$(GO) run ./cmd/costar-bench -fig recover
-	$(GO) test ./internal/bench -run TestRecoverOverheadGate -count=1 -v
-
-# The recovery CI gate alone: recover-on must stay within 2% of recover-off
-# ns/token on clean inputs (paired best-of-trials; self-skips under -race).
-recover-gate:
-	$(GO) test ./internal/bench -run TestRecoverOverheadGate -count=1 -v
-
-# The serve saturation figure behind BENCH_serve.json: throughput, p50/p99,
-# and shed rate at 1x/4x/16x of the admission gate's concurrency (see
-# DESIGN.md §5j).
-bench-serve:
-	$(GO) run ./cmd/costar-bench -fig serve
-	$(GO) test ./internal/bench -run TestServeSaturationGate -count=1 -v
-
-# The serve CI gate alone: saturation must never produce a false Reject,
-# an untyped response, or a shed-ledger mismatch (self-skips under -short).
-serve-gate:
-	$(GO) test ./internal/bench -run TestServeSaturationGate -count=1 -v
+# The wall-clock gates, kept out of `go test ./...` because a ratio of two
+# clocks on a shared host is not a deterministic check. The perfgate build
+# tag selects the test files that hold them (never under -race); -p 1 keeps
+# the packages from timing each other. Each gate logs its measured ratio
+# next to its bound. Performance numbers themselves
+# come from perfbench: bash perfbench/run.sh --workload W (perfbench/README.md).
+perf-gate:
+	$(GO) test -tags perfgate -count=1 -p 1 -v \
+		-run '^(TestFasterThanVerified|TestScalingSmoke|TestColdStartGate|TestRecoverOverheadGate|TestFig9Linearity|TestFig10Slowdown|TestFig11WarmUp)$$' \
+		./internal/allstar ./internal/languages ./internal/bench
 
 # End-to-end daemon smoke: boot the real binary on a compiled artifact,
 # fire concurrent clean + broken + oversized requests, assert the

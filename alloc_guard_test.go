@@ -3,7 +3,8 @@ package costar
 // Allocation-regression guards for the arena/pool allocation work: a warm
 // session (scratch pool and SLL DFA primed) must parse with a near-zero
 // steady-state allocation rate. The ceilings are deliberately loose —
-// roughly 10x the measured values recorded in BENCH_alloc.json — so they
+// roughly 10x the measured rates (BenchmarkStreamingWindow's allocs/op, and
+// perfbench's allocs_per_token on the stream workloads) — so they
 // absorb GC-emptied pool refills and allocator noise while still failing
 // loudly if per-node heap allocation ever creeps back into the machine loop
 // (the pre-arena rate was ~15 allocs/token).
@@ -105,7 +106,7 @@ func TestAllocGuardWarmJSONStream(t *testing.T) {
 // TestAllocGuardWarmPythonStream guards the streamed layout pipeline: the
 // Python layout pass used to pop its token queue by reslicing, stranding
 // the consumed prefix and reallocating on nearly every refill (~1 extra
-// alloc/token; BENCH_alloc.json recorded 1.016 allocs/token streamed), and
+// alloc/token; 1.016 allocs/token streamed at the time), and
 // the pooled machine arenas used to abandon full slabs at grow time, so
 // every parse re-allocated its whole slab chain (~0.023 allocs/token on
 // Python). With the rewinding queue, slab retention across Reset, and the

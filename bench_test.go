@@ -329,7 +329,7 @@ func BenchmarkAblationStacks(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel batch parsing (concurrent sessions PR; results in BENCH_parallel.json)
+// Parallel batch parsing: one shared session against per-worker sessions
 // ---------------------------------------------------------------------------
 
 // BenchmarkParallelWarmCache measures warm-cache batch throughput over the
@@ -452,7 +452,7 @@ func BenchmarkParallelColdCache(b *testing.B) {
 }
 
 // reportCorpusThroughput reports corpus tokens parsed per second of wall
-// time — the metric BENCH_parallel.json records.
+// time, the parallel benchmarks' scaling figure.
 func reportCorpusThroughput(b *testing.B, tokens int) {
 	b.ReportMetric(float64(tokens)*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
 	reportPerToken(b, tokens)

@@ -6,11 +6,12 @@
 //	costar-bench -fig all                # everything, quick preset
 //	costar-bench -fig 9 -full            # Figure 9 at paper-like scale
 //	costar-bench -fig 10 -files 20 -max 30000 -trials 5
-//	costar-bench -fig par -j 8           # parallel batch-parse scaling (shared DFA)
 //
 // The output is textual: the same rows/series the paper plots. Shapes —
 // linearity, slowdown factors, the cache warm-up bend — are the claim;
-// absolute numbers depend on the machine.
+// absolute numbers depend on the machine. Every other performance number
+// comes from perfbench (bash perfbench/run.sh) and the wall-clock gates
+// from `make perf-gate`.
 package main
 
 import (
@@ -25,13 +26,12 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "which figure to regenerate: 8, 9, 10, 11, par, mem, cold, recover, serve, all")
+		fig        = flag.String("fig", "all", "which figure to regenerate: 8, 9, 10, 11, all")
 		full       = flag.Bool("full", false, "paper-scale corpora (slower)")
 		files      = flag.Int("files", 0, "files per language (overrides preset)")
 		minTok     = flag.Int("min", 0, "smallest file target in tokens")
 		maxTok     = flag.Int("max", 0, "largest file target in tokens")
 		trials     = flag.Int("trials", 0, "timing trials per data point")
-		workers    = flag.Int("j", 8, "max worker count for the parallel scaling experiment (powers of two up to -j)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)
@@ -82,23 +82,13 @@ func main() {
 		cfg.Trials = *trials
 	}
 
-	if err := run(*fig, cfg, *workers); err != nil {
+	if err := run(*fig, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "costar-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// workerCounts returns the powers of two up to and including max (at least
-// {1}); the parallel experiment's x-axis.
-func workerCounts(max int) []int {
-	counts := []int{1}
-	for w := 2; w <= max; w *= 2 {
-		counts = append(counts, w)
-	}
-	return counts
-}
-
-func run(fig string, cfg bench.Config, maxWorkers int) error {
+func run(fig string, cfg bench.Config) error {
 	out := os.Stdout
 	want := func(f string) bool { return fig == "all" || fig == f }
 	ran := false
@@ -138,53 +128,8 @@ func run(fig string, cfg bench.Config, maxWorkers int) error {
 		bench.PrintFig11(out, res)
 		fmt.Fprintln(out)
 	}
-	if want("par") {
-		ran = true
-		rep, err := bench.ParallelScaling(cfg, workerCounts(maxWorkers), "json", "xml")
-		if err != nil {
-			return err
-		}
-		bench.PrintParallel(out, rep)
-		fmt.Fprintln(out)
-	}
-	if want("mem") {
-		ran = true
-		rows, err := bench.FigMem(cfg)
-		if err != nil {
-			return err
-		}
-		bench.PrintFigMem(out, rows)
-		fmt.Fprintln(out)
-	}
-	if want("cold") {
-		ran = true
-		rows, err := bench.FigCold(cfg)
-		if err != nil {
-			return err
-		}
-		bench.PrintFigCold(out, rows)
-		fmt.Fprintln(out)
-	}
-	if want("recover") {
-		ran = true
-		rows, err := bench.FigRecover(cfg)
-		if err != nil {
-			return err
-		}
-		bench.PrintFigRecover(out, rows)
-		fmt.Fprintln(out)
-	}
-	if want("serve") {
-		ran = true
-		rows, err := bench.FigServe(cfg)
-		if err != nil {
-			return err
-		}
-		bench.PrintFigServe(out, rows)
-		fmt.Fprintln(out)
-	}
 	if !ran {
-		return fmt.Errorf("unknown figure %q (use 8, 9, 10, 11, par, mem, cold, recover, serve, all)", fig)
+		return fmt.Errorf("unknown figure %q (use 8, 9, 10, 11, all)", fig)
 	}
 	return nil
 }

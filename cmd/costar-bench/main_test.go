@@ -1,7 +1,6 @@
 package main
 
 import (
-	"reflect"
 	"testing"
 
 	"costar/internal/bench"
@@ -9,29 +8,14 @@ import (
 
 func TestRunFigures(t *testing.T) {
 	cfg := bench.Config{Files: 3, MinTokens: 80, MaxTokens: 400, Trials: 1}
-	for _, fig := range []string{"8", "9", "10", "11", "par", "all"} {
-		if err := run(fig, cfg, 2); err != nil {
+	for _, fig := range []string{"8", "9", "10", "11", "all"} {
+		if err := run(fig, cfg); err != nil {
 			t.Fatalf("fig %s: %v", fig, err)
 		}
 	}
-	if err := run("99", cfg, 2); err == nil {
-		t.Error("unknown figure accepted")
-	}
-}
-
-func TestWorkerCounts(t *testing.T) {
-	for _, tc := range []struct {
-		max  int
-		want []int
-	}{
-		{0, []int{1}},
-		{1, []int{1}},
-		{2, []int{1, 2}},
-		{8, []int{1, 2, 4, 8}},
-		{12, []int{1, 2, 4, 8}},
-	} {
-		if got := workerCounts(tc.max); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("workerCounts(%d) = %v, want %v", tc.max, got, tc.want)
+	for _, fig := range []string{"99", "par"} {
+		if err := run(fig, cfg); err == nil {
+			t.Errorf("unknown figure %q accepted", fig)
 		}
 	}
 }

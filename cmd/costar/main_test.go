@@ -238,6 +238,13 @@ func TestExitCodes(t *testing.T) {
 	if err := run("klingon", "", "", "", "", cliOptions{workers: 1}, nil); exitCodeFor(err) != exitUsage {
 		t.Errorf("unknown language exit = %d (%v), want %d", exitCodeFor(err), err, exitUsage)
 	}
+	// One grammar source: a second one is a usage error, not ignored.
+	if err := run("json", "../../examples/grammars/calc.g4", "", "", "", cliOptions{workers: 1}, []string{good}); exitCodeFor(err) != exitUsage {
+		t.Errorf("-lang with -g4 exit = %d (%v), want %d", exitCodeFor(err), err, exitUsage)
+	}
+	if err := run("", "../../examples/grammars/calc.g4", "../../examples/grammars/lists.bnf", "", "", cliOptions{workers: 1}, []string{good}); exitCodeFor(err) != exitUsage {
+		t.Errorf("-g4 with -bnf exit = %d (%v), want %d", exitCodeFor(err), err, exitUsage)
+	}
 	if err := run("json", "", "", "", "", cliOptions{workers: 1, format: "yaml"}, []string{good}); exitCodeFor(err) != exitUsage {
 		t.Errorf("bad format exit = %d (%v), want %d", exitCodeFor(err), err, exitUsage)
 	}

@@ -28,7 +28,6 @@ package costar
 import (
 	"costar/internal/artifact"
 	"costar/internal/diag"
-	"costar/internal/ebnf"
 	"costar/internal/g4"
 	"costar/internal/grammar"
 	"costar/internal/grammarlint"
@@ -188,21 +187,7 @@ func NewTokenSource(g *Grammar, pull func() (Token, bool, error)) *TokenSource {
 // LoadG4 compiles a grammar in the ANTLR-4-like syntax (parser rules with
 // EBNF operators, lexer rules with -> skip): it returns the desugared BNF
 // grammar and the compiled lexer — the paper's grammar-conversion pipeline.
-func LoadG4(src string) (*Grammar, *Lexer, error) {
-	f, err := g4.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := ebnf.Desugar(f.Parser)
-	if err != nil {
-		return nil, nil, err
-	}
-	l, err := lexer.New(f.Lexer)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, l, nil
-}
+func LoadG4(src string) (*Grammar, *Lexer, error) { return g4.Compile(src) }
 
 // MustLoadG4 is LoadG4 panicking on error.
 func MustLoadG4(src string) (*Grammar, *Lexer) {

@@ -67,6 +67,9 @@ func TestRoundTripBundledLanguages(t *testing.T) {
 			if a.Cert == nil {
 				t.Fatalf("bundled grammar exported without certificate")
 			}
+			if len(a.Cache.States) == 0 {
+				t.Fatalf("warm session exported an artifact with no DFA states")
+			}
 
 			data := artifact.Encode(a)
 			if l.Name == "python" {

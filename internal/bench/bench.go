@@ -146,10 +146,3 @@ func seriesOf(tokens []int, secs []float64) []stats.Point {
 	}
 	return pts
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// tiny is a configuration small enough for unit tests.
-// tiny keeps the corpora small but uses several trials per point: the
-// figure points are best-of-trials, so extra trials buy robustness to
-// scheduler noise (these assertions run under -race in CI).
+// tiny is a configuration small enough for unit tests. It keeps the
+// corpora small but uses several trials per point: the figure points are
+// best-of-trials, so extra trials buy the perf-gate timing checks
+// robustness to scheduler noise.
 func tiny() Config { return Config{Files: 5, MinTokens: 100, MaxTokens: 1200, Trials: 5} }
 
 func TestCorpusDeterministicAndSized(t *testing.T) {
@@ -68,8 +68,16 @@ func fig9Config() Config {
 	return cfg
 }
 
+// shapeOnly is cfg with one trial per point: the figure tests below check
+// shapes and headers, which no trial count changes. Their timing claims are
+// asserted by the perf-gate tests (perfgate_test.go, `make perf-gate`).
+func shapeOnly(cfg Config) Config {
+	cfg.Trials = 1
+	return cfg
+}
+
 func TestFig9(t *testing.T) {
-	series, err := Fig9(fig9Config())
+	series, err := Fig9(shapeOnly(fig9Config()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +88,6 @@ func TestFig9(t *testing.T) {
 		if len(s.Points) != 5 {
 			t.Errorf("%s: %d points", s.Benchmark, len(s.Points))
 		}
-		if s.Fit.Slope <= 0 {
-			t.Errorf("%s: non-positive slope %v", s.Benchmark, s.Fit.Slope)
-		}
-		// Linearity: the headline claim. Small corpora are noisy — and
-		// `go test ./...` runs this concurrently with every other package
-		// on shared cores — so the bound is loose here; the full run
-		// tightens it.
-		if s.LowessDeviation > 0.45 {
-			t.Errorf("%s: lowess deviation %.3f suggests nonlinearity", s.Benchmark, s.LowessDeviation)
-		}
 	}
 	var sb strings.Builder
 	PrintFig9(&sb, series)
@@ -99,18 +97,12 @@ func TestFig9(t *testing.T) {
 }
 
 func TestFig10(t *testing.T) {
-	rows, err := Fig10(tiny())
+	rows, err := Fig10(shapeOnly(tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if r.ParserSlowdown < 1 {
-			t.Errorf("%s: verified engine faster than baseline (%.2fx)? suspicious", r.Benchmark, r.ParserSlowdown)
-		}
-		if r.PipelineSlowdown > r.ParserSlowdown+0.5 {
-			t.Errorf("%s: pipeline slowdown (%.1f) should not exceed parser-only (%.1f) — lexing is shared",
-				r.Benchmark, r.PipelineSlowdown, r.ParserSlowdown)
-		}
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	var sb strings.Builder
 	PrintFig10(&sb, rows)
@@ -120,29 +112,12 @@ func TestFig10(t *testing.T) {
 }
 
 func TestFig11(t *testing.T) {
-	res, err := Fig11(tiny())
+	res, err := Fig11(shapeOnly(tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Points) != 5 {
 		t.Fatalf("points = %d", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.WarmSeconds > p.ColdSeconds*1.5 {
-			t.Errorf("warm cache slower than cold at %d tokens: %.6f vs %.6f",
-				p.Tokens, p.WarmSeconds, p.ColdSeconds)
-		}
-	}
-	// Cold per-token time must fall with file size more than warm does
-	// (warm-up amortization — the Figure 11 bend).
-	coldDrop := res.ColdPerTokenFirst - res.ColdPerTokenLast
-	warmDrop := res.WarmPerTokenFirst - res.WarmPerTokenLast
-	if coldDrop <= 0 {
-		t.Errorf("cold per-token time did not fall: %.2f -> %.2f µs",
-			res.ColdPerTokenFirst, res.ColdPerTokenLast)
-	}
-	if warmDrop > coldDrop {
-		t.Errorf("warm cache shows a bigger bend (%.2f) than cold (%.2f)", warmDrop, coldDrop)
 	}
 	var sb strings.Builder
 	PrintFig11(&sb, res)

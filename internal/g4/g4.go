@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"costar/internal/ebnf"
+	"costar/internal/grammar"
 	"costar/internal/lexer"
 )
 
@@ -47,7 +48,25 @@ func Parse(src string) (*File, error) {
 	return p.file()
 }
 
-// MustParse panics on error; for grammar literals in language packages.
+// Compile runs the whole grammar-conversion pipeline on .g4 source: Parse,
+// then the EBNF desugarer for the BNF grammar, then the lexer compiler.
+func Compile(src string) (*grammar.Grammar, *lexer.Lexer, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := ebnf.Desugar(f.Parser)
+	if err != nil {
+		return nil, nil, err
+	}
+	lex, err := lexer.New(f.Lexer)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, lex, nil
+}
+
+// MustParse is Parse panicking on error.
 func MustParse(src string) *File {
 	f, err := Parse(src)
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"costar/internal/artifact"
-	"costar/internal/ebnf"
 	"costar/internal/g4"
 	"costar/internal/grammar"
 	"costar/internal/languages/dotlang"
@@ -90,7 +89,7 @@ func Builtin(name string) (*Frontend, error) {
 
 // FromG4 compiles .g4 source: the desugared grammar and its lexer.
 func FromG4(name, src string) (*Frontend, error) {
-	g, lex, err := loadG4(src)
+	g, lex, err := g4.Compile(src)
 	if err != nil {
 		return nil, err
 	}
@@ -107,9 +106,19 @@ func FromBNF(name, src string) (*Frontend, error) {
 }
 
 // Open resolves the grammar source named by the CLI's -lang, -g4 and -bnf
-// flags, first set wins: a built-in language, a .g4 file, or a BNF file.
-// A file's frontend is named after its base name without the extension.
+// flags, of which exactly one is set: a built-in language, a .g4 file, or a
+// BNF file. A file's frontend is named after its base name without the
+// extension.
 func Open(lang, g4Path, bnfPath string) (*Frontend, error) {
+	set := 0
+	for _, s := range []string{lang, g4Path, bnfPath} {
+		if s != "" {
+			set++
+		}
+	}
+	if set > 1 {
+		return nil, errors.New("-lang, -g4 and -bnf are exclusive: give one grammar source")
+	}
 	switch {
 	case lang != "":
 		return Builtin(lang)
@@ -141,30 +150,13 @@ func FromArtifact(a *artifact.Artifact, g *grammar.Grammar) (*Frontend, error) {
 	if b, ok := builtins[a.Name]; ok && b.lang.Grammar().Compiled().Fingerprint() == a.Fingerprint {
 		fe.Pull, fe.Generate = b.pull, b.gen
 	} else if a.LexerG4 != "" {
-		_, lex, err := loadG4(a.LexerG4)
+		_, lex, err := g4.Compile(a.LexerG4)
 		if err != nil {
 			return nil, fmt.Errorf("recompiling artifact lexer: %w", err)
 		}
 		fe.Pull = lexPull(lex)
 	}
 	return fe, nil
-}
-
-// loadG4 compiles .g4 source into its desugared grammar and lexer.
-func loadG4(src string) (*grammar.Grammar, *lexer.Lexer, error) {
-	f, err := g4.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := ebnf.Desugar(f.Parser)
-	if err != nil {
-		return nil, nil, err
-	}
-	lex, err := lexer.New(f.Lexer)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, lex, nil
 }
 
 func lexPull(lex *lexer.Lexer) func(io.Reader) source.Pull {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"sync"
 
-	"costar/internal/ebnf"
 	"costar/internal/g4"
 	"costar/internal/grammar"
 	"costar/internal/lexer"
@@ -35,7 +34,6 @@ type Language struct {
 	streamLayout StreamLayout
 
 	once sync.Once
-	file *g4.File
 	bnf  *grammar.Grammar
 	lex  *lexer.Lexer
 }
@@ -55,24 +53,11 @@ func (l *Language) WithStreamLayout(sl StreamLayout) *Language {
 
 func (l *Language) build() {
 	l.once.Do(func() {
-		l.file = g4.MustParse(l.Source)
-		g, err := ebnf.Desugar(l.file.Parser)
-		if err != nil {
+		var err error
+		if l.bnf, l.lex, err = g4.Compile(l.Source); err != nil {
 			panic(l.Name + ": " + err.Error())
 		}
-		l.bnf = g
-		lx, err := lexer.New(l.file.Lexer)
-		if err != nil {
-			panic(l.Name + ": " + err.Error())
-		}
-		l.lex = lx
 	})
-}
-
-// File returns the parsed .g4 file.
-func (l *Language) File() *g4.File {
-	l.build()
-	return l.file
 }
 
 // Grammar returns the desugared BNF grammar.

@@ -1,3 +1,5 @@
+//go:build perfgate && !race
+
 package languages_test
 
 import (
@@ -9,10 +11,10 @@ import (
 	"costar/internal/parser"
 )
 
+// TestScalingSmoke is a rough linearity guard on warm sessions: 16x the
+// tokens must cost well under 64x the time. A wall-clock ratio, so it runs
+// only in `make perf-gate`.
 func TestScalingSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scaling smoke test")
-	}
 	pp := parser.MustNew(pylang.Grammar(), parser.Options{})
 	pj := parser.MustNew(jsonlang.Grammar(), parser.Options{})
 	type row struct {
@@ -50,10 +52,14 @@ func TestScalingSmoke(t *testing.T) {
 		t.Logf("json %6d toks in %v", len(jt), el)
 	}
 	// Rough linearity guard: 16x tokens should cost well under 64x time.
-	for _, rows := range [][]row{pyRows, jsRows} {
-		first, last := rows[0], rows[len(rows)-1]
+	for _, lang := range []struct {
+		name string
+		rows []row
+	}{{"py", pyRows}, {"json", jsRows}} {
+		first, last := lang.rows[0], lang.rows[len(lang.rows)-1]
 		perTokFirst := float64(first.el) / float64(first.n)
 		perTokLast := float64(last.el) / float64(last.n)
+		t.Logf("%s per-token time grew %.2fx (gate <= 4x)", lang.name, perTokLast/perTokFirst)
 		if perTokLast > 4*perTokFirst {
 			t.Errorf("per-token time grew %0.1fx (%v/tok -> %v/tok): superlinear",
 				perTokLast/perTokFirst,
