@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short-race stress bench perf-gate serve-smoke alloc-guard fuzz-smoke vet lint lint-baseline vet-grammars
+.PHONY: all build test race short-race stress bench perf-gate serve-smoke alloc-guard fuzz-smoke vet lint vet-grammars
 
 all: build test race
 
@@ -83,23 +83,12 @@ vet:
 # the syntactic table guards (immutablecompiled, cowedges, diagliterals) and
 # the typed contract checkers (scratchescape, windowalias, governortick,
 # lockorder) that prove the DESIGN.md §5 lifetime/aliasing/tick/lock
-# invariants. Two passes: the standalone run is the strict gate (full source
-# type resolution, baseline-filtered, exits non-zero on any fresh finding);
-# the `go vet -vettool` pass exercises the unitchecker protocol CI editors
-# use. The checked-in lint.baseline must stay empty — fix or
-# `//costar:allow <analyzer> -- <why>` new findings instead of baselining
-# them (lint-baseline exists for incremental adoption of future analyzers).
+# invariants. One standalone run with full source type resolution; it exits
+# non-zero on any finding. Fix a finding, or annotate its line with
+# `//costar:allow <analyzer> -- <why>`.
 lint:
 	$(GO) build -o bin/costar-lint ./cmd/costar-lint
-	./bin/costar-lint -baseline=lint.baseline ./...
-	COSTAR_LINT_BASELINE=$(CURDIR)/lint.baseline $(GO) vet -vettool=$(CURDIR)/bin/costar-lint ./...
-
-# Regenerate lint.baseline from current findings. For bootstrapping a new
-# analyzer only; the committed baseline is expected to be empty and CI
-# guards that.
-lint-baseline:
-	$(GO) build -o bin/costar-lint ./cmd/costar-lint
-	./bin/costar-lint -baseline=lint.baseline -write-baseline ./...
+	./bin/costar-lint ./...
 
 # Statically verify every bundled grammar: the four built-in languages and
 # the example grammars must all be diagnostic-free and certify.

@@ -1,8 +1,8 @@
 // Command costar-lint bundles the repo's custom static analyzers into one
-// binary, runnable two ways:
+// binary that runs over package directories and prints its findings:
 //
-//	costar-lint ./internal/...                  # standalone, prints findings
-//	go vet -vettool=$(which costar-lint) ./...  # as a vet backend (CI)
+//	costar-lint ./...              # every package under the current directory
+//	costar-lint ./internal/parser  # one package directory
 //
 // Syntactic table guards: immutablecompiled (no writes to compiled
 // grammar / analysis tables outside their constructors), cowedges (no
@@ -17,12 +17,10 @@
 // governor on every path), lockorder (COW publication and stats accesses
 // follow the mutex discipline).
 //
-// Standalone flags: -json for machine-readable output, -baseline=FILE to
-// filter known findings (fingerprints are line-number-free, so unrelated
-// edits don't invalidate them), -write-baseline to regenerate the file.
-// Under `go vet`, where cmd/go owns the command line, the baseline path
-// comes from COSTAR_LINT_BASELINE. `make lint` runs the standalone mode
-// against lint.baseline, which ships empty and must stay empty.
+// It exits 2 when any finding is printed. The one way to accept a finding
+// is a justified annotation on its line or the line above:
+// //costar:allow <analyzer> -- <reason>. `make lint` builds the binary and
+// runs it over the repo.
 package main
 
 import (

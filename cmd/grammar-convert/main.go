@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"costar"
@@ -23,7 +24,6 @@ import (
 	"costar/internal/ebnf"
 	"costar/internal/g4"
 	"costar/internal/grammarlint"
-	"costar/internal/ll1"
 	"costar/internal/transform"
 )
 
@@ -41,13 +41,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: grammar-convert [flags] grammar.g4")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *stats, *lexRules, *check, *fix, *vet, *emit); err != nil {
+	if err := run(os.Stdout, flag.Arg(0), *stats, *lexRules, *check, *fix, *vet, *emit); err != nil {
 		fmt.Fprintln(os.Stderr, "grammar-convert:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, stats, lexRules, check, fix, vet bool, emit string) error {
+// run converts the grammar at path and writes the result, plus whatever the
+// flags ask for, to w.
+func run(w io.Writer, path string, stats, lexRules, check, fix, vet bool, emit string) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -66,50 +68,58 @@ func run(path string, stats, lexRules, check, fix, vet bool, emit string) error 
 			return err
 		}
 	}
-	fmt.Printf("# grammar %s, desugared to BNF (start: %s)\n", f.Name, g.Start)
-	fmt.Print(g.String())
+	fmt.Fprintf(w, "# grammar %s, desugared to BNF (start: %s)\n", f.Name, g.Start)
+	fmt.Fprint(w, g.String())
 	if stats {
 		nT, nN, nP := g.Stats()
-		fmt.Printf("\n# |T| = %d, |N| = %d, |P| = %d, max RHS length = %d\n",
+		fmt.Fprintf(w, "\n# |T| = %d, |N| = %d, |P| = %d, max RHS length = %d\n",
 			nT, nN, nP, g.MaxRhsLen())
 	}
 	if lexRules {
-		fmt.Println("\n# lexer rules (priority order):")
+		fmt.Fprintln(w, "\n# lexer rules (priority order):")
 		for _, r := range f.Lexer.Rules {
 			skip := ""
 			if r.Skip {
 				skip = "   -> skip"
 			}
-			fmt.Printf("#   %-16s %s%s\n", r.Name, r.Pattern, skip)
+			fmt.Fprintf(w, "#   %-16s %s%s\n", r.Name, r.Pattern, skip)
 		}
 	}
 	if check {
 		if lr := analysis.FindLeftRecursion(g); len(lr) > 0 {
-			fmt.Printf("\n# LEFT-RECURSIVE nonterminals: %v\n", lr)
+			fmt.Fprintf(w, "\n# LEFT-RECURSIVE nonterminals: %v\n", lr)
 			a := analysis.New(g)
 			for _, nt := range lr {
-				fmt.Printf("#   cycle: %v\n", a.LeftRecursionCycle(nt))
+				fmt.Fprintf(w, "#   cycle: %v\n", a.LeftRecursionCycle(nt))
 			}
 		} else {
-			fmt.Println("\n# no left recursion")
+			fmt.Fprintln(w, "\n# no left recursion")
 		}
-		if _, conflicts := ll1.Generate(g); len(conflicts) > 0 {
-			fmt.Printf("# not LL(1): %d conflicts (ALL(*) required); first: %s\n",
-				len(conflicts), conflicts[0])
+		// A grammar is LL(1) exactly when no two alternatives of one
+		// nonterminal share a 1-token lookahead: grammarlint's sll-conflict.
+		var conflicts []grammarlint.Diagnostic
+		for _, d := range grammarlint.Check(g).Diags {
+			if d.Code == grammarlint.CodeSLLConflict {
+				conflicts = append(conflicts, d)
+			}
+		}
+		if len(conflicts) > 0 {
+			fmt.Fprintf(w, "# not LL(1): %d conflicting nonterminal(s) (ALL(*) required); first: %s\n",
+				len(conflicts), conflicts[0].Message)
 		} else {
-			fmt.Println("# grammar is LL(1)")
+			fmt.Fprintln(w, "# grammar is LL(1)")
 		}
 	}
 	if vet {
 		rep := grammarlint.Check(g)
 		if rep.Count(grammarlint.Info) > 0 || !rep.Clean() {
-			fmt.Println()
+			fmt.Fprintln(w)
 			for _, d := range rep.Diags {
-				fmt.Printf("# vet: %s\n", d)
+				fmt.Fprintf(w, "# vet: %s\n", d)
 			}
 		}
 		if rep.Clean() {
-			fmt.Println("\n# vet: clean (grammar would certify)")
+			fmt.Fprintln(w, "\n# vet: clean (grammar would certify)")
 		} else if !rep.Certifiable() {
 			return fmt.Errorf("vet found %d error(s); grammar cannot be certified", rep.Count(grammarlint.Error))
 		}
@@ -135,7 +145,7 @@ func run(path string, stats, lexRules, check, fix, vet bool, emit string) error 
 		if err := os.WriteFile(emit, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("# artifact: %s (%d bytes, fingerprint %016x, cold)\n", emit, len(data), a.Fingerprint)
+		fmt.Fprintf(w, "# artifact: %s (%d bytes, fingerprint %016x, cold)\n", emit, len(data), a.Fingerprint)
 	}
 	return nil
 }

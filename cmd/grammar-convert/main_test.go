@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"costar"
@@ -21,18 +24,42 @@ func TestRunConvert(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(path, true, true, true, false, false, ""); err != nil {
+	var out bytes.Buffer
+	if err := run(&out, path, true, true, true, false, false, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(path, false, false, false, true, false, ""); err != nil {
+	if !strings.Contains(out.String(), "\n# grammar is LL(1)\n") {
+		t.Errorf("-check on an LL(1) grammar:\n%s", out.String())
+	}
+	// Both alternatives of s start with A: one token of lookahead cannot
+	// choose between them.
+	conflicted := filepath.Join(dir, "conflicted.g4")
+	if err := os.WriteFile(conflicted, []byte(`
+		grammar Conflicted;
+		s : A B | A C ;
+		A : 'a' ;
+		B : 'b' ;
+		C : 'c' ;
+	`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(filepath.Join(dir, "missing.g4"), false, false, false, false, false, ""); err == nil {
+	out.Reset()
+	if err := run(&out, conflicted, false, false, true, false, false, ""); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "\n# not LL(1): 1 conflicting nonterminal(s)") ||
+		!strings.Contains(out.String(), "alternatives of s overlap") {
+		t.Errorf("-check on a conflicted grammar:\n%s", out.String())
+	}
+	if err := run(io.Discard, path, false, false, false, true, false, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(io.Discard, filepath.Join(dir, "missing.g4"), false, false, false, false, false, ""); err == nil {
 		t.Error("missing file accepted")
 	}
 	bad := filepath.Join(dir, "bad.g4")
 	os.WriteFile(bad, []byte("nonsense"), 0o644)
-	if err := run(bad, false, false, false, false, false, ""); err == nil {
+	if err := run(io.Discard, bad, false, false, false, false, false, ""); err == nil {
 		t.Error("bad grammar accepted")
 	}
 }
@@ -48,7 +75,7 @@ func TestRunConvertFixesLeftRecursion(t *testing.T) {
 		WS : [ ]+ -> skip ;
 	`
 	os.WriteFile(path, []byte(src), 0o644)
-	if err := run(path, false, false, true, true, false, ""); err != nil {
+	if err := run(io.Discard, path, false, false, true, true, false, ""); err != nil {
 		t.Fatalf("fix failed: %v", err)
 	}
 }
@@ -67,7 +94,7 @@ func TestRunConvertEmitArtifact(t *testing.T) {
 	`
 	os.WriteFile(path, []byte(src), 0o644)
 	out := filepath.Join(dir, "calc.csar")
-	if err := run(path, false, false, false, false, false, out); err != nil {
+	if err := run(io.Discard, path, false, false, false, false, false, out); err != nil {
 		t.Fatalf("-emit-artifact: %v", err)
 	}
 	data, err := os.ReadFile(out)
@@ -102,7 +129,7 @@ func TestRunConvertVet(t *testing.T) {
 		NUM : [0-9]+ ;
 		WS : [ ]+ -> skip ;
 	`), 0o644)
-	if err := run(clean, false, false, false, false, true, ""); err != nil {
+	if err := run(io.Discard, clean, false, false, false, false, true, ""); err != nil {
 		t.Fatalf("-vet on clean grammar: %v", err)
 	}
 	lr := filepath.Join(dir, "lr.g4")
@@ -113,10 +140,10 @@ func TestRunConvertVet(t *testing.T) {
 		NUM : [0-9]+ ;
 		WS : [ ]+ -> skip ;
 	`), 0o644)
-	if err := run(lr, false, false, false, false, true, ""); err == nil {
+	if err := run(io.Discard, lr, false, false, false, false, true, ""); err == nil {
 		t.Error("-vet let a left-recursive grammar through")
 	}
-	if err := run(lr, false, false, false, true, true, ""); err != nil {
+	if err := run(io.Discard, lr, false, false, false, true, true, ""); err != nil {
 		t.Errorf("-fix -vet on rewritable grammar: %v", err)
 	}
 }

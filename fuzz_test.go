@@ -178,7 +178,7 @@ func FuzzJSONPipeline(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	p := MustNewParser(jsonlang.Grammar(), Options{MaxSteps: 100000})
+	p := MustNewParser(jsonlang.Grammar(), Options{Limits: Limits{MaxSteps: 100000}})
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			return
@@ -214,7 +214,7 @@ func FuzzPythonLayout(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	p := MustNewParser(pylang.Grammar(), Options{MaxSteps: 200000})
+	p := MustNewParser(pylang.Grammar(), Options{Limits: Limits{MaxSteps: 200000}})
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			return
@@ -296,7 +296,7 @@ func FuzzStreamEquivalence(f *testing.F) {
 		f.Add(s.src, s.chunk)
 	}
 	g := jsonlang.Grammar()
-	p := MustNewParser(g, Options{MaxSteps: 100000})
+	p := MustNewParser(g, Options{Limits: Limits{MaxSteps: 100000}})
 	f.Fuzz(func(t *testing.T, src string, chunk byte) {
 		if len(src) > 4096 {
 			return
@@ -394,9 +394,9 @@ func FuzzRecover(f *testing.F) {
 	}
 	const budget = 16
 	g := jsonlang.Grammar()
-	off := MustNewParser(g, Options{MaxSteps: 100000})
-	on := MustNewParser(g, Options{MaxSteps: 100000, Recover: true,
-		Limits: Limits{MaxRepairs: budget}})
+	off := MustNewParser(g, Options{Limits: Limits{MaxSteps: 100000}})
+	on := MustNewParser(g, Options{Recover: true,
+		Limits: Limits{MaxSteps: 100000, MaxRepairs: budget}})
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			return

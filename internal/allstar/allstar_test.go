@@ -162,7 +162,7 @@ func TestDifferentialAgainstVerified(t *testing.T) {
 		}
 		done++
 		base := MustNew(g, Options{})
-		ref := parser.MustNew(g, parser.Options{MaxSteps: 200000})
+		ref := parser.MustNew(g, parser.Options{Limits: parser.Limits{MaxSteps: 200000}})
 		for i := 0; i < 12; i++ {
 			w := genWord(rng, g)
 			br := base.Parse(w)

@@ -14,10 +14,6 @@ type Options struct {
 	// cold-cache configuration of Figure 11. Default: keep it (ANTLR can
 	// reuse a warmed cache; Section 6.2).
 	FreshCachePerParse bool
-	// ClosureBudget bounds expansions per prediction closure call (0 = the
-	// built-in default of 1<<20) — the stop for runaway GSS growth on
-	// left-recursive or adversarial grammars.
-	ClosureBudget int
 }
 
 // Parser is a reusable imperative ALL(*) parser for one grammar. Not safe
@@ -46,7 +42,7 @@ func New(g *grammar.Grammar, opts Options) (*Parser, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Parser{ig: ig, pred: newPredictor(ig, opts.ClosureBudget), opts: opts}, nil
+	return &Parser{ig: ig, pred: newPredictor(ig), opts: opts}, nil
 }
 
 // MustNew panics on error.

@@ -9,9 +9,8 @@ import (
 // predictor owns the GSS and the persistent DFA cache. One predictor
 // serves a whole session; Reset drops the learned DFA (cold-cache runs).
 type predictor struct {
-	ig     *igrammar
-	gss    *gss
-	budget int // per-closure-call expansion budget
+	ig  *igrammar
+	gss *gss
 
 	starts map[grammar.NTID]*pdfaState // per decision nonterminal
 	states map[string]*pdfaState
@@ -41,19 +40,15 @@ const (
 	predError
 )
 
-// defaultClosureBudget bounds expansions per closure call unless
-// Options.ClosureBudget overrides it — the baseline engine's counterpart of
-// the verified engine's configurable budget.
-const defaultClosureBudget = 1 << 20
+// closureBudget bounds expansions per closure call — the stop for runaway
+// GSS growth on left-recursive or adversarial grammars, and the baseline
+// engine's counterpart of the verified engine's per-call budget.
+const closureBudget = 1 << 20
 
-func newPredictor(ig *igrammar, budget int) *predictor {
-	if budget <= 0 {
-		budget = defaultClosureBudget
-	}
+func newPredictor(ig *igrammar) *predictor {
 	return &predictor{
 		ig:     ig,
 		gss:    newGSS(),
-		budget: budget,
 		starts: make(map[grammar.NTID]*pdfaState),
 		states: make(map[string]*pdfaState),
 	}
@@ -143,7 +138,7 @@ func (p *predictor) closure(m pmode, work []config) pclosure {
 	var out pclosure
 	seen := make(map[config]bool, len(work)*2)
 	stable := make(map[config]bool)
-	budget := p.budget
+	budget := closureBudget
 	ig, g := p.ig, p.gss
 	for len(work) > 0 {
 		if budget--; budget < 0 {

@@ -66,15 +66,6 @@ func Compile(src string) (*grammar.Grammar, *lexer.Lexer, error) {
 	return g, lex, nil
 }
 
-// MustParse is Parse panicking on error.
-func MustParse(src string) *File {
-	f, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // ---------------------------------------------------------------------------
 // Scanner
 // ---------------------------------------------------------------------------

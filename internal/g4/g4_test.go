@@ -221,24 +221,21 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// parseOK is Parse failing the test on error.
+func parseOK(t *testing.T, src string) *File {
+	t.Helper()
+	f, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestFileString(t *testing.T) {
-	f := MustParse(jsonG4)
-	s := f.String()
+	s := parseOK(t, jsonG4).String()
 	if !strings.Contains(s, "JSON") || !strings.Contains(s, "parser rules") {
 		t.Errorf("String = %q", s)
 	}
-	if _, err := f.DesugaredGrammar(); err != nil {
-		t.Errorf("DesugaredGrammar: %v", err)
-	}
-}
-
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse should panic")
-		}
-	}()
-	MustParse("nonsense")
 }
 
 func TestBlockCommentsAndLines(t *testing.T) {

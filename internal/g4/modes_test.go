@@ -97,7 +97,7 @@ func TestModesErrors(t *testing.T) {
 	`)
 	if err == nil {
 		// The g4 parse succeeds; the lexer build must fail.
-		f := MustParse(`
+		f := parseOK(t, `
 			grammar M;
 			s : A ;
 			A : 'a' -> pushMode(NOWHERE) ;
@@ -117,7 +117,7 @@ func TestModesErrors(t *testing.T) {
 		t.Errorf("parser rule inside mode: %v", err)
 	}
 	// Unbalanced popMode fails at scan time with a position.
-	f := MustParse(`
+	f := parseOK(t, `
 		grammar M;
 		s : A B ;
 		A : 'a' -> popMode ;
@@ -134,7 +134,7 @@ func TestModesErrors(t *testing.T) {
 
 func TestCombinedActions(t *testing.T) {
 	// "-> skip, popMode" in one action list.
-	f := MustParse(`
+	f := parseOK(t, `
 		grammar M;
 		s : A T ;
 		A : 'a' -> pushMode(IN) ;

@@ -5,7 +5,6 @@ import (
 	"unicode/utf8"
 
 	"costar/internal/ebnf"
-	"costar/internal/grammar"
 	"costar/internal/lexer"
 	"costar/internal/rx"
 )
@@ -652,16 +651,8 @@ func resolveLex(e lexExpr, frags map[string]lexExpr, visiting map[string]bool) (
 	}
 }
 
-// DesugaredGrammar runs the EBNF desugarer on the file's parser grammar —
-// the complete grammar-conversion pipeline of Section 6.1.
-func (f *File) DesugaredGrammar() (*grammarAlias, error) {
-	return ebnf.Desugar(f.Parser)
-}
-
-// Strings keeps the import graph tidy for callers that only need names.
+// String summarizes the file: its name and its rule counts.
 func (f *File) String() string {
 	return fmt.Sprintf("grammar %s: %d parser rules, %d lexer rules",
 		f.Name, len(f.Parser.Rules), len(f.Lexer.Rules))
 }
-
-type grammarAlias = grammar.Grammar

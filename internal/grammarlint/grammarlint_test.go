@@ -282,6 +282,80 @@ func TestLL1GrammarHasNoConflictDiagnostic(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
+// LL(1) status: a grammar is LL(1) exactly when no nonterminal carries an
+// sll-conflict diagnostic (Section 6.1's expressiveness comparison)
+// ---------------------------------------------------------------------------
+
+func TestLL1Grammar(t *testing.T) {
+	// A classic LL(1) expression grammar.
+	g := grammar.MustParseBNF(`
+		E -> T Etail ;
+		Etail -> plus T Etail | %empty ;
+		T -> num | lparen E rparen
+	`)
+	if d := hasCode(Check(g), CodeSLLConflict, ""); d != nil {
+		t.Fatalf("LL(1) grammar reported a conflict: %s", d)
+	}
+}
+
+func TestFig2IsNotLL1(t *testing.T) {
+	// S -> A c | A d shares FIRST(A) between alternatives.
+	g := grammar.MustParseBNF(`S -> A c | A d ; A -> a A | b`)
+	r := Check(g)
+	d := hasCode(r, CodeSLLConflict, "S")
+	if d == nil {
+		t.Fatalf("no conflict on S:\n%s", r)
+	}
+	if !strings.Contains(d.Message, "productions 0/1 on {a, b}") {
+		t.Errorf("message should name both productions and the shared lookahead: %q", d.Message)
+	}
+	if d := hasCode(r, CodeSLLConflict, "A"); d != nil {
+		t.Errorf("A's alternatives start differently, yet: %s", d)
+	}
+}
+
+// TestXMLNotLL1 pins the Section 6.1 claim: the XML grammar (the elt rule
+// in particular) is beyond LL(1), which is why the verified LL(1) parsers
+// of prior work cannot handle it while CoStar can.
+func TestXMLNotLL1(t *testing.T) {
+	r := Check(xmllang.Grammar())
+	if hasCode(r, CodeSLLConflict, "elt") == nil {
+		t.Errorf("no conflict on elt; the XML grammar must not be LL(1):\n%s", r)
+	}
+}
+
+func TestJSONGrammarLL1Status(t *testing.T) {
+	// The desugared JSON grammar contains obj/arr alternatives that share
+	// '{' and '[' FIRST tokens ({} vs {pair...}), so it is not LL(1)
+	// either — another datum for the expressiveness table.
+	n := codes(Check(jsonlang.Grammar()), Info)[CodeSLLConflict]
+	if n == 0 {
+		t.Skip("JSON grammar happens to be LL(1) under this factoring")
+	}
+	t.Logf("JSON grammar has %d nonterminals with LL(1) conflicts (expected: obj/arr share opening tokens)", n)
+}
+
+func TestNullableFollowConflict(t *testing.T) {
+	// FIRST/FOLLOW conflict: A nullable and FIRST(A) ∩ FOLLOW(A) ≠ ∅.
+	g := grammar.MustParseBNF(`
+		S -> A a ;
+		A -> a | %empty
+	`)
+	if hasCode(Check(g), CodeSLLConflict, "A") == nil {
+		t.Fatal("FIRST/FOLLOW conflict missed")
+	}
+}
+
+func TestEOFColumn(t *testing.T) {
+	// The ε-production's lookahead is FOLLOW(Tail) = {EOF}, disjoint from
+	// the other alternative's {a}.
+	g := grammar.MustParseBNF(`S -> a Tail ; Tail -> a Tail | %empty`)
+	if d := hasCode(Check(g), CodeSLLConflict, ""); d != nil {
+		t.Fatalf("LL(1) grammar reported a conflict: %s", d)
+	}
+}
+
+// ---------------------------------------------------------------------------
 // Certification
 // ---------------------------------------------------------------------------
 

@@ -42,7 +42,7 @@ WS : [ \t\r\n]+ -> skip ;
 `
 
 // Lang is the compiled language.
-var Lang = langkit.New("dot", Source, nil)
+var Lang = langkit.New("dot", Source, nil, nil)
 
 // Grammar returns the desugared BNF grammar (start symbol "graph").
 func Grammar() *grammar.Grammar { return Lang.Grammar() }

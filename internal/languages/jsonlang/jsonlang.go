@@ -37,7 +37,7 @@ WS : [ \t\r\n]+ -> skip ;
 `
 
 // Lang is the compiled language.
-var Lang = langkit.New("json", Source, nil)
+var Lang = langkit.New("json", Source, nil, nil)
 
 // Grammar returns the desugared BNF grammar (start symbol "json").
 func Grammar() *grammar.Grammar { return Lang.Grammar() }

@@ -20,9 +20,8 @@ type Layout func(lexs []lexer.Lexeme) ([]grammar.Token, error)
 
 // StreamLayout is the demand-driven form of a layout pass: it wraps a pull
 // of raw lexemes (skips included) into a pull of parser tokens, retaining
-// only whatever per-line state the layout needs. A language that provides
-// one (WithStreamLayout) streams end to end; otherwise Pull falls back to
-// batch layout.
+// only whatever per-line state the layout needs, so the language streams
+// end to end.
 type StreamLayout func(next func() (lexer.Lexeme, bool, error)) func() (grammar.Token, bool, error)
 
 // Language bundles one benchmark language. Construct with New; compilation
@@ -38,17 +37,12 @@ type Language struct {
 	lex  *lexer.Lexer
 }
 
-// New declares a language. layout may be nil.
-func New(name, source string, layout Layout) *Language {
-	return &Language{Name: name, Source: source, layout: layout}
-}
-
-// WithStreamLayout registers the streaming form of the language's layout
-// pass and returns l (for declaration chaining). The two forms must agree;
-// the stream-equivalence property tests check that they do.
-func (l *Language) WithStreamLayout(sl StreamLayout) *Language {
-	l.streamLayout = sl
-	return l
+// New declares a language. A language with a layout pass gives both its
+// forms: layout for Tokenize, stream for Pull. The two must agree; the
+// stream-equivalence property tests check that they do. A language without
+// one passes nil for both, and its skip lexemes are dropped.
+func New(name, source string, layout Layout, stream StreamLayout) *Language {
+	return &Language{Name: name, Source: source, layout: layout, streamLayout: stream}
 }
 
 func (l *Language) build() {
@@ -86,52 +80,14 @@ func (l *Language) Tokenize(src string) ([]grammar.Token, error) {
 }
 
 // Pull returns a demand-driven token source over r: lexing — and the
-// language's layout pass, when it has a streaming form — runs incrementally
-// as the parser pulls tokens. A language with only a batch layout lexes r
-// in full on the first pull and serves the laid-out word from memory; plain
-// languages stream with no buffering beyond the lexer's.
+// language's layout pass, when it has one — runs incrementally as the
+// parser pulls tokens.
 func (l *Language) Pull(r io.Reader) func() (grammar.Token, bool, error) {
 	l.build()
-	switch {
-	case l.streamLayout != nil:
-		sc := l.lex.ScanReader(r)
-		return l.streamLayout(sc.Next)
-	case l.layout != nil:
-		var toks []grammar.Token
-		var err error
-		started := false
-		i := 0
-		return func() (grammar.Token, bool, error) {
-			if !started {
-				started = true
-				sc := l.lex.ScanReader(r)
-				var lexs []lexer.Lexeme
-				for {
-					lx, ok, scanErr := sc.Next()
-					if scanErr != nil {
-						err = scanErr
-						break
-					}
-					if !ok {
-						toks, err = l.layout(lexs)
-						break
-					}
-					lexs = append(lexs, lx)
-				}
-			}
-			if err != nil {
-				return grammar.Token{}, false, err
-			}
-			if i >= len(toks) {
-				return grammar.Token{}, false, nil
-			}
-			t := toks[i]
-			i++
-			return t, true, nil
-		}
-	default:
-		return l.lex.Pull(r)
+	if l.streamLayout != nil {
+		return l.streamLayout(l.lex.ScanReader(r).Next)
 	}
+	return l.lex.Pull(r)
 }
 
 // Cursor opens a demand-driven token cursor over r for this language — the

@@ -114,7 +114,7 @@ WS : [ \t]+ -> skip ;
 
 // Lang is the compiled language; tokenization runs the layout pass, in
 // batch or streaming form depending on the entry point.
-var Lang = langkit.New("python3", Source, Layout).WithStreamLayout(StreamLayout)
+var Lang = langkit.New("python3", Source, Layout, StreamLayout)
 
 // Grammar returns the desugared BNF grammar (start symbol "file_input").
 func Grammar() *grammar.Grammar { return Lang.Grammar() }

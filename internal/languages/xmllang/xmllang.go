@@ -49,7 +49,7 @@ WS : [ \t\r\n]+ -> skip ;
 // A faithful-language simplification, documented in DESIGN.md.
 
 // Lang is the compiled language.
-var Lang = langkit.New("xml", Source, nil)
+var Lang = langkit.New("xml", Source, nil, nil)
 
 // Grammar returns the desugared BNF grammar (start symbol "document").
 func Grammar() *grammar.Grammar { return Lang.Grammar() }

@@ -374,7 +374,7 @@ func TestInvariantCheckerCatchesBogusRhs(t *testing.T) {
 
 func TestMaxStepsBackstop(t *testing.T) {
 	g := fig2()
-	res := run(g, word("a", "a", "a", "b", "c"), Options{MaxSteps: 3})
+	res := run(g, word("a", "a", "a", "b", "c"), Options{Governor: NewGovernor(nil, Limits{MaxSteps: 3})})
 	if res.Kind != ResultError || res.Err.Kind != ErrLimit || res.Err.Limit != LimitSteps {
 		t.Fatalf("MaxSteps not enforced: %v / %v", res.Kind, res.Err)
 	}

@@ -71,16 +71,11 @@ type Options struct {
 	// instead of proceeding. The paper proves this check can never fire;
 	// enabling it trades speed for defense in depth.
 	CheckInvariants bool
-	// MaxSteps aborts with an error after this many transitions when > 0.
-	// It is shorthand for (and folded into) Governor limits: termination is
-	// guaranteed by the Section 4 measure, so this is a backstop for
-	// corrupted grammars in fuzzing, not a semantic limit.
-	MaxSteps int
 	// Governor enforces cancellation and resource limits over the run and
 	// accumulates the Usage high-water marks. Nil means ungoverned: a fresh
-	// background governor with only MaxSteps set is used. The same governor
-	// must be shared with the run's Predictor so prediction closure work is
-	// charged to the same budget.
+	// background governor with no limits is used. The same governor must be
+	// shared with the run's Predictor so prediction closure work is charged
+	// to the same budget.
 	Governor *Governor
 	// Certified declares the grammar statically verified non-left-recursive
 	// (it carries a grammar.Certificate). The visited-set probe then becomes
@@ -120,9 +115,7 @@ func Multistep(g *grammar.Grammar, pred Predictor, st *State, opts Options) Resu
 	}
 	gov := opts.Governor
 	if gov == nil {
-		gov = NewGovernor(nil, Limits{MaxSteps: opts.MaxSteps})
-	} else if opts.MaxSteps > 0 && (gov.limits.MaxSteps == 0 || opts.MaxSteps < gov.limits.MaxSteps) {
-		gov.limits.MaxSteps = opts.MaxSteps
+		gov = NewGovernor(nil, Limits{})
 	}
 	// Suffix height and tree-node count are maintained incrementally from
 	// the op kind (push +1, return -1, consume +1 leaf, return +1 node);

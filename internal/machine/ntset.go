@@ -135,28 +135,6 @@ func (s NTSet) Members() []grammar.NTID {
 	return out
 }
 
-// AppendWords appends the set's bit words (inline word first) to buf —
-// the set's contribution to a binary fingerprint. Trailing zero overflow
-// words are skipped so equal sets always serialize identically.
-func (s NTSet) AppendWords(buf []byte) []byte {
-	end := len(s.hi)
-	//costar:allow governortick -- bounded by len(s.hi): a word count fixed at grammar-compile time (nonterminal count / 64), independent of input size
-	for end > 0 && s.hi[end-1] == 0 {
-		end--
-	}
-	buf = appendUint64(buf, s.lo)
-	for _, w := range s.hi[:end] {
-		buf = appendUint64(buf, w)
-	}
-	return buf
-}
-
-func appendUint64(buf []byte, w uint64) []byte {
-	return append(buf,
-		byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-		byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-}
-
 // StringWith renders the set as "{A, S}" with names sorted, matching the
 // rendering of the old string-keyed set for traces and tests.
 func (s NTSet) StringWith(c *grammar.Compiled) string {

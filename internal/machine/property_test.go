@@ -74,7 +74,7 @@ func TestMeasureAndInvariantsRandomized(t *testing.T) {
 		}
 		pred := chaosPredictor{g: g, rng: rng}
 		res := Multistep(g, pred, Init(g, "S", w), Options{
-			MaxSteps: 5000,
+			Governor: NewGovernor(nil, Limits{MaxSteps: 5000}),
 			OnStep: func(before *State, op OpKind, after *State) {
 				if after == nil {
 					return

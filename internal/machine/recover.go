@@ -72,7 +72,7 @@ func RecoverFrom(g *grammar.Grammar, pred Predictor, an *analysis.Analysis, reje
 	}
 	gov := opts.Governor
 	if gov == nil {
-		gov = NewGovernor(nil, Limits{MaxSteps: opts.MaxSteps})
+		gov = NewGovernor(nil, Limits{})
 		opts.Governor = gov
 	}
 	budget := gov.limits.MaxRepairs

@@ -132,7 +132,7 @@ func TestRetireNeverFreesLiveScratch(t *testing.T) {
 		}
 
 		ref := Multistep(g, chaosPredictor{g: g, rng: rand.New(rand.NewSource(seed))},
-			Init(g, "S", w), Options{MaxSteps: 5000})
+			Init(g, "S", w), Options{Governor: NewGovernor(nil, Limits{MaxSteps: 5000})})
 		refKind := map[ResultKind]StepKind{Unique: StepAccept, Ambig: StepAccept, Reject: StepReject, ResultError: StepError}[ref.Kind]
 		if last.Kind == StepCont && ref.Kind == ResultError && ref.Err.Kind == ErrLimit {
 			continue // both hit the step bound

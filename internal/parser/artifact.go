@@ -46,16 +46,7 @@ func NewFromArtifact(a *artifact.Artifact, opts Options) (*Parser, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := r.Grammar.Compiled()
-	certified := !opts.IgnoreCertificate &&
-		c.Certificate() != nil && c.Certificate().Fingerprint == c.Fingerprint()
-	p := &Parser{
-		g:         r.Grammar,
-		an:        r.Analysis,
-		opts:      opts,
-		cache:     r.Cache,
-		certified: certified,
-	}
+	p := newSession(r.Grammar, r.Analysis, r.Cache, opts)
 	for start, tg := range r.Targets {
 		p.targets.Store(start, tg)
 	}

@@ -22,7 +22,7 @@ import (
 )
 
 // TestCertifiedSessionDetection: New picks up an attached certificate, and
-// IgnoreCertificate opts out.
+// only the certificate: an equal grammar without one stays uncertified.
 func TestCertifiedSessionDetection(t *testing.T) {
 	g := grammar.MustParseBNF(`S -> a S b | %empty`)
 	p1 := MustNew(g, Options{})
@@ -36,9 +36,9 @@ func TestCertifiedSessionDetection(t *testing.T) {
 	if !p2.Certified() {
 		t.Fatal("session not certified after Certify")
 	}
-	p3 := MustNew(g, Options{IgnoreCertificate: true})
+	p3 := MustNew(grammar.New(g.Start, g.Prods), Options{})
 	if p3.Certified() {
-		t.Fatal("IgnoreCertificate did not opt out")
+		t.Fatal("uncertified twin grammar ran certified")
 	}
 	// Sessions built before certification are not retroactively certified.
 	if p1.Certified() {
@@ -64,14 +64,15 @@ func TestCertifiedParsesDeepEqual(t *testing.T) {
 			continue
 		}
 		grammars++
+		opts := Options{CheckInvariants: true, Limits: Limits{MaxSteps: 200000}}
+		plain := MustNew(g, opts) // built before Certify: stays uncertified
 		if _, _, err := grammarlint.Certify(g); err != nil {
 			t.Fatalf("Certify on certifiable grammar: %v\n%s", err, g)
 		}
-		cert := MustNew(g, Options{CheckInvariants: true, MaxSteps: 200000})
-		if !cert.Certified() {
-			t.Fatalf("session not certified\n%s", g)
+		cert := MustNew(g, opts)
+		if !cert.Certified() || plain.Certified() {
+			t.Fatalf("certification flags wrong: cert=%v plain=%v\n%s", cert.Certified(), plain.Certified(), g)
 		}
-		plain := MustNew(g, Options{CheckInvariants: true, MaxSteps: 200000, IgnoreCertificate: true})
 		for _, w := range genWords(rng, g, 8) {
 			checked++
 			rc := cert.Parse(w)
@@ -123,7 +124,10 @@ func TestCertifiedBundledLanguages(t *testing.T) {
 				t.Fatalf("lex: %v", err)
 			}
 			cert := MustNew(g, Options{CheckInvariants: true})
-			plain := MustNew(g, Options{CheckInvariants: true, IgnoreCertificate: true})
+			// The bundled grammars are shared and may already carry a
+			// certificate; a twin built from the same productions carries
+			// none.
+			plain := MustNew(grammar.New(g.Start, g.Prods), Options{CheckInvariants: true})
 			if !cert.Certified() || plain.Certified() {
 				t.Fatalf("certification flags wrong: cert=%v plain=%v", cert.Certified(), plain.Certified())
 			}

@@ -185,13 +185,13 @@ func TestConcurrentWarmDeterminism(t *testing.T) {
 		grammars++
 		words := genWords(rng, g, 10)
 
-		seq := MustNew(g, Options{MaxSteps: 200000})
+		seq := MustNew(g, Options{Limits: Limits{MaxSteps: 200000}})
 		want := make([]Result, len(words))
 		for i, w := range words {
 			want[i] = seq.Parse(w)
 		}
 
-		par := MustNew(g, Options{MaxSteps: 200000})
+		par := MustNew(g, Options{Limits: Limits{MaxSteps: 200000}})
 		got := parseWords(par, words, 8)
 		for i := range words {
 			assertSameResult(t, got[i], want[i], g, words[i])

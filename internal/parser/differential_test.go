@@ -116,7 +116,7 @@ func TestDifferentialAgainstEarley(t *testing.T) {
 		} else {
 			nlrCount++
 		}
-		p, err := New(g, Options{CheckInvariants: true, MaxSteps: 200000})
+		p, err := New(g, Options{CheckInvariants: true, Limits: Limits{MaxSteps: 200000}})
 		if err != nil {
 			t.Fatalf("New failed on validated grammar: %v", err)
 		}
@@ -186,9 +186,9 @@ func TestDifferentialAblations(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"ll-only", Options{DisableSLL: true, MaxSteps: 200000}},
-		{"fresh-cache", Options{FreshCachePerParse: true, MaxSteps: 200000}},
-		{"invariants", Options{CheckInvariants: true, MaxSteps: 200000}},
+		{"ll-only", Options{DisableSLL: true, Limits: Limits{MaxSteps: 200000}}},
+		{"fresh-cache", Options{FreshCachePerParse: true, Limits: Limits{MaxSteps: 200000}}},
+		{"invariants", Options{CheckInvariants: true, Limits: Limits{MaxSteps: 200000}}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(cfg.name)) * 7919))
@@ -200,7 +200,7 @@ func TestDifferentialAblations(t *testing.T) {
 				}
 				done++
 				p := MustNew(g, cfg.opts)
-				base := MustNew(g, Options{MaxSteps: 200000})
+				base := MustNew(g, Options{Limits: Limits{MaxSteps: 200000}})
 				for _, w := range genWords(rng, g, 6) {
 					r1, r2 := p.Parse(w), base.Parse(w)
 					if r1.Kind != r2.Kind {
@@ -229,7 +229,7 @@ func TestTreeMembershipAgainstOracle(t *testing.T) {
 			continue
 		}
 		done++
-		p := MustNew(g, Options{MaxSteps: 100000})
+		p := MustNew(g, Options{Limits: Limits{MaxSteps: 100000}})
 		for _, w := range genWords(rng, g, 8) {
 			if len(w) > 8 {
 				continue

@@ -104,18 +104,6 @@ func TestUsageReportedOnSuccess(t *testing.T) {
 	}
 }
 
-func TestMaxStepsShorthandFoldsWithLimits(t *testing.T) {
-	// Both knobs set: the smaller wins.
-	p := MustNew(fig2(), Options{MaxSteps: 1000, Limits: Limits{MaxSteps: 3}})
-	if me := limitErr(t, p.Parse(longWord(20))); me.Limit != machine.LimitSteps {
-		t.Fatalf("want LimitSteps, got %v", me)
-	}
-	p = MustNew(fig2(), Options{MaxSteps: 3, Limits: Limits{MaxSteps: 1000}})
-	if me := limitErr(t, p.Parse(longWord(20))); me.Limit != machine.LimitSteps {
-		t.Fatalf("want LimitSteps, got %v", me)
-	}
-}
-
 func TestParseContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -160,30 +148,6 @@ func TestContextIgnoredWhileHealthy(t *testing.T) {
 	}
 	if plain.Tree.String() != ctxed.Tree.String() {
 		t.Error("context path produced a different tree")
-	}
-}
-
-func TestClosureBudgetExhaustionSurfaces(t *testing.T) {
-	// A one-expansion closure budget cannot resolve the S decision; the
-	// parse must fail with a structured budget error — not a false Reject —
-	// and the session stats must count the exhaustion.
-	p := MustNew(fig2(), Options{ClosureBudget: 1})
-	res := p.Parse(longWord(10))
-	if res.Kind != Error {
-		t.Fatalf("want Error, got %s", res)
-	}
-	if !strings.Contains(res.Err.Error(), "budget") {
-		t.Errorf("error does not mention the budget: %v", res.Err)
-	}
-	if got := p.Stats().BudgetExhaustions; got == 0 {
-		t.Error("Stats.BudgetExhaustions not incremented")
-	}
-	if res.Stats.BudgetExhaustions == 0 {
-		t.Error("Result.Stats.BudgetExhaustions not incremented")
-	}
-	// The default budget parses the same input fine.
-	if res := MustNew(fig2(), Options{}).Parse(longWord(10)); res.Kind != Unique {
-		t.Fatalf("default budget: %s", res)
 	}
 }
 

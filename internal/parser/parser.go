@@ -118,27 +118,11 @@ type Options struct {
 	// and is cleared in place when the parse ends, so its memory serves
 	// the next parse. Off by default: the session reuses its cache.
 	FreshCachePerParse bool
-	// MaxSteps bounds machine transitions per parse (0 = unlimited); a
-	// defensive backstop only. Shorthand for Limits.MaxSteps; when both are
-	// set the smaller wins.
-	MaxSteps int
 	// Limits bounds every parse's resource consumption — steps, tokens,
 	// stack depth, prediction closure work, tree nodes. Exhaustion surfaces
 	// as a structured Error result naming the limit, with the measured
 	// high-water marks in Result.Usage.
 	Limits Limits
-	// ClosureBudget bounds GSS expansions per prediction closure call
-	// (0 = the built-in default of 1<<20) — the per-call backstop against
-	// runaway closure growth, distinct from the cumulative
-	// Limits.MaxClosureWork. Exhaustion aborts that prediction with a
-	// structured error and counts in Stats.BudgetExhaustions.
-	ClosureBudget int
-	// IgnoreCertificate keeps the session in uncertified mode even when the
-	// grammar carries a well-formedness certificate — the dynamic
-	// left-recursion error path stays live. Certified and uncertified runs
-	// are bit-identical on certified grammars (the differential tests check
-	// this); the switch exists for those tests and for debugging.
-	IgnoreCertificate bool
 	// Recover turns on recovering parse mode: a would-be Reject suspends
 	// the machine, the recovery driver applies panic-mode FOLLOW/anchor-set
 	// repairs (skip / insert / pop / drop) under the Limits.MaxRepairs
@@ -166,9 +150,9 @@ type Parser struct {
 	targets sync.Map // start symbol → *analysis.Targets, interned lazily
 	cache   *prediction.Cache
 	// certified records, at session construction, whether the grammar
-	// carried a valid certificate (and IgnoreCertificate was off); the
-	// machine then runs with its left-recursion probe demoted to an
-	// assertion (Theorem 5.8 makes it unreachable).
+	// carried a valid certificate; the machine then runs with its
+	// left-recursion probe demoted to an assertion (Theorem 5.8 makes it
+	// unreachable).
 	certified bool
 
 	// pool recycles per-parse state (governor, predictor with its decision
@@ -227,22 +211,26 @@ func (p *Parser) release(sc *parseScratch) {
 // If the grammar carries a well-formedness certificate (attached by
 // grammarlint.Certify) the session runs in certified mode: the machine's
 // dynamic left-recursion check is demoted to a debug assertion, since the
-// certificate plus Theorem 5.8 prove it unreachable. Options.IgnoreCertificate
-// opts out.
+// certificate plus Theorem 5.8 prove it unreachable.
 func New(g *grammar.Grammar, opts Options) (*Parser, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	return newSession(g, analysis.New(g), prediction.NewCache(), opts), nil
+}
+
+// newSession assembles a session over a validated grammar, its analysis
+// and its SLL DFA. Certified mode follows the certificate alone: it engages
+// exactly when the grammar carries one issued for its own fingerprint.
+func newSession(g *grammar.Grammar, an *analysis.Analysis, cache *prediction.Cache, opts Options) *Parser {
 	c := g.Compiled()
-	certified := !opts.IgnoreCertificate &&
-		c.Certificate() != nil && c.Certificate().Fingerprint == c.Fingerprint()
 	return &Parser{
 		g:         g,
-		an:        analysis.New(g),
+		an:        an,
 		opts:      opts,
-		cache:     prediction.NewCache(),
-		certified: certified,
-	}, nil
+		cache:     cache,
+		certified: c.Certificate() != nil && c.Certificate().Fingerprint == c.Fingerprint(),
+	}
 }
 
 // MustNew is New panicking on error, for package-level parser literals.
@@ -267,8 +255,7 @@ func (p *Parser) Analysis() *analysis.Analysis { return p.an }
 func (p *Parser) LeftRecursiveNTs() []string { return p.an.LeftRecursiveNTs() }
 
 // Certified reports whether the session runs in certified mode: the grammar
-// carried a valid well-formedness certificate at construction and
-// Options.IgnoreCertificate was off.
+// carried a valid well-formedness certificate at construction.
 func (p *Parser) Certified() bool { return p.certified }
 
 // Stats returns a snapshot of the prediction statistics accumulated over
@@ -345,15 +332,6 @@ func (p *Parser) ParseSource(src *source.Cursor) Result {
 	return p.parse(context.Background(), p.g.Start, p.getScratch(), src, -1)
 }
 
-// limits folds the MaxSteps shorthand into the session's Limits.
-func (p *Parser) limits() Limits {
-	l := p.opts.Limits
-	if p.opts.MaxSteps > 0 && (l.MaxSteps == 0 || p.opts.MaxSteps < l.MaxSteps) {
-		l.MaxSteps = p.opts.MaxSteps
-	}
-	return l
-}
-
 // parse is the shared core: run the machine over a token cursor. total is
 // the input length when known up front (the slice path), or -1 when the
 // input is streamed and the length is unknowable before the parse ends. sc
@@ -399,16 +377,15 @@ func (p *Parser) parse(ctx context.Context, start string, sc *parseScratch, src 
 	// from the pooled scratch: built once, Reset per parse.
 	gov := sc.gov
 	if gov == nil {
-		gov = machine.NewGovernor(ctx, p.limits())
+		gov = machine.NewGovernor(ctx, p.opts.Limits)
 		sc.gov = gov
 	} else {
-		gov.Reset(ctx, p.limits())
+		gov.Reset(ctx, p.opts.Limits)
 	}
 	popts := prediction.Options{
-		DisableSLL:    p.opts.DisableSLL,
-		Cache:         cache,
-		Governor:      gov,
-		ClosureBudget: p.opts.ClosureBudget,
+		DisableSLL: p.opts.DisableSLL,
+		Cache:      cache,
+		Governor:   gov,
 	}
 	ap := sc.ap
 	if ap == nil {

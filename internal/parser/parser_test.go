@@ -182,7 +182,7 @@ func TestDisableSLLOption(t *testing.T) {
 }
 
 func TestMaxStepsOption(t *testing.T) {
-	p := MustNew(fig2(), Options{MaxSteps: 2})
+	p := MustNew(fig2(), Options{Limits: Limits{MaxSteps: 2}})
 	res := p.Parse(word("a", "b", "d"))
 	if res.Kind != Error {
 		t.Fatalf("MaxSteps ignored: %s", res)

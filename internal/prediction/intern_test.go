@@ -29,7 +29,7 @@ func referenceKey(anomalous bool, cfgs []config) (string, []config) {
 	}
 	es := make([]entry, len(cfgs))
 	for i, c := range cfgs {
-		es[i] = entry{c, c.fingerprint(false)}
+		es[i] = entry{c, c.fingerprint()}
 	}
 	sort.SliceStable(es, func(a, b int) bool {
 		if es[a].cfg.alt != es[b].cfg.alt {
@@ -91,7 +91,7 @@ func TestCanonicalKeyMatchesReference(t *testing.T) {
 					t.Fatalf("scratch-built key differs from the reference (%d configs)", len(cfgs))
 				}
 				for i := range cfgs {
-					if cfgs[i].alt != order[i].alt || cfgs[i].fingerprint(false) != order[i].fingerprint(false) {
+					if cfgs[i].alt != order[i].alt || cfgs[i].fingerprint() != order[i].fingerprint() {
 						t.Fatalf("config %d not in canonical order", i)
 					}
 				}
@@ -243,7 +243,7 @@ func TestInternedStatesOutliveScratch(t *testing.T) {
 	for i, st := range states {
 		var b strings.Builder
 		for _, cfg := range st.configs {
-			b.WriteString(cfg.fingerprint(true))
+			b.WriteString(cfg.fingerprint())
 		}
 		before[i] = b.String()
 	}
@@ -256,7 +256,7 @@ func TestInternedStatesOutliveScratch(t *testing.T) {
 		want := before[i]
 		var b strings.Builder
 		for _, cfg := range st.configs {
-			b.WriteString(cfg.fingerprint(true))
+			b.WriteString(cfg.fingerprint())
 		}
 		if b.String() != want {
 			t.Fatalf("interned state changed after its scratch was recycled")

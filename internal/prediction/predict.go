@@ -22,8 +22,9 @@ type Stats struct {
 	TokensScanned  int    // total lookahead tokens examined
 	// BudgetExhaustions counts closure-budget blowups (anomalyBudget): a
 	// defensive backstop tripping, previously folded silently into the LL
-	// fallback path. Non-zero values mean the configured ClosureBudget is
-	// too small for the grammar — or the input is adversarial.
+	// fallback path. Non-zero values mean a single closure call outgrew the
+	// per-call budget (closureBudget) — the grammar or the input is
+	// adversarial.
 	BudgetExhaustions int
 }
 
@@ -36,11 +37,6 @@ type Options struct {
 	// Cache supplies a pre-existing DFA cache, enabling cross-input reuse
 	// (the Figure 11 "warmed cache" configuration). Nil means fresh.
 	Cache *Cache
-	// ClosureBudget bounds expansions per closure call (0 = the built-in
-	// default of 1<<20). Exhaustions are reported in
-	// Stats.BudgetExhaustions; in SLL mode the decision retries in LL, in
-	// LL mode it becomes a structured error.
-	ClosureBudget int
 	// Governor, when non-nil, enforces the parse's cancellation context and
 	// cumulative resource limits inside the closure loops — the layer where
 	// adversarial inputs burn time without taking machine steps. The same
@@ -70,24 +66,9 @@ func New(g *grammar.Grammar, opts Options) *AdaptivePredictor {
 // NewWith is New with a precomputed Targets (grammar analyses are pure, so
 // sharing across predictors is safe).
 func NewWith(g *grammar.Grammar, targets *analysis.Targets, opts Options) *AdaptivePredictor {
-	c := opts.Cache
-	if c == nil {
-		c = NewCache()
-	}
-	gov := opts.Governor
-	if gov == nil {
-		gov = machine.NewGovernor(nil, machine.Limits{})
-	}
-	budget := opts.ClosureBudget
-	if budget <= 0 {
-		budget = defaultClosureBudget
-	}
-	ap := &AdaptivePredictor{
-		eng:   engine{c: g.Compiled(), targets: targets, gov: gov, budget: budget, scr: &scratch{}},
-		cache: c,
-		opts:  opts,
-	}
+	ap := &AdaptivePredictor{eng: engine{c: g.Compiled(), budget: closureBudget, scr: &scratch{}}}
 	ap.eng.stats = &ap.Stats
+	ap.Reset(targets, opts)
 	return ap
 }
 
@@ -97,11 +78,12 @@ func NewWith(g *grammar.Grammar, targets *analysis.Targets, opts Options) *Adapt
 func (ap *AdaptivePredictor) Cache() *Cache { return ap.cache }
 
 // Reset rearms the predictor for another parse of the same grammar: fresh
-// Stats, new targets/cache/governor/budget from opts, scratch buffers and
-// arenas retained. It must only be called between parses — never while a
-// prediction is in flight — and only with targets computed for the same
-// grammar the predictor was built with. Pooled parser sessions use this to
-// reach steady-state zero predictor allocation.
+// Stats, new targets/cache/governor from opts (a nil Cache is a fresh one,
+// a nil Governor an unlimited one), scratch buffers and arenas retained.
+// It must only be called between parses — never while a prediction is in
+// flight — and only with targets computed for the same grammar the
+// predictor was built with. Pooled parser sessions use this to reach
+// steady-state zero predictor allocation.
 func (ap *AdaptivePredictor) Reset(targets *analysis.Targets, opts Options) {
 	c := opts.Cache
 	if c == nil {
@@ -111,17 +93,12 @@ func (ap *AdaptivePredictor) Reset(targets *analysis.Targets, opts Options) {
 	if gov == nil {
 		gov = machine.NewGovernor(nil, machine.Limits{})
 	}
-	budget := opts.ClosureBudget
-	if budget <= 0 {
-		budget = defaultClosureBudget
-	}
 	ap.cache = c
 	ap.opts = opts
 	ap.decisionNT = 0
 	ap.Stats = Stats{}
 	ap.eng.targets = targets
 	ap.eng.gov = gov
-	ap.eng.budget = budget
 }
 
 // Predict implements machine.Predictor: adaptivePredict for decision

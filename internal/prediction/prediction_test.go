@@ -1,6 +1,7 @@
 package prediction
 
 import (
+	"strings"
 	"testing"
 
 	"costar/internal/grammar"
@@ -209,6 +210,30 @@ func TestDisableSLLAblation(t *testing.T) {
 	}
 }
 
+func TestClosureBudgetExhaustionSurfaces(t *testing.T) {
+	// A one-expansion closure budget cannot resolve the S decision; the
+	// parse must fail with a structured budget error — not a false Reject —
+	// and the predictor's stats must count the exhaustion.
+	g := fig2()
+	w := word("a", "a", "a", "a", "a", "a", "a", "a", "a", "a", "b", "d")
+	ap := New(g, Options{})
+	ap.eng.budget = 1
+	res := parse(g, ap, w)
+	if res.Kind != machine.ResultError {
+		t.Fatalf("want Error, got %v (%s)", res.Kind, res.Reason)
+	}
+	if !strings.Contains(res.Err.Error(), "budget") {
+		t.Errorf("error does not mention the budget: %v", res.Err)
+	}
+	if ap.Stats.BudgetExhaustions == 0 {
+		t.Error("Stats.BudgetExhaustions not incremented")
+	}
+	// The default budget parses the same input fine.
+	if res := parse(g, New(g, Options{}), w); res.Kind != machine.Unique {
+		t.Fatalf("default budget: %v (%v)", res.Kind, res.Err)
+	}
+}
+
 func TestTrivialDecisions(t *testing.T) {
 	g := grammar.MustParseBNF(`S -> a B ; B -> b`)
 	ap := New(g, Options{})
@@ -288,28 +313,25 @@ func TestFingerprints(t *testing.T) {
 	st := machine.PushSuffix(machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.TermSym(0), grammar.NTSym(1)}}, nil)
 	c1 := config{alt: 1, stack: st}
 	c2 := config{alt: 2, stack: st}
-	if c1.fingerprint(false) == c2.fingerprint(false) {
+	if c1.fingerprint() == c2.fingerprint() {
 		t.Error("alt not encoded in fingerprint")
 	}
 	// A halted config (nil stack) must differ from a live config whose
 	// stack has one frame with an empty Rest.
 	halted := config{alt: 1}
 	emptyFrame := config{alt: 1, stack: machine.PushSuffix(machine.SuffixFrame{Lhs: 0}, nil)}
-	if halted.fingerprint(false) == emptyFrame.fingerprint(false) {
+	if halted.fingerprint() == emptyFrame.fingerprint() {
 		t.Error("halted configs must be distinguishable from empty stacks")
 	}
 	// Terminal 1 vs nonterminal 1: the sign encoding must separate them.
 	sa := machine.PushSuffix(machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.TermSym(1)}}, nil)
 	sb := machine.PushSuffix(machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.NTSym(1)}}, nil)
-	if (config{alt: 1, stack: sa}).fingerprint(false) == (config{alt: 1, stack: sb}).fingerprint(false) {
+	if (config{alt: 1, stack: sa}).fingerprint() == (config{alt: 1, stack: sb}).fingerprint() {
 		t.Error("terminal/nonterminal kind not encoded in fingerprint")
 	}
-	// Visited sets participate only when requested.
+	// Visited sets do not participate.
 	cv := config{alt: 1, stack: st, visited: machine.NTSet{}.Add(3)}
-	if c1.fingerprint(false) != cv.fingerprint(false) {
+	if c1.fingerprint() != cv.fingerprint() {
 		t.Error("visited set must not affect canonical identity")
-	}
-	if c1.fingerprint(true) == cv.fingerprint(true) {
-		t.Error("visited set must affect dedup identity")
 	}
 }

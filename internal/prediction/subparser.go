@@ -76,10 +76,11 @@ type closureResult struct {
 	govErr  *machine.Error // sticky governor failure for anomalyGoverned
 }
 
-// defaultClosureBudget bounds the number of closure expansions per call
-// unless Options.ClosureBudget overrides it; generous enough for any
-// realistic grammar, small enough to stop runaway fuzz inputs quickly.
-const defaultClosureBudget = 1 << 20
+// closureBudget bounds the number of closure expansions per call: generous
+// enough for any realistic grammar, small enough to stop runaway fuzz
+// inputs quickly. It is the per-call backstop, distinct from the cumulative
+// Limits.MaxClosureWork that the parse's governor enforces.
+const closureBudget = 1 << 20
 
 // mode distinguishes the two prediction strategies where their pop
 // behaviour differs.
@@ -99,7 +100,7 @@ type engine struct {
 	c       *grammar.Compiled
 	targets *Targets
 	gov     *machine.Governor
-	budget  int // per-closure-call expansion budget
+	budget  int // per-closure-call expansion budget (closureBudget)
 	stats   *Stats
 	scr     *scratch
 }
@@ -326,16 +327,15 @@ const (
 	fpLive   = 0
 	fpFrame  = 1
 	fpHalted = 2
-	fpVisit  = 3
 )
 
-// appendFingerprint serializes the config as packed int32 bytes for dedup
-// (withVisited=true, used during closure) or for canonical state identity
-// (withVisited=false; the visited set is irrelevant once stable, because
-// the next move clears it). Unlike the pre-compilation fingerprint, no
-// symbol name is rendered: identity is a flat byte-compare over IDs, which
-// is what makes DFA-state interning cheap enough for the warm path.
-func (c config) appendFingerprint(b []byte, withVisited bool) []byte {
+// appendFingerprint serializes the config as packed int32 bytes for
+// canonical state identity. The visited set is left out: it is irrelevant
+// once a config is stable, because the next move clears it. Unlike the
+// pre-compilation fingerprint, no symbol name is rendered: identity is a
+// flat byte-compare over IDs, which is what makes DFA-state interning
+// cheap enough for the warm path.
+func (c config) appendFingerprint(b []byte) []byte {
 	b = appendInt32(b, int32(c.alt))
 	for s := c.stack; s != nil; s = s.Below {
 		b = append(b, fpFrame)
@@ -350,16 +350,12 @@ func (c config) appendFingerprint(b []byte, withVisited bool) []byte {
 	} else {
 		b = append(b, fpLive)
 	}
-	if withVisited {
-		b = append(b, fpVisit)
-		b = c.visited.AppendWords(b)
-	}
 	return b
 }
 
 // fingerprint is appendFingerprint as an immutable string key.
-func (c config) fingerprint(withVisited bool) string {
-	return string(c.appendFingerprint(nil, withVisited))
+func (c config) fingerprint() string {
+	return string(c.appendFingerprint(nil))
 }
 
 // keyBuf is reusable memory for canonical state keys: the packed
@@ -390,7 +386,7 @@ func (kb *keyBuf) build(anomalous bool, cfgs []config) []byte {
 	for i := range cfgs {
 		buf = appendInt32(buf, 0) // placeholder, patched below
 		start := len(buf)
-		buf = cfgs[i].appendFingerprint(buf, false)
+		buf = cfgs[i].appendFingerprint(buf)
 		n := int32(len(buf) - start)
 		buf[start-4], buf[start-3], buf[start-2], buf[start-1] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
 		offs = append(offs, len(buf))

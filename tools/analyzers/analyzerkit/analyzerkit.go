@@ -1,15 +1,14 @@
 // Package analyzerkit is a dependency-free miniature of the
 // golang.org/x/tools/go/analysis framework: an Analyzer inspects the parsed
 // files of one package through a Pass and reports positioned diagnostics.
-// The driver half (driver.go) runs analyzers either standalone over package
-// directories or as a `go vet -vettool` backend.
+// Main (driver.go) runs analyzers over package directories.
 //
 // Two tiers of analysis coexist. Syntactic analyzers inspect the parsed
 // ASTs only — sound for invariants over unexported fields, which confines
 // potential writes to their owning packages. Typed analyzers (NeedTypes)
 // additionally receive go/types resolution (Pass.Pkg / Pass.Info) from the
-// kit's Loader (types.go), which imports dependencies from vet-provided
-// export data or straight from source; on top of that, flow.go provides an
+// kit's Loader (types.go), which type-checks dependencies straight from
+// source; on top of that, flow.go provides an
 // intra-procedural taint/escape walker with per-package call summaries, and
 // paths.go an every-path must-analysis — the machinery the contract
 // checkers (scratchescape, windowalias, governortick, lockorder) build on.
@@ -27,9 +26,11 @@ import (
 // Analyzer is one static check, mirroring the x/tools analysis.Analyzer
 // shape so the checks could migrate to the real framework unchanged.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -NAME=0 flags.
+	// Name identifies the analyzer in diagnostics and in
+	// //costar:allow annotations.
 	Name string
-	// Doc is a one-paragraph description, shown by -help.
+	// Doc is a one-paragraph description; Main's usage message shows its
+	// first line.
 	Doc string
 	// Run inspects one package through pass and reports findings via
 	// pass.Reportf. A returned error aborts the whole run (it means the
@@ -41,8 +42,8 @@ type Analyzer struct {
 	NeedTypes bool
 	// Match, when non-nil, gates the analyzer to packages it cares about
 	// (by declared package name and import/directory path). A nil Match
-	// runs everywhere. Matching cheaply up front is what keeps typed
-	// analysis from taxing every `go vet` invocation.
+	// runs everywhere. Matching cheaply up front keeps typed analysis off
+	// the packages no typed analyzer cares about.
 	Match func(pkgName, pkgPath string) bool
 }
 
@@ -54,8 +55,7 @@ type Pass struct {
 	Files []*ast.File
 	// PkgName is the declared package name (the `package foo` clause).
 	PkgName string
-	// PkgPath is the import path in vet mode, or the directory path in
-	// standalone mode. Diagnostics should not depend on which.
+	// PkgPath is the package's directory path.
 	PkgPath string
 
 	// Pkg and Info carry go/types resolution for NeedTypes analyzers

@@ -1,31 +1,11 @@
 package analyzerkit
 
-// The driver half: Main runs a set of analyzers either as a `go vet
-// -vettool` backend (the unitchecker protocol: a -V=full version probe,
-// then one *.cfg JSON file per package unit) or standalone over package
-// directories / "./..." patterns. The vet protocol is implemented by hand
-// because this repo vendors no dependencies; the subset below — version
-// line, cfg parsing, facts-file creation, diagnostics on stderr with exit
-// code 2 — is everything cmd/go requires from a vet tool that neither
-// exports nor imports facts.
-//
-// Typed analyzers (NeedTypes) get go/types resolution in both modes: from
-// the unit's export data under vet, from source standalone (types.go).
-// Standalone is the strict gate — `make lint` runs it over the repo — so
-// the vet path degrades gracefully (Pass.TypesErr) when export data is
-// missing rather than failing builds that `go vet` itself accepts.
-//
-// Diagnostics print as file:line:col with paths relativized to the
-// current directory, identically in both modes, so baselines and editor
-// jump-to-position behave the same however the tool is invoked. The
-// -json flag (standalone) switches to one machine-readable array on
-// stdout, mirroring `costar -format json` conventions. Baselines
-// (-baseline=FILE standalone, COSTAR_LINT_BASELINE under vet, where
-// cmd/go owns the command line) filter known findings; -write-baseline
-// regenerates the file from the current findings.
+// Main runs a set of analyzers over package directories named directly or
+// through "./..." patterns, prints each finding as file:line:col with the
+// path relative to the module root, and exits non-zero when any survives
+// its //costar:allow annotations.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -36,78 +16,18 @@ import (
 	"strings"
 )
 
-// vetConfig is the package unit description cmd/go hands a vettool; field
-// names must match the JSON written by the go command (see
-// x/tools/go/analysis/unitchecker.Config). Fields this driver does not need
-// are still listed so the decoder accepts every config the toolchain emits.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// options are the driver flags (standalone mode; vet mode reads the
-// baseline path from COSTAR_LINT_BASELINE because cmd/go owns the
-// command line there).
-type options struct {
-	json          bool
-	baselinePath  string
-	writeBaseline bool
-}
-
 // Main is the entry point for an analyzer bundle binary. It never returns:
-// the process exits 0 on a clean run, 1 on driver errors, 2 on findings
-// (the exit code `go vet` interprets as "diagnostics were reported").
+// the process exits 0 on a clean run, 1 when the run itself fails, 2 on
+// findings.
 func Main(analyzers ...*Analyzer) {
-	args := os.Args[1:]
-	// `go vet` probes the tool's version before first use; the output only
-	// needs to be stable, it becomes part of the build cache key.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "-V":
-			fmt.Printf("%s version 2 (analyzerkit)\n", filepath.Base(os.Args[0]))
-			os.Exit(0)
-		case "-flags":
-			// cmd/go asks the tool which flags it supports and forwards the
-			// matching subset of the vet command line; this driver takes
-			// none there (standalone flags are parsed below instead).
-			fmt.Println("[]")
-			os.Exit(0)
+	patterns := os.Args[1:]
+	for _, a := range patterns {
+		if strings.HasPrefix(a, "-") {
+			fatal(fmt.Errorf("unknown flag %s (only package patterns are accepted)", a))
 		}
-	}
-	var opts options
-	var patterns []string
-	for _, a := range args {
-		switch {
-		case a == "-json":
-			opts.json = true
-		case strings.HasPrefix(a, "-baseline="):
-			opts.baselinePath = strings.TrimPrefix(a, "-baseline=")
-		case a == "-write-baseline":
-			opts.writeBaseline = true
-		case strings.HasPrefix(a, "-") && !strings.HasSuffix(a, ".cfg"):
-			fatal(fmt.Errorf("unknown flag %s (supported: -json, -baseline=FILE, -write-baseline)", a))
-		default:
-			patterns = append(patterns, a)
-		}
-	}
-	if opts.writeBaseline && opts.baselinePath == "" {
-		fatal(fmt.Errorf("-write-baseline requires -baseline=FILE"))
 	}
 	if len(patterns) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: %s [-json] [-baseline=FILE [-write-baseline]] [package-dir | ./... | unit.cfg]...\n\nanalyzers:\n", filepath.Base(os.Args[0]))
+		fmt.Fprintf(os.Stderr, "usage: %s [package-dir | dir/...]...\n\nanalyzers:\n", filepath.Base(os.Args[0]))
 		for _, an := range analyzers {
 			doc := an.Doc
 			if i := strings.IndexByte(doc, '\n'); i >= 0 {
@@ -117,74 +37,23 @@ func Main(analyzers ...*Analyzer) {
 		}
 		os.Exit(1)
 	}
-	if strings.HasSuffix(patterns[0], ".cfg") {
-		runVetUnit(patterns[0], analyzers)
-		return
-	}
-	runStandalone(patterns, analyzers, opts)
-}
-
-// runVetUnit handles one unitchecker invocation: parse the unit's files,
-// type-check against the unit's export data, run the analyzers, write the
-// (empty) facts file, report to stderr.
-func runVetUnit(cfgPath string, analyzers []*Analyzer) {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", cfgPath, err))
-	}
-	// The go command requires the facts file to exist even when the tool
-	// has no facts to export; an empty file decodes as "no facts" because
-	// this driver never reads PackageVetx either.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fatal(err)
-		}
-	}
-	if cfg.VetxOnly {
-		os.Exit(0)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				os.Exit(0)
-			}
-			fatal(err)
-		}
-		files = append(files, f)
-	}
-	loader := newVetLoader(fset, &cfg)
-	diags, err := runPackage(fset, files, cfg.ImportPath, analyzers, loader)
-	if err != nil {
-		fatal(err)
-	}
-	if path := os.Getenv("COSTAR_LINT_BASELINE"); path != "" {
-		counts, err := loadBaseline(path)
-		if err != nil {
-			fatal(err)
-		}
-		diags, _ = filterBaseline(diags, counts)
+	diags := run(patterns, analyzers)
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
 		os.Exit(2)
 	}
 	os.Exit(0)
 }
 
-// runStandalone analyzes package directories named directly or via Go's
-// "dir/..." wildcard, grouping each directory's files into one pass. One
-// FileSet and one source Loader span the whole run so type-checked
-// dependencies are shared across packages.
-func runStandalone(patterns []string, analyzers []*Analyzer, opts options) {
+// run analyzes package directories named directly or via Go's "dir/..."
+// wildcard, grouping each directory's files into one pass. Every .go file
+// is parsed, whatever its build tags, so a pass sees the union of the
+// files any build configuration compiles. One FileSet and one source
+// Loader span the whole run so type-checked dependencies are shared across
+// packages.
+func run(patterns []string, analyzers []*Analyzer) []Diagnostic {
 	dirs, err := expandPatterns(patterns)
 	if err != nil {
 		fatal(err)
@@ -224,64 +93,7 @@ func runStandalone(patterns []string, analyzers []*Analyzer, opts options) {
 			all = append(all, diags...)
 		}
 	}
-	if opts.writeBaseline {
-		if err := writeBaseline(opts.baselinePath, all); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d finding(s) to %s\n", len(all), opts.baselinePath)
-		os.Exit(0)
-	}
-	var stale int
-	if opts.baselinePath != "" {
-		counts, err := loadBaseline(opts.baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		all, stale = filterBaseline(all, counts)
-	}
-	if opts.json {
-		emitJSON(all)
-	} else {
-		for _, d := range all {
-			fmt.Println(d)
-		}
-	}
-	if stale > 0 {
-		fmt.Fprintf(os.Stderr, "note: %d stale baseline entr%s no longer match any finding (regenerate with -write-baseline)\n",
-			stale, map[bool]string{true: "y", false: "ies"}[stale == 1])
-	}
-	if len(all) > 0 {
-		os.Exit(2)
-	}
-	os.Exit(0)
-}
-
-// jsonDiagnostic mirrors the costar CLI's lowercase-key JSON conventions.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// emitJSON writes every finding as one JSON array on stdout.
-func emitJSON(diags []Diagnostic) {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			File:     filepath.ToSlash(d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
+	return all
 }
 
 // runPackage applies every analyzer to one parsed package and returns the
@@ -304,7 +116,7 @@ func runPackage(fset *token.FileSet, files []*ast.File, pkgPath string, analyzer
 	for _, an := range analyzers {
 		if an.NeedTypes && matched(an) {
 			if loader == nil {
-				pass.TypesErr = fmt.Errorf("no type information available in this mode")
+				pass.TypesErr = fmt.Errorf("no type information available")
 				break
 			}
 			pass.Pkg, pass.Info, pass.TypesErr = loader.Check(pkgPath, files)
@@ -382,9 +194,8 @@ func expandPatterns(patterns []string) ([]string, error) {
 }
 
 // repoRoot anchors path relativization: diagnostics print module-relative
-// paths identically whether the tool runs standalone (cwd = repo root) or
-// under `go vet` (cwd and file names chosen by cmd/go), so editor links,
-// baselines, and CI logs agree across modes.
+// paths whatever directory the tool runs from, so editor links and CI logs
+// agree.
 var repoRoot = func() string {
 	root, _ := findModule(".")
 	return root

@@ -1,32 +1,26 @@
 package analyzerkit
 
-// Type resolution for NeedTypes analyzers, stdlib-only. Two strategies
-// mirror the driver's two modes:
-//
-//   - Under `go vet`, the .cfg unit names export data (PackageFile /
-//     ImportMap) for every dependency, already built by cmd/go; the loader
-//     feeds it to go/importer exactly like x/tools' unitchecker does.
-//   - Standalone, there is no export data, so the loader type-checks
-//     imports from source: module-internal paths resolve under the repo
-//     root (located by walking up to go.mod), everything else under
-//     GOROOT/src. Imported packages are checked with IgnoreFuncBodies —
-//     only their API surface matters — and cached for the whole run.
+// Type resolution for NeedTypes analyzers, stdlib-only. The loader
+// type-checks imports from source: module-internal paths resolve under the
+// repo root (located by walking up to go.mod), everything else under
+// GOROOT/src. Imported packages are checked with IgnoreFuncBodies — only
+// their API surface matters — and cached for the whole run.
 //
 // Loading is deliberately lenient: a dependency that fails to load becomes
 // an empty placeholder package and the target package is still checked,
 // with the first error recorded as Pass.TypesErr. Typed analyzers degrade
-// on missing Info entries instead of crashing, and the standalone run —
-// the strict `make lint` gate — type-checks the repo cleanly in practice.
+// on missing Info entries instead of crashing. Main parses every file of
+// a directory whatever its build tags, so mutually exclusive files
+// (race_on_test.go and race_off_test.go, say) redeclare a name; the rest
+// of such a package is still typed.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,40 +31,13 @@ import (
 type Loader struct {
 	fset *token.FileSet
 
-	// Vet mode: export-data importer plus the unit's vendor/import map.
-	export    types.Importer
-	importMap map[string]string
-
-	// Source mode: module root and path, build context for file selection.
+	// Module root and path, build context for file selection.
 	repoDir string
 	modPath string
 	ctx     build.Context
 
 	cache    map[string]*types.Package
 	visiting map[string]bool
-}
-
-// newVetLoader builds a Loader over one vet unit's export data.
-func newVetLoader(fset *token.FileSet, cfg *vetConfig) *Loader {
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	packageFile := cfg.PackageFile
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := packageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	return &Loader{
-		fset:      fset,
-		export:    importer.ForCompiler(fset, compiler, lookup),
-		importMap: cfg.ImportMap,
-		cache:     map[string]*types.Package{},
-		visiting:  map[string]bool{},
-	}
 }
 
 // newSourceLoader builds a Loader that type-checks imports from source.
@@ -147,12 +114,6 @@ func (l *Loader) Check(pkgPath string, files []*ast.File) (*types.Package, *type
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
-	}
-	if l.export != nil {
-		if mapped, ok := l.importMap[path]; ok {
-			path = mapped
-		}
-		return l.export.Import(path)
 	}
 	return l.importSource(path)
 }
