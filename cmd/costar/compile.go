@@ -1,14 +1,14 @@
 package main
 
 // The `costar compile` subcommand: build an ahead-of-time artifact — the
-// compiled grammar tables, analysis fixpoints, certificate, and an
-// offline-warmed SLL DFA cache — so later runs start from `-artifact FILE`
-// with near-zero cold start.
+// compiled grammar tables, certificate, and an offline-warmed SLL DFA
+// cache — so later runs start from `-artifact FILE` with near-zero cold
+// start.
 //
 //	costar compile -lang python -o python.csar       # warm on a synthetic corpus
 //	costar compile -lang json -warm 12 -o json.csar  # more warm files
 //	costar compile -g4 calc.g4 -o calc.csar a.txt    # warm on your own inputs
-//	costar compile -bnf g.bnf -cold -o g.csar        # tables + analysis only
+//	costar compile -bnf g.bnf -cold -o g.csar        # tables + certificate only
 //
 // The warm corpus shapes the snapshot, not correctness: an artifact warmed
 // on any corpus parses every input the grammar accepts; unwarmed decision
@@ -40,7 +40,7 @@ func runCompile(args []string) int {
 		out      = fs.String("o", "", "output artifact path (default <name>.csar)")
 		warm     = fs.Int("warm", 8, "synthetic warm-corpus files for built-in languages")
 		warmMax  = fs.Int("warm-max", 4000, "largest synthetic warm file, in tokens")
-		cold     = fs.Bool("cold", false, "skip warming (tables, analysis, certificate only)")
+		cold     = fs.Bool("cold", false, "skip warming (tables and certificate only)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: costar compile (-lang NAME | -g4 FILE | -bnf FILE) [-o OUT] [-warm N] [-cold] [corpus files...]")

@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"costar"
+	"costar/internal/grammarlint"
 	"costar/internal/gviz"
 	"costar/internal/languages"
 )
@@ -168,8 +169,15 @@ func run(langName, g4Path, bnfPath, artPath, tokens string, opts cliOptions, arg
 		}
 		inputs = ins
 	}
-	if lr := p.LeftRecursiveNTs(); len(lr) > 0 {
-		fmt.Fprintf(os.Stderr, "warning: grammar is left-recursive in %v; parsing will report an error\n", lr)
+	// A certified session's certificate already rules left recursion out.
+	if !p.Certified() {
+		if lr := grammarlint.LeftRecursion(p.Grammar()); len(lr) > 0 {
+			names := make([]string, len(lr))
+			for i, d := range lr {
+				names[i] = d.NT
+			}
+			fmt.Fprintf(os.Stderr, "warning: grammar is left-recursive in %v; parsing will report an error\n", names)
+		}
 	}
 	ctx := context.Background()
 	if opts.timeout > 0 {
@@ -310,8 +318,8 @@ func loadInputs(langName, g4Path, bnfPath, tokens string, args []string) (*costa
 }
 
 // loadArtifact builds a session from an ahead-of-time artifact (skipping
-// grammar compilation, analysis, and cache warm-up — the load verifies what
-// it skips; see `costar compile`) and its inputs, which become tokens as
+// grammar compilation and cache warm-up — the load verifies what it skips;
+// see `costar compile`) and its inputs, which become tokens as
 // languages.FromArtifact decides.
 func loadArtifact(path, tokens string, popts costar.Options, args []string) (*costar.Parser, []input, error) {
 	data, err := os.ReadFile(path)

@@ -20,7 +20,6 @@ import (
 	"os"
 
 	"costar"
-	"costar/internal/analysis"
 	"costar/internal/ebnf"
 	"costar/internal/g4"
 	"costar/internal/grammarlint"
@@ -86,11 +85,14 @@ func run(w io.Writer, path string, stats, lexRules, check, fix, vet bool, emit s
 		}
 	}
 	if check {
-		if lr := analysis.FindLeftRecursion(g); len(lr) > 0 {
-			fmt.Fprintf(w, "\n# LEFT-RECURSIVE nonterminals: %v\n", lr)
-			a := analysis.New(g)
-			for _, nt := range lr {
-				fmt.Fprintf(w, "#   cycle: %v\n", a.LeftRecursionCycle(nt))
+		if lr := grammarlint.LeftRecursion(g); len(lr) > 0 {
+			names := make([]string, len(lr))
+			for i, d := range lr {
+				names[i] = d.NT
+			}
+			fmt.Fprintf(w, "\n# LEFT-RECURSIVE nonterminals: %v\n", names)
+			for _, d := range lr {
+				fmt.Fprintf(w, "#   cycle: %v\n", d.Witness)
 			}
 		} else {
 			fmt.Fprintln(w, "\n# no left recursion")
@@ -125,7 +127,7 @@ func run(w io.Writer, path string, stats, lexRules, check, fix, vet bool, emit s
 		}
 	}
 	if emit != "" {
-		// A cold artifact: tables, analysis, certificate (when the grammar
+		// A cold artifact: tables, certificate (when the grammar
 		// vets clean), and the embedded .g4 source the lexer recompiles
 		// from — no warm DFA snapshot. `costar compile` adds the warming.
 		if rep := grammarlint.Check(g); rep.Clean() {

@@ -31,6 +31,28 @@ func TestRunConvert(t *testing.T) {
 	if !strings.Contains(out.String(), "\n# grammar is LL(1)\n") {
 		t.Errorf("-check on an LL(1) grammar:\n%s", out.String())
 	}
+	if !strings.Contains(out.String(), "\n# no left recursion\n") {
+		t.Errorf("-check on a non-left-recursive grammar:\n%s", out.String())
+	}
+	// Two left-recursive nonterminals: the list, then one witness cycle
+	// line for each.
+	leftRec := filepath.Join(dir, "lr.g4")
+	if err := os.WriteFile(leftRec, []byte(`
+		grammar LR;
+		e : e '+' t | t ;
+		t : t '*' NUM | NUM ;
+		NUM : [0-9]+ ;
+	`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run(&out, leftRec, false, false, true, false, false, ""); err != nil {
+		t.Fatal(err)
+	}
+	want := "\n# LEFT-RECURSIVE nonterminals: [e t]\n#   cycle: [e e]\n#   cycle: [t t]\n"
+	if !strings.Contains(out.String(), want) || strings.Contains(out.String(), "# no left recursion") {
+		t.Errorf("-check on a left-recursive grammar: want %q in\n%s", want, out.String())
+	}
 	// Both alternatives of s start with A: one token of lookahead cannot
 	// choose between them.
 	conflicted := filepath.Join(dir, "conflicted.g4")

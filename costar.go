@@ -99,8 +99,8 @@ type (
 	// into certified mode.
 	Certificate = grammar.Certificate
 	// Artifact is an ahead-of-time grammar artifact: compiled tables,
-	// analysis fixpoints, certificate, and an offline-warmed SLL DFA cache
-	// in one versioned binary container (see internal/artifact). Build one
+	// certificate, and an offline-warmed SLL DFA cache in one versioned
+	// binary container (see internal/artifact). Build one
 	// with Parser.ExportArtifact (after warming the session on a corpus),
 	// serialize with EncodeArtifact, and reconstruct near-instant sessions
 	// with NewParserFromArtifact.
@@ -233,13 +233,14 @@ func EncodeArtifact(a *Artifact) []byte { return artifact.Encode(a) }
 func DecodeArtifact(b []byte) (*Artifact, error) { return artifact.Decode(b) }
 
 // NewParserFromArtifact builds a session from an artifact, skipping grammar
-// compilation, the analysis fixpoints, and cache warm-up. The load verifies
-// what it skips: the grammar is recompiled from the dense tables and must
-// reproduce the artifact's recorded fingerprint, a certificate (when
-// present) is re-verified against that fingerprint — a tampered artifact is
-// rejected, never loaded silently uncertified — and the DFA snapshot is
-// bounds-checked and re-interned into cache-owned memory. The session
-// starts with the artifact's warmed DFA and parses exactly like a
+// compilation and cache warm-up. The load verifies what it skips: the
+// grammar is recompiled from the dense tables and must reproduce the
+// artifact's recorded fingerprint, a certificate (when present) is
+// re-verified against that fingerprint — a tampered artifact is rejected,
+// never loaded silently uncertified — and the DFA snapshot is
+// bounds-checked and re-interned into cache-owned memory. The analysis
+// fixpoints are computed from the grammar, as NewParser computes them. The
+// session starts with the artifact's warmed DFA and parses exactly like a
 // source-compiled session warmed on the same corpus.
 func NewParserFromArtifact(a *Artifact, opts Options) (*Parser, error) {
 	return parser.NewFromArtifact(a, opts)

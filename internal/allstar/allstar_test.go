@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"costar/internal/analysis"
 	"costar/internal/grammar"
+	"costar/internal/grammarlint"
 	"costar/internal/machine"
 	"costar/internal/parser"
 	"costar/internal/tree"
@@ -157,7 +157,7 @@ func TestDifferentialAgainstVerified(t *testing.T) {
 	done := 0
 	for done < 150 {
 		g := genGrammar(rng)
-		if g.Validate() != nil || analysis.New(g).HasLeftRecursion() {
+		if g.Validate() != nil || len(grammarlint.LeftRecursion(g)) > 0 {
 			continue
 		}
 		done++

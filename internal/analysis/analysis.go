@@ -1,21 +1,21 @@
-// Package analysis computes static grammar facts used by the CoStar parser
-// and its baselines:
+// Package analysis computes the static grammar facts the CoStar engines
+// and their baselines read:
 //
 //   - NULLABLE, FIRST, and FOLLOW fixpoints;
-//   - the static left-recursion decision procedure (the paper's Section 8
-//     lists "implement and verify a decision procedure" for the no-left-
-//     recursion property as future work; this package supplies it, with
-//     cycle witnesses);
-//   - call sites per nonterminal, the static information behind the
-//     "stable return frames" that CoStar's SLL mode returns into when a
-//     subparser stack empties (Section 3.5);
-//   - reachability and productivity (useless-symbol detection).
+//   - the stable return targets of SLL mode (targets.go), the static
+//     information behind the "stable return frames" a subparser returns
+//     into when its stack empties (Section 3.5);
+//   - reachability and productivity (useless-symbol detection), computed
+//     on demand.
 //
 // The fixpoints run on the compiled grammar: NULLABLE is a []bool indexed
 // by NTID and FIRST/FOLLOW are bitset rows over TermIDs (with EOF as a
 // virtual terminal column), so each fixpoint iteration is word-parallel OR
-// instead of string-map traffic. The string-keyed accessors remain as views
-// materialized once at construction.
+// instead of string-map traffic. The name-level accessors decode the rows
+// when called; nothing keyed by a symbol name is built up front.
+//
+// Left recursion is not decided here: grammarlint's SCC pass is the one
+// decision procedure (the paper's Section 8 lists it as future work).
 package analysis
 
 import (
@@ -28,13 +28,6 @@ import (
 // EOF is the pseudo-terminal that FOLLOW sets use to mark "end of input".
 // It never appears in grammars or token words.
 const EOF = "$$EOF$$"
-
-// CallSite identifies an occurrence of a nonterminal in a right-hand side:
-// grammar production Prod, position Pos (Rhs[Pos] is the occurrence).
-type CallSite struct {
-	Prod int
-	Pos  int
-}
 
 // Analysis holds the computed facts for one grammar. Construct with New;
 // the zero value is not usable. An Analysis is immutable after construction
@@ -50,27 +43,14 @@ type Analysis struct {
 	followRow  [][]uint64
 	rowWords   int
 	eofCol     int
-
-	// String views over the dense tables, for the public edge API.
-	nullable  map[string]bool
-	first     map[string]map[string]bool
-	follow    map[string]map[string]bool
-	callSites map[string][]CallSite
-	leftRec   map[string]bool
-	cycles    map[string][]string // witness cycle per left-recursive NT
 }
 
-// New computes all analyses for g. Cost is polynomial in grammar size; the
-// result should be cached alongside the grammar (parser sessions do this).
+// New runs the NULLABLE, FIRST, and FOLLOW fixpoints for g. Cost is
+// polynomial in grammar size; the result should be cached alongside the
+// grammar (parser sessions do this).
 func New(g *grammar.Grammar) *Analysis {
 	c := g.Compiled()
-	a := &Analysis{
-		G:         g,
-		c:         c,
-		callSites: make(map[string][]CallSite),
-		leftRec:   make(map[string]bool),
-		cycles:    make(map[string][]string),
-	}
+	a := &Analysis{G: g, c: c}
 	a.eofCol = c.NumTerms()
 	a.rowWords = (a.eofCol + 1 + 63) / 64
 	n := c.NumNTs()
@@ -80,9 +60,6 @@ func New(g *grammar.Grammar) *Analysis {
 	a.computeNullable()
 	a.computeFirst()
 	a.computeFollow()
-	a.materialize()
-	a.computeCallSites()
-	a.computeLeftRecursion()
 	return a
 }
 
@@ -166,7 +143,10 @@ func RowOr(dst, src []uint64) {
 }
 
 // Nullable reports whether nt derives the empty word.
-func (a *Analysis) Nullable(nt string) bool { return a.nullable[nt] }
+func (a *Analysis) Nullable(nt string) bool {
+	id, ok := a.c.NTIDOf(nt)
+	return ok && a.NullableID(id)
+}
 
 // NullableID is Nullable on a compiled nonterminal ID — the engines' form.
 func (a *Analysis) NullableID(n grammar.NTID) bool {
@@ -177,7 +157,7 @@ func (a *Analysis) NullableID(n grammar.NTID) bool {
 // nullable (terminals never are).
 func (a *Analysis) NullableForm(form []grammar.Symbol) bool {
 	for _, s := range form {
-		if s.IsT() || !a.nullable[s.Name] {
+		if s.IsT() || !a.Nullable(s.Name) {
 			return false
 		}
 	}
@@ -194,10 +174,6 @@ func (a *Analysis) NullableFormIDs(form []grammar.SymID) bool {
 	return true
 }
 
-// First returns FIRST(nt): the terminals that can begin a word derived from
-// nt. The returned map must not be modified.
-func (a *Analysis) First(nt string) map[string]bool { return a.first[nt] }
-
 // FirstOfForm computes FIRST of a sentential form (terminals that can begin
 // a word derived from it), allocating a fresh set.
 func (a *Analysis) FirstOfForm(form []grammar.Symbol) map[string]bool {
@@ -207,10 +183,12 @@ func (a *Analysis) FirstOfForm(form []grammar.Symbol) map[string]bool {
 			out[s.Name] = true
 			return out
 		}
-		for t := range a.first[s.Name] {
-			out[t] = true
+		id, ok := a.c.NTIDOf(s.Name)
+		if !ok {
+			return out
 		}
-		if !a.nullable[s.Name] {
+		a.addRowNames(out, a.firstRow[id])
+		if !a.nullableID[id] {
 			return out
 		}
 	}
@@ -252,42 +230,20 @@ func (a *Analysis) addRowNames(set map[string]bool, row []uint64) {
 
 // Follow returns FOLLOW(nt): terminals that can appear immediately after nt
 // in a sentential form derived from the start symbol, plus EOF when nt can
-// end such a form. The returned map must not be modified.
-func (a *Analysis) Follow(nt string) map[string]bool { return a.follow[nt] }
-
-// CallSites returns the occurrences of nt in right-hand sides, in grammar
-// order. The returned slice must not be modified.
-func (a *Analysis) CallSites(nt string) []CallSite { return a.callSites[nt] }
-
-// LeftRecursive reports whether nt is left-recursive: there is a derivation
-// nt ⇒+ γ nt δ with γ nullable (a "nullable path" from nt back to itself in
-// the terminology of Section 5.4.2).
-func (a *Analysis) LeftRecursive(nt string) bool { return a.leftRec[nt] }
-
-// LeftRecursiveNTs returns the sorted left-recursive nonterminals.
-func (a *Analysis) LeftRecursiveNTs() []string {
-	var out []string
-	for nt, yes := range a.leftRec {
-		if yes {
-			out = append(out, nt)
-		}
+// end such a form. It decodes a fresh set per call; nil for a name that
+// is not a defined nonterminal.
+func (a *Analysis) Follow(nt string) map[string]bool {
+	id, ok := a.c.NTIDOf(nt)
+	if !ok || !a.c.HasNTID(id) {
+		return nil
 	}
-	sort.Strings(out)
+	row := a.followRow[id]
+	out := make(map[string]bool)
+	a.addRowNames(out, row)
+	if hasBit(row, a.eofCol) {
+		out[EOF] = true
+	}
 	return out
-}
-
-// LeftRecursionCycle returns a witness cycle [nt, ..., nt] of nullable-path
-// steps for a left-recursive nt, or nil if nt is not left-recursive.
-func (a *Analysis) LeftRecursionCycle(nt string) []string { return a.cycles[nt] }
-
-// HasLeftRecursion reports whether any nonterminal is left-recursive.
-func (a *Analysis) HasLeftRecursion() bool { return len(a.cycles) > 0 }
-
-// FindLeftRecursion is a convenience wrapper: it returns the sorted
-// left-recursive nonterminals of g (empty means the grammar satisfies the
-// "no left recursion" assumption of the CoStar correctness theorems).
-func FindLeftRecursion(g *grammar.Grammar) []string {
-	return New(g).LeftRecursiveNTs()
 }
 
 func (a *Analysis) computeNullable() {
@@ -385,121 +341,6 @@ func (a *Analysis) computeFollow() {
 			}
 		}
 	}
-}
-
-// materialize builds the string-map views of the dense tables: the public
-// API the front ends, LL(1) checker, and tests consume. Engines never read
-// these on the hot path.
-func (a *Analysis) materialize() {
-	c := a.c
-	a.nullable = make(map[string]bool)
-	a.first = make(map[string]map[string]bool, len(a.G.Nonterminals()))
-	a.follow = make(map[string]map[string]bool, len(a.G.Nonterminals()))
-	for id := grammar.NTID(0); int(id) < c.NumNTs(); id++ {
-		if a.nullableID[id] {
-			a.nullable[c.NTName(id)] = true
-		}
-	}
-	for _, nt := range a.G.Nonterminals() {
-		id, _ := c.NTIDOf(nt)
-		first := make(map[string]bool)
-		a.addRowNames(first, a.firstRow[id])
-		follow := make(map[string]bool)
-		a.addRowNames(follow, a.followRow[id])
-		if hasBit(a.followRow[id], a.eofCol) {
-			follow[EOF] = true
-		}
-		a.first[nt] = first
-		a.follow[nt] = follow
-	}
-}
-
-func (a *Analysis) computeCallSites() {
-	for i, p := range a.G.Prods {
-		for j, s := range p.Rhs {
-			if s.IsNT() {
-				a.callSites[s.Name] = append(a.callSites[s.Name], CallSite{Prod: i, Pos: j})
-			}
-		}
-	}
-}
-
-// computeLeftRecursion builds the "nullable-left-corner" graph — an edge
-// X → Y exists when some production X → αYβ has nullable α — and marks every
-// nonterminal that lies on a cycle through itself, recording a witness.
-// It stays on names: it runs once per session, and its job is to produce
-// human-readable witnesses.
-func (a *Analysis) computeLeftRecursion() {
-	edges := make(map[string][]string)
-	for _, p := range a.G.Prods {
-		for i, s := range p.Rhs {
-			if s.IsT() {
-				break
-			}
-			edges[p.Lhs] = append(edges[p.Lhs], s.Name)
-			if !a.NullableForm(p.Rhs[i : i+1]) {
-				break
-			}
-		}
-	}
-	for _, nt := range a.G.Nonterminals() {
-		if cycle := findCycle(edges, nt); cycle != nil {
-			a.leftRec[nt] = true
-			a.cycles[nt] = cycle
-		}
-	}
-}
-
-// findCycle searches for a path start → ... → start in edges, returning it
-// (with start at both ends) or nil.
-func findCycle(edges map[string][]string, start string) []string {
-	// DFS from each successor of start, looking for start.
-	type frame struct {
-		node string
-		next int
-	}
-	seen := map[string]bool{}
-	var stack []frame
-	push := func(n string) { stack = append(stack, frame{node: n}) }
-	parent := map[string]string{}
-	for _, succ := range edges[start] {
-		if succ == start {
-			return []string{start, start}
-		}
-		if !seen[succ] {
-			seen[succ] = true
-			parent[succ] = start
-			push(succ)
-		}
-	}
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		succs := edges[top.node]
-		if top.next >= len(succs) {
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		n := succs[top.next]
-		top.next++
-		if n == start {
-			// Reconstruct start → ... → top.node → start.
-			var rev []string
-			for cur := top.node; cur != start; cur = parent[cur] {
-				rev = append(rev, cur)
-			}
-			path := []string{start}
-			for i := len(rev) - 1; i >= 0; i-- {
-				path = append(path, rev[i])
-			}
-			return append(path, start)
-		}
-		if !seen[n] {
-			seen[n] = true
-			parent[n] = top.node
-			push(n)
-		}
-	}
-	return nil
 }
 
 // Reachable returns the nonterminals reachable from the start symbol.

@@ -46,8 +46,8 @@ func TestFirst(t *testing.T) {
 		"S": {"a", "b", "c"},
 	}
 	for nt, ts := range want {
-		if got := SortedSet(a.First(nt)); !reflect.DeepEqual(got, ts) {
-			t.Errorf("First(%s) = %v, want %v", nt, got, ts)
+		if got := SortedSet(a.FirstOfForm([]grammar.Symbol{grammar.NT(nt)})); !reflect.DeepEqual(got, ts) {
+			t.Errorf("FIRST(%s) = %v, want %v", nt, got, ts)
 		}
 	}
 	form := []grammar.Symbol{grammar.NT("A"), grammar.T("x")}
@@ -79,80 +79,8 @@ func TestFollow(t *testing.T) {
 			t.Errorf("Follow(A) missing %q: %v", tname, SortedSet(got))
 		}
 	}
-}
-
-func TestLeftRecursionDirect(t *testing.T) {
-	a := mk(`E -> E plus T | T ; T -> num`)
-	if !a.LeftRecursive("E") {
-		t.Error("E should be left-recursive")
-	}
-	if a.LeftRecursive("T") {
-		t.Error("T should not be left-recursive")
-	}
-	cyc := a.LeftRecursionCycle("E")
-	if len(cyc) != 2 || cyc[0] != "E" || cyc[1] != "E" {
-		t.Errorf("cycle = %v", cyc)
-	}
-	if got := a.LeftRecursiveNTs(); !reflect.DeepEqual(got, []string{"E"}) {
-		t.Errorf("LeftRecursiveNTs = %v", got)
-	}
-	if !a.HasLeftRecursion() {
-		t.Error("HasLeftRecursion false")
-	}
-}
-
-func TestLeftRecursionIndirect(t *testing.T) {
-	a := mk(`
-		A -> B x | a ;
-		B -> C y | b ;
-		C -> A z | c
-	`)
-	for _, nt := range []string{"A", "B", "C"} {
-		if !a.LeftRecursive(nt) {
-			t.Errorf("%s should be left-recursive (indirect)", nt)
-		}
-	}
-	cyc := a.LeftRecursionCycle("A")
-	if len(cyc) != 4 || cyc[0] != "A" || cyc[3] != "A" {
-		t.Errorf("cycle witness = %v", cyc)
-	}
-}
-
-func TestLeftRecursionHiddenByNullable(t *testing.T) {
-	// A → N A x is left-recursive because N is nullable.
-	a := mk(`
-		A -> N A x | a ;
-		N -> %empty | n
-	`)
-	if !a.LeftRecursive("A") {
-		t.Error("hidden left recursion (nullable prefix) not detected")
-	}
-	// With a non-nullable prefix it is not left recursion.
-	b := mk(`
-		A -> N A x | a ;
-		N -> n
-	`)
-	if b.LeftRecursive("A") {
-		t.Error("non-nullable prefix misreported as left recursion")
-	}
-}
-
-func TestNoLeftRecursionFig2(t *testing.T) {
-	g := grammar.MustParseBNF(`S -> A c | A d ; A -> a A | b`)
-	if got := FindLeftRecursion(g); len(got) != 0 {
-		t.Errorf("fig2 reported left-recursive: %v", got)
-	}
-}
-
-func TestCallSites(t *testing.T) {
-	a := mk(`S -> A c | A d ; A -> a A | b`)
-	sites := a.CallSites("A")
-	want := []CallSite{{Prod: 0, Pos: 0}, {Prod: 1, Pos: 0}, {Prod: 2, Pos: 1}}
-	if !reflect.DeepEqual(sites, want) {
-		t.Errorf("CallSites(A) = %v, want %v", sites, want)
-	}
-	if got := a.CallSites("S"); got != nil {
-		t.Errorf("CallSites(S) = %v, want none", got)
+	if got := a.Follow("missing"); got != nil {
+		t.Errorf("Follow(missing) = %v, want nil", got)
 	}
 }
 
@@ -170,21 +98,6 @@ func TestReachableProductive(t *testing.T) {
 	p := a.Productive()
 	if !p["S"] || !p["A"] || !p["Dead"] || p["Loop"] {
 		t.Errorf("Productive = %v", p)
-	}
-}
-
-func TestSelfCycleViaTwoSteps(t *testing.T) {
-	// A → B, B → A: both are left-recursive, cycles of length 3 (A B A).
-	a := mk(`
-		A -> B | a ;
-		B -> A
-	`)
-	if !a.LeftRecursive("A") || !a.LeftRecursive("B") {
-		t.Error("mutual unit cycle not detected")
-	}
-	cyc := a.LeftRecursionCycle("A")
-	if len(cyc) != 3 || cyc[0] != "A" || cyc[1] != "B" || cyc[2] != "A" {
-		t.Errorf("cycle = %v", cyc)
 	}
 }
 

@@ -49,6 +49,15 @@ func NewTargets(g *grammar.Grammar) *Targets {
 
 // NewTargetsFor is NewTargets with an explicit start symbol (the start
 // symbol determines which pop chains can finish the parse).
+//
+// One pass over the productions indexes every nonterminal's occurrences:
+// those with a non-empty remainder become return targets, and those that
+// end a production of Y become an edge to Y, whose own targets an empty
+// remainder delegates to. A nonterminal's targets are then the indexed
+// occurrences of everything it reaches over those edges (cycles of empty
+// remainders are cut by the reached set), in grammar-position order; and
+// its pop chain can finish the parse exactly when the start symbol is
+// among what it reaches.
 func NewTargetsFor(g *grammar.Grammar, start string) *Targets {
 	c := g.Compiled()
 	n := c.NumNTs()
@@ -57,12 +66,53 @@ func NewTargetsFor(g *grammar.Grammar, start string) *Targets {
 		byNT:      make([][]ReturnTarget, n),
 		canFinish: make([]bool, n),
 	}
-	startID, startOK := c.NTIDOf(start)
-	for id := grammar.NTID(0); int(id) < n; id++ {
-		t.byNT[id] = computeTargets(c, id)
-		if startOK {
-			t.canFinish[id] = computeCanFinish(c, id, startID)
+	type position struct{ prod, dot int }
+	occ := make([][]position, n)      // occurrences with a non-empty remainder
+	ends := make([][]grammar.NTID, n) // ends[X]: each Y with a production ending in X
+	for i := range c.Grammar().Prods {
+		rhs := c.Rhs(i)
+		for j, s := range rhs {
+			if !s.IsNT() {
+				continue
+			}
+			if x := s.NT(); j == len(rhs)-1 {
+				ends[x] = append(ends[x], c.Lhs(i))
+			} else {
+				occ[x] = append(occ[x], position{i, j})
+			}
 		}
+	}
+	startID, startOK := c.NTIDOf(start)
+	reached := make([]grammar.NTID, n) // reached[Y] == X+1: X reaches Y
+	var work []grammar.NTID
+	for x := grammar.NTID(0); int(x) < n; x++ {
+		mark := x + 1
+		reached[x] = mark
+		work = append(work[:0], x)
+		var out []ReturnTarget
+		for len(work) > 0 {
+			y := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, o := range occ[y] {
+				out = append(out, ReturnTarget{Lhs: c.Lhs(o.prod), Rest: c.Rhs(o.prod)[o.dot+1:], Prod: o.prod, Dot: o.dot})
+			}
+			for _, z := range ends[y] {
+				if reached[z] != mark {
+					reached[z] = mark
+					work = append(work, z)
+				}
+			}
+		}
+		// Canonical order: grammar position. Deterministic, and cheap — no
+		// string rendering in the comparator.
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].Prod != out[j].Prod {
+				return out[i].Prod < out[j].Prod
+			}
+			return out[i].Dot < out[j].Dot
+		})
+		t.byNT[x] = out
+		t.canFinish[x] = startOK && reached[startID] == mark
 	}
 	return t
 }
@@ -86,79 +136,6 @@ func (t *Targets) For(nt grammar.NTID) []ReturnTarget {
 // end of input.
 func (t *Targets) CanFinish(nt grammar.NTID) bool {
 	return nt >= 0 && int(nt) < len(t.canFinish) && t.canFinish[nt]
-}
-
-// computeTargets chases call sites of x; occurrences with an empty
-// remainder delegate transitively to the call sites of the enclosing
-// left-hand side. Cycles of empty remainders are cut with a seen set.
-func computeTargets(c *grammar.Compiled, x grammar.NTID) []ReturnTarget {
-	var out []ReturnTarget
-	nProds := len(c.Grammar().Prods)
-	dedup := make(map[int]bool) // occurrence key Prod*maxLen+Dot
-	maxLen := c.Grammar().MaxRhsLen() + 1
-	seen := make(map[grammar.NTID]bool)
-	seen[x] = true
-	var visit func(nt grammar.NTID)
-	visit = func(nt grammar.NTID) {
-		want := grammar.NTSym(nt)
-		for i := 0; i < nProds; i++ {
-			rhs := c.Rhs(i)
-			for j, s := range rhs {
-				if s != want {
-					continue
-				}
-				rest := rhs[j+1:]
-				if len(rest) == 0 {
-					if lhs := c.Lhs(i); !seen[lhs] {
-						seen[lhs] = true
-						visit(lhs)
-					}
-					continue
-				}
-				key := i*maxLen + j
-				if !dedup[key] {
-					dedup[key] = true
-					out = append(out, ReturnTarget{Lhs: c.Lhs(i), Rest: rest, Prod: i, Dot: j})
-				}
-			}
-		}
-	}
-	visit(x)
-	// Canonical order: grammar position. Deterministic, and cheap — no
-	// string rendering in the comparator.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prod != out[j].Prod {
-			return out[i].Prod < out[j].Prod
-		}
-		return out[i].Dot < out[j].Dot
-	})
-	return out
-}
-
-func computeCanFinish(c *grammar.Compiled, x, start grammar.NTID) bool {
-	seen := make(map[grammar.NTID]bool)
-	nProds := len(c.Grammar().Prods)
-	var visit func(nt grammar.NTID) bool
-	visit = func(nt grammar.NTID) bool {
-		if nt == start {
-			return true
-		}
-		if seen[nt] {
-			return false
-		}
-		seen[nt] = true
-		want := grammar.NTSym(nt)
-		for i := 0; i < nProds; i++ {
-			rhs := c.Rhs(i)
-			if len(rhs) > 0 && rhs[len(rhs)-1] == want {
-				if visit(c.Lhs(i)) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return visit(x)
 }
 
 // DebugString renders all targets by nonterminal name, for golden tests.

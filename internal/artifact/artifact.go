@@ -1,23 +1,33 @@
 // Package artifact defines CoStar's ahead-of-time grammar artifact: a
-// versioned binary container holding everything a parser session needs —
-// the compiled grammar tables, the analysis fixpoints, the stable
-// return-target tables, the grammarlint certificate, an offline-warmed SLL
-// DFA cache snapshot, and (optionally) the .g4 lexer source — so process
-// start collapses from compile+warm to load+verify.
+// versioned binary container holding the compiled grammar tables, the
+// grammarlint certificate, an offline-warmed SLL DFA cache snapshot, and
+// (optionally) the .g4 lexer source — so process start collapses from
+// compile+warm to load+verify.
+//
+// The warmed DFA is the one derived section: it takes a corpus to
+// rebuild. Everything else the grammar determines is computed on load
+// instead of shipped. The NULLABLE/FIRST/FOLLOW fixpoints take a fraction
+// of a millisecond even on the Python grammar, less than importing
+// serialized copies took, and the stable return targets are built on a
+// session's first parse for each start symbol, as in a source-built
+// session.
 //
 // Trust model. The container carries a CRC-32C checksum (accidental
 // corruption and truncation are always detected) and the grammar's content
-// fingerprint. Loading re-derives the expensive invariants instead of
-// trusting them: the grammar is recompiled from the tables and must
-// reproduce the snapshot's interning exactly; the recomputed fingerprint
-// must match the recorded one; and a certificate, when present, is
-// re-verified against the recomputed fingerprint by grammar.Certify — a
-// tampered or mismatched artifact is rejected outright, never loaded
-// silently uncertified. The analysis, targets, and cache sections are
-// dimension- and bounds-checked against the compiled grammar on import
-// (their packages own those checks); their semantic equality to a
-// source-side computation is enforced by the differential round-trip tests
-// rather than per-load recomputation, which would erase the cold-start win.
+// fingerprint. Loading derives again what it can instead of trusting it:
+// the grammar is recompiled from the tables and must reproduce the
+// snapshot's interning exactly; the recomputed fingerprint must match the
+// recorded one; a certificate, when present, is re-verified against the
+// recomputed fingerprint by grammar.Certify — a tampered or mismatched
+// artifact is rejected outright, never loaded silently uncertified (the
+// certificate binds grammarlint's verdict, reached when the artifact was
+// built, to exactly this grammar); and the analysis is computed from the
+// recompiled grammar. Of the derived content, the DFA snapshot is the only
+// section still trusted: on import it is bounds-checked against the
+// compiled grammar, its frame table must link only to earlier frames, and
+// the stacks its configs name must fit the stack budget (see
+// prediction.Cache.Import). Its semantic equality to a source-side warm-up
+// is enforced by the differential round-trip tests.
 //
 // Versioning. The format is a single little-endian byte stream:
 //
@@ -32,15 +42,13 @@ package artifact
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"costar/internal/analysis"
 	"costar/internal/grammar"
 	"costar/internal/prediction"
 )
 
 // Version is the artifact format version this build reads and writes.
-const Version = 2
+const Version = 3
 
 // magic identifies a CoStar artifact stream.
 var magic = [4]byte{'C', 'S', 'A', 'R'}
@@ -70,11 +78,6 @@ type Artifact struct {
 	Tables grammar.Tables
 	// Cert is the grammarlint certificate, nil for uncertified grammars.
 	Cert *grammar.Certificate
-	// Analysis is the NULLABLE/FIRST/FOLLOW fixpoint snapshot.
-	Analysis analysis.Snapshot
-	// Targets holds one stable-return-target table per start symbol the
-	// builder warmed (the grammar's own start, at minimum).
-	Targets []analysis.TargetsSnapshot
 	// Cache is the offline-warmed SLL DFA snapshot.
 	Cache prediction.CacheSnapshot
 	// LexerG4 is the .g4 source the lexer can be recompiled from; empty
@@ -82,13 +85,11 @@ type Artifact struct {
 	LexerG4 string
 }
 
-// Realized is an artifact turned back into live session structures. All of
-// it is verified: see the package comment's trust model.
+// Realized is an artifact turned back into live session structures: the
+// grammar re-derived from the tables and the imported DFA (see the package
+// comment's trust model).
 type Realized struct {
-	Grammar  *grammar.Grammar
-	Analysis *analysis.Analysis
-	// Targets is keyed by start symbol.
-	Targets map[string]*analysis.Targets
+	Grammar *grammar.Grammar
 	Cache   *prediction.Cache
 }
 
@@ -117,49 +118,24 @@ func (a *Artifact) Realize() (*Realized, error) {
 			return nil, fmt.Errorf("%w: %v", ErrMismatch, err)
 		}
 	}
-	an, err := analysis.FromSnapshot(g, a.Analysis)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	targets := make(map[string]*analysis.Targets, len(a.Targets))
-	for _, ts := range a.Targets {
-		if _, dup := targets[ts.Start]; dup {
-			return nil, fmt.Errorf("%w: duplicate targets table for start symbol %q", ErrCorrupt, ts.Start)
-		}
-		tg, err := analysis.TargetsFromSnapshot(g, ts)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		targets[ts.Start] = tg
-	}
 	cache := prediction.NewCache()
 	if err := cache.Import(c, a.Cache); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return &Realized{Grammar: g, Analysis: an, Targets: targets, Cache: cache}, nil
+	return &Realized{Grammar: g, Cache: cache}, nil
 }
 
-// Build assembles an artifact from live session structures. g must be
-// validated; cert may be nil; targets maps start symbols to their tables;
-// cache may be freshly created (a cold artifact) or corpus-warmed.
-func Build(name string, g *grammar.Grammar, an *analysis.Analysis, targets map[string]*analysis.Targets, cache *prediction.Cache, lexerG4 string) (*Artifact, error) {
+// Build assembles an artifact from a grammar and its SLL DFA. g must be
+// validated and carries its certificate, if any; cache may be freshly
+// created (a cold artifact) or corpus-warmed.
+func Build(name string, g *grammar.Grammar, cache *prediction.Cache, lexerG4 string) (*Artifact, error) {
 	c := g.Compiled()
 	a := &Artifact{
 		Name:        name,
 		Fingerprint: c.Fingerprint(),
 		Tables:      c.Tables(),
 		Cert:        c.Certificate(),
-		Analysis:    an.Snapshot(),
 		LexerG4:     lexerG4,
-	}
-	starts := make([]string, 0, len(targets))
-	for start := range targets {
-		starts = append(starts, start)
-	}
-	// Deterministic artifact bytes: targets tables in sorted start order.
-	sort.Strings(starts)
-	for _, start := range starts {
-		a.Targets = append(a.Targets, targets[start].Snapshot(start))
 	}
 	snap, err := cache.Export(c)
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"costar/internal/analysis"
 	"costar/internal/grammar"
 	"costar/internal/prediction"
 )
@@ -77,23 +76,6 @@ func Encode(a *Artifact) []byte {
 		e.strs(a.Cert.Checks)
 	} else {
 		e.bool(false)
-	}
-
-	// Analysis fixpoints.
-	e.u32(uint32(a.Analysis.RowWords))
-	e.bools(a.Analysis.Nullable)
-	e.u64s(a.Analysis.First)
-	e.u64s(a.Analysis.Follow)
-
-	// Targets tables.
-	e.u32(uint32(len(a.Targets)))
-	for i := range a.Targets {
-		ts := &a.Targets[i]
-		e.str(ts.Start)
-		e.i32s(ts.Prods)
-		e.i32s(ts.Dots)
-		e.i32s(ts.Offsets)
-		e.bools(ts.CanFinish)
 	}
 
 	// SLL DFA cache snapshot: the shared frame table, then the start table
@@ -193,27 +175,6 @@ func Decode(b []byte) (*Artifact, error) {
 		}
 	}
 
-	// Analysis fixpoints.
-	a.Analysis.RowWords = int(d.u32())
-	a.Analysis.Nullable = d.bools()
-	a.Analysis.First = d.u64s()
-	a.Analysis.Follow = d.u64s()
-
-	// Targets tables.
-	nTargets := d.count(13) // start len + three slice counts + canFinish count, minimum
-	if nTargets > 0 && d.err == nil {
-		a.Targets = make([]analysis.TargetsSnapshot, 0, nTargets)
-	}
-	for i := 0; i < nTargets && d.err == nil; i++ {
-		var ts analysis.TargetsSnapshot
-		ts.Start = d.str()
-		ts.Prods = d.i32s()
-		ts.Dots = d.i32s()
-		ts.Offsets = d.i32s()
-		ts.CanFinish = d.bools()
-		a.Targets = append(a.Targets, ts)
-	}
-
 	// SLL DFA cache snapshot.
 	nFrames := d.count(16) // lhs, prod, dot, below
 	if b := d.take(16 * nFrames); nFrames > 0 && b != nil {
@@ -302,20 +263,6 @@ func (e *encoder) i32s(s []int32) {
 	e.u32(uint32(len(s)))
 	for _, v := range s {
 		e.i32(v)
-	}
-}
-
-func (e *encoder) u64s(s []uint64) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.u64(v)
-	}
-}
-
-func (e *encoder) bools(s []bool) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.bool(v)
 	}
 }
 
@@ -454,30 +401,6 @@ func (d *decoder) i32s() []int32 {
 	out := carve(&d.intChunk, n, d.remaining()/4+n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func (d *decoder) u64s() []uint64 {
-	n := d.count(8)
-	if n == 0 || d.err != nil {
-		return nil
-	}
-	out := make([]uint64, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.u64())
-	}
-	return out
-}
-
-func (d *decoder) bools() []bool {
-	n := d.count(1)
-	if n == 0 || d.err != nil {
-		return nil
-	}
-	out := make([]bool, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.bool())
 	}
 	return out
 }

@@ -102,8 +102,8 @@ func TestRoundTripBundledLanguages(t *testing.T) {
 }
 
 // TestRoundTripColdSession: a freshly built session (empty DFA cache)
-// round-trips too — the artifact then carries tables, analysis, and the
-// certificate only.
+// round-trips too — the artifact then carries the tables (and the
+// certificate, when the grammar has one) only.
 func TestRoundTripColdSession(t *testing.T) {
 	l := bench.Languages()[0]
 	p := parser.MustNew(l.Grammar, parser.Options{})
@@ -191,7 +191,7 @@ func TestRoundTripRandomGrammars(t *testing.T) {
 
 // checkPythonSize guards the shared frame table with counts, not timings:
 // the Python session warmed by warmSession exports 6,719 distinct frames
-// for 25,147 configs and encodes to 334,355 bytes. The budgets below are
+// for 25,147 configs and encodes to 326,427 bytes. The budgets below are
 // those measured values plus about 20 % headroom for grammar and corpus
 // drift. Storing a chain per config again would need at least one frame
 // per config and would blow both budgets.

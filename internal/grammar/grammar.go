@@ -61,7 +61,12 @@ func (s Symbol) String() string {
 	if isIdent(s.Name) {
 		return s.Name
 	}
-	return "'" + strings.ReplaceAll(s.Name, "'", `\'`) + "'"
+	return quoted(s.Name)
+}
+
+// quoted renders a terminal name as a BNF quoted literal.
+func quoted(name string) string {
+	return "'" + strings.ReplaceAll(name, "'", `\'`) + "'"
 }
 
 // Compare orders symbols: terminals before nonterminals, then by name.
@@ -256,7 +261,11 @@ func (g *Grammar) Stats() (numTerminals, numNonterminals, numProductions int) {
 }
 
 // String renders the grammar with one production per line, alternatives for
-// the same nonterminal grouped with "|", start symbol first.
+// the same nonterminal grouped with "|", start symbol first. The text
+// parses back with ParseBNF to the same grammar: ParseBNF reads a bare
+// identifier that is some rule's left-hand side as that nonterminal, so a
+// terminal sharing its name with a nonterminal (DOT's keyword graph next
+// to its rule graph) is printed quoted.
 func (g *Grammar) String() string {
 	var b strings.Builder
 	order := make([]string, 0, len(g.nts))
@@ -272,11 +281,27 @@ func (g *Grammar) String() string {
 		alts := g.RhssFor(nt)
 		parts := make([]string, len(alts))
 		for i, rhs := range alts {
-			parts[i] = SymbolsString(rhs)
+			parts[i] = g.formString(rhs)
 		}
 		fmt.Fprintf(&b, "%s -> %s\n", nt, strings.Join(parts, " | "))
 	}
 	return b.String()
+}
+
+// formString is SymbolsString for String: a terminal that shares its name
+// with a nonterminal is quoted.
+func (g *Grammar) formString(form []Symbol) string {
+	if len(form) == 0 {
+		return "ε"
+	}
+	parts := make([]string, len(form))
+	for i, s := range form {
+		parts[i] = s.String()
+		if _, clash := g.c.ntIDs[s.Name]; clash && s.IsT() {
+			parts[i] = quoted(s.Name)
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 // Validate checks the well-formedness condition assumed by the parser's
@@ -288,7 +313,7 @@ func (g *Grammar) String() string {
 //
 // Left recursion is deliberately NOT part of well-formedness: CoStar accepts
 // left-recursive grammars and detects left recursion dynamically (Section
-// 4.1). Use analysis.FindLeftRecursion for the static decision procedure.
+// 4.1). grammarlint.LeftRecursion is the static decision procedure.
 func (g *Grammar) Validate() error {
 	if g.Start == "" {
 		return fmt.Errorf("grammar: empty start symbol")

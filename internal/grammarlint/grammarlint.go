@@ -11,7 +11,9 @@
 //     empty symbol names, undefined nonterminals) — errors;
 //   - left recursion, direct AND hidden/indirect: Tarjan SCC over the
 //     "leftmost after a nullable prefix" relation, with a concrete witness
-//     derivation per component — errors;
+//     derivation per component — errors. This is the repository's one
+//     left-recursion decision procedure (the paper's Section 8 leaves it
+//     to future work); LeftRecursion runs it alone;
 //   - derivation cycles A ⇒+ A (the grammar assigns infinitely many trees
 //     to some input) — errors;
 //   - duplicate productions, unreachable and unproductive nonterminals —
@@ -195,6 +197,19 @@ func Check(g *grammar.Grammar) *Report {
 		return a.NT < b.NT
 	})
 	return r
+}
+
+// LeftRecursion runs only the left-recursion pass over g, the one place
+// left recursion is decided. It returns one left-recursion or
+// hidden-left-recursion diagnostic per left-recursive nonterminal, each
+// carrying its NT and Witness cycle, sorted by nonterminal name; Check
+// reports the same diagnostics among its others. An empty result means g
+// meets the no-left-recursion hypothesis of the correctness theorems.
+func LeftRecursion(g *grammar.Grammar) []Diagnostic {
+	v := &verifier{g: g, c: g.Compiled(), an: analysis.New(g)}
+	v.checkLeftRecursion()
+	sort.Slice(v.diags, func(i, j int) bool { return v.diags[i].NT < v.diags[j].NT })
+	return v.diags
 }
 
 // IssuerName identifies this verifier in certificates it issues.

@@ -1,10 +1,10 @@
 package grammarlint
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
-	"costar/internal/analysis"
 	"costar/internal/grammar"
 	"costar/internal/languages/dotlang"
 	"costar/internal/languages/jsonlang"
@@ -146,9 +146,96 @@ func TestHiddenLeftRecursionThroughNullablePrefix(t *testing.T) {
 	if got := hasCode(r, CodeHiddenLeftRec, "B"); got != nil {
 		t.Errorf("B flagged as left-recursive: %s", got)
 	}
-	// Agreement with the per-NT static analysis.
-	if lr := analysis.FindLeftRecursion(g); len(lr) != 1 || lr[0] != "A" {
-		t.Errorf("analysis.FindLeftRecursion = %v, want [A]", lr)
+	// Agreement with the per-NT reference DFS.
+	if lr := perNTLeftRecursion(g); len(lr) != 1 || lr["A"] == nil {
+		t.Errorf("per-NT DFS flags %v, want only A", lr)
+	}
+}
+
+// leftRecNTs returns the nonterminals LeftRecursion flags, in its order
+// (sorted by name), and its diagnostics keyed by nonterminal.
+func leftRecNTs(g *grammar.Grammar) ([]string, map[string]Diagnostic) {
+	var names []string
+	byNT := map[string]Diagnostic{}
+	for _, d := range LeftRecursion(g) {
+		names = append(names, d.NT)
+		byNT[d.NT] = d
+	}
+	return names, byNT
+}
+
+func TestLeftRecursionDirect(t *testing.T) {
+	g := grammar.MustParseBNF(`E -> E plus T | T ; T -> num`)
+	names, byNT := leftRecNTs(g)
+	if !reflect.DeepEqual(names, []string{"E"}) {
+		t.Fatalf("left-recursive = %v, want [E]", names)
+	}
+	d := byNT["E"]
+	if d.Code != CodeLeftRecursion {
+		t.Errorf("code = %s, want %s", d.Code, CodeLeftRecursion)
+	}
+	if !reflect.DeepEqual(d.Witness, []string{"E", "E"}) {
+		t.Errorf("cycle = %v", d.Witness)
+	}
+	if got := codes(Check(g), Error); got[CodeLeftRecursion] != 1 {
+		t.Errorf("Check reports %v, want one left-recursion error", got)
+	}
+}
+
+func TestLeftRecursionIndirect(t *testing.T) {
+	g := grammar.MustParseBNF(`
+		A -> B x | a ;
+		B -> C y | b ;
+		C -> A z | c
+	`)
+	names, byNT := leftRecNTs(g)
+	if !reflect.DeepEqual(names, []string{"A", "B", "C"}) {
+		t.Fatalf("left-recursive = %v, want [A B C] (indirect)", names)
+	}
+	cyc := byNT["A"].Witness
+	if len(cyc) != 4 || cyc[0] != "A" || cyc[3] != "A" {
+		t.Errorf("cycle witness = %v", cyc)
+	}
+}
+
+func TestLeftRecursionHiddenByNullable(t *testing.T) {
+	// A → N A x is left-recursive because N is nullable.
+	a := grammar.MustParseBNF(`
+		A -> N A x | a ;
+		N -> %empty | n
+	`)
+	if names, byNT := leftRecNTs(a); !reflect.DeepEqual(names, []string{"A"}) || byNT["A"].Code != CodeHiddenLeftRec {
+		t.Errorf("hidden left recursion (nullable prefix) not detected: %v", LeftRecursion(a))
+	}
+	// With a non-nullable prefix it is not left recursion.
+	b := grammar.MustParseBNF(`
+		A -> N A x | a ;
+		N -> n
+	`)
+	if names, _ := leftRecNTs(b); len(names) != 0 {
+		t.Errorf("non-nullable prefix misreported as left recursion: %v", names)
+	}
+}
+
+func TestNoLeftRecursionFig2(t *testing.T) {
+	g := grammar.MustParseBNF(`S -> A c | A d ; A -> a A | b`)
+	if got := LeftRecursion(g); len(got) != 0 {
+		t.Errorf("fig2 reported left-recursive: %v", got)
+	}
+}
+
+func TestSelfCycleViaTwoSteps(t *testing.T) {
+	// A → B, B → A: both are left-recursive, cycles of length 3 (A B A).
+	g := grammar.MustParseBNF(`
+		A -> B | a ;
+		B -> A
+	`)
+	names, byNT := leftRecNTs(g)
+	if !reflect.DeepEqual(names, []string{"A", "B"}) {
+		t.Fatalf("mutual unit cycle not detected: %v", names)
+	}
+	if cyc := byNT["A"].Witness; !reflect.DeepEqual(cyc, []string{"A", "B", "A"}) {
+		t.Errorf("cycle = %v", cyc)
 	}
 }
 

@@ -12,8 +12,8 @@ package grammarlint
 //     witness cycle is validated step by step against the grammar — each
 //     consecutive pair (X, Y) must be justified by a production X → α Y β
 //     with α nullable.
-//   - The SCC pass agrees exactly with the independent per-NT DFS in
-//     internal/analysis (two implementations, one relation).
+//   - The SCC pass agrees exactly with an independent per-NT DFS kept
+//     here as the reference (two implementations, one relation).
 
 import (
 	"math/rand"
@@ -187,8 +187,8 @@ func nullablePathStep(g *grammar.Grammar, an *analysis.Analysis, x, y string) bo
 	return false
 }
 
-// TestSCCAgreesWithPerNTAnalysis: the Tarjan pass and the independent DFS
-// in internal/analysis flag exactly the same nonterminals.
+// TestSCCAgreesWithPerNTAnalysis: the Tarjan pass and the independent
+// per-NT DFS flag exactly the same nonterminals.
 func TestSCCAgreesWithPerNTAnalysis(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trials := 500
@@ -205,20 +205,100 @@ func TestSCCAgreesWithPerNTAnalysis(t *testing.T) {
 			}
 		}
 		theirs := map[string]bool{}
-		for _, nt := range analysis.FindLeftRecursion(g) {
+		for nt := range perNTLeftRecursion(g) {
 			theirs[nt] = true
 		}
 		for nt := range mine {
 			if !theirs[nt] {
-				t.Fatalf("trial %d: grammarlint flags %s, analysis does not\ngrammar:\n%s", trial, nt, g)
+				t.Fatalf("trial %d: grammarlint flags %s, the per-NT DFS does not\ngrammar:\n%s", trial, nt, g)
 			}
 		}
 		for nt := range theirs {
 			if !mine[nt] {
-				t.Fatalf("trial %d: analysis flags %s, grammarlint does not\ngrammar:\n%s", trial, nt, g)
+				t.Fatalf("trial %d: the per-NT DFS flags %s, grammarlint does not\ngrammar:\n%s", trial, nt, g)
 			}
 		}
 	}
+}
+
+// perNTLeftRecursion is the reference decision procedure the SCC pass is
+// checked against: it builds the "nullable-left-corner" graph — an edge
+// X → Y exists when some production X → αYβ has nullable α — and, for each
+// nonterminal separately, searches for a path back to itself. It returns a
+// witness cycle per left-recursive nonterminal.
+func perNTLeftRecursion(g *grammar.Grammar) map[string][]string {
+	an := analysis.New(g)
+	edges := make(map[string][]string)
+	for _, p := range g.Prods {
+		for _, s := range p.Rhs {
+			if s.IsT() {
+				break
+			}
+			edges[p.Lhs] = append(edges[p.Lhs], s.Name)
+			if !an.Nullable(s.Name) {
+				break
+			}
+		}
+	}
+	cycles := make(map[string][]string)
+	for _, nt := range g.Nonterminals() {
+		if cycle := findCycle(edges, nt); cycle != nil {
+			cycles[nt] = cycle
+		}
+	}
+	return cycles
+}
+
+// findCycle searches for a path start → ... → start in edges, returning it
+// (with start at both ends) or nil.
+func findCycle(edges map[string][]string, start string) []string {
+	// DFS from each successor of start, looking for start.
+	type frame struct {
+		node string
+		next int
+	}
+	seen := map[string]bool{}
+	var stack []frame
+	push := func(n string) { stack = append(stack, frame{node: n}) }
+	parent := map[string]string{}
+	for _, succ := range edges[start] {
+		if succ == start {
+			return []string{start, start}
+		}
+		if !seen[succ] {
+			seen[succ] = true
+			parent[succ] = start
+			push(succ)
+		}
+	}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		succs := edges[top.node]
+		if top.next >= len(succs) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		n := succs[top.next]
+		top.next++
+		if n == start {
+			// Reconstruct start → ... → top.node → start.
+			var rev []string
+			for cur := top.node; cur != start; cur = parent[cur] {
+				rev = append(rev, cur)
+			}
+			path := []string{start}
+			for i := len(rev) - 1; i >= 0; i-- {
+				path = append(path, rev[i])
+			}
+			return append(path, start)
+		}
+		if !seen[n] {
+			seen[n] = true
+			parent[n] = top.node
+			push(n)
+		}
+	}
+	return nil
 }
 
 // TestFlaggedGrammarDynamicDetection drives the machine directly down a

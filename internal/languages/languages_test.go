@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"costar/internal/analysis"
 	"costar/internal/grammar"
+	"costar/internal/grammarlint"
 	"costar/internal/languages/dotlang"
 	"costar/internal/languages/jsonlang"
 	"costar/internal/languages/langkit"
@@ -41,8 +41,8 @@ func TestGrammarsValidateAndAreNonLeftRecursive(t *testing.T) {
 		if err := l.grammar.Validate(); err != nil {
 			t.Errorf("%s: %v", l.name, err)
 		}
-		if lr := analysis.FindLeftRecursion(l.grammar); len(lr) != 0 {
-			t.Errorf("%s: left-recursive nonterminals %v", l.name, lr)
+		for _, d := range grammarlint.LeftRecursion(l.grammar) {
+			t.Errorf("%s: %s", l.name, d)
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"sync"
 	"testing"
 
-	"costar/internal/analysis"
 	"costar/internal/earley"
 	"costar/internal/grammar"
+	"costar/internal/grammarlint"
 )
 
 // multiStartGrammar has several independent decision nonterminals so that
@@ -179,7 +179,7 @@ func TestConcurrentWarmDeterminism(t *testing.T) {
 	}
 	for grammars < target {
 		g := genGrammar(rng)
-		if g.Validate() != nil || analysis.New(g).HasLeftRecursion() {
+		if g.Validate() != nil || len(grammarlint.LeftRecursion(g)) > 0 {
 			continue
 		}
 		grammars++

@@ -17,16 +17,16 @@ import (
 	"math/rand"
 	"testing"
 
-	"costar/internal/analysis"
 	"costar/internal/earley"
 	"costar/internal/grammar"
+	"costar/internal/grammarlint"
 	"costar/internal/machine"
 	"costar/internal/tree"
 )
 
 // genGrammar builds a random grammar. Roughly 2/3 come out non-left-
-// recursive thanks to the terminal-first bias; callers classify with the
-// static analysis.
+// recursive thanks to the terminal-first bias; callers classify with
+// grammarlint's left-recursion pass.
 func genGrammar(rng *rand.Rand) *grammar.Grammar {
 	nts := []string{"S", "A", "B", "C"}[:2+rng.Intn(3)]
 	ts := []string{"a", "b", "c"}[:1+rng.Intn(3)]
@@ -109,8 +109,11 @@ func TestDifferentialAgainstEarley(t *testing.T) {
 			continue
 		}
 		grammars++
-		an := analysis.New(g)
-		isLR := an.HasLeftRecursion()
+		leftRec := map[string]bool{}
+		for _, d := range grammarlint.LeftRecursion(g) {
+			leftRec[d.NT] = true
+		}
+		isLR := len(leftRec) > 0
 		if isLR {
 			lrCount++
 		} else {
@@ -165,7 +168,7 @@ func TestDifferentialAgainstEarley(t *testing.T) {
 				if merr.Kind != machine.ErrLeftRecursive {
 					t.Fatalf("non-LR error on LR grammar: %v\n%s", merr, ctx())
 				}
-				if !an.LeftRecursive(merr.NT) {
+				if !leftRec[merr.NT] {
 					t.Fatalf("LeftRecursive(%s) reported but %s is not left-recursive\n%s",
 						merr.NT, merr.NT, ctx())
 				}
@@ -195,7 +198,7 @@ func TestDifferentialAblations(t *testing.T) {
 			done := 0
 			for done < 60 {
 				g := genGrammar(rng)
-				if g.Validate() != nil || analysis.New(g).HasLeftRecursion() {
+				if g.Validate() != nil || len(grammarlint.LeftRecursion(g)) > 0 {
 					continue
 				}
 				done++
@@ -225,7 +228,7 @@ func TestTreeMembershipAgainstOracle(t *testing.T) {
 	done, accepted := 0, 0
 	for done < 120 {
 		g := genGrammar(rng)
-		if g.Validate() != nil || analysis.New(g).HasLeftRecursion() {
+		if g.Validate() != nil || len(grammarlint.LeftRecursion(g)) > 0 {
 			continue
 		}
 		done++

@@ -248,12 +248,6 @@ func (p *Parser) Grammar() *grammar.Grammar { return p.g }
 // Analysis returns the session's static grammar analysis.
 func (p *Parser) Analysis() *analysis.Analysis { return p.an }
 
-// LeftRecursiveNTs returns the statically detected left-recursive
-// nonterminals. A non-empty answer predicts Error results; the paper's
-// correctness theorems assume it is empty. (Implementing this decision
-// procedure is listed as future work in Section 8.)
-func (p *Parser) LeftRecursiveNTs() []string { return p.an.LeftRecursiveNTs() }
-
 // Certified reports whether the session runs in certified mode: the grammar
 // carried a valid well-formedness certificate at construction.
 func (p *Parser) Certified() bool { return p.certified }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"costar/internal/grammar"
+	"costar/internal/grammarlint"
 	"costar/internal/tree"
 )
 
@@ -64,8 +65,8 @@ func TestParseAmbig(t *testing.T) {
 func TestParseErrorOnLeftRecursion(t *testing.T) {
 	g := grammar.MustParseBNF(`E -> E plus n | n`)
 	p := MustNew(g, Options{})
-	if got := p.LeftRecursiveNTs(); len(got) != 1 || got[0] != "E" {
-		t.Errorf("LeftRecursiveNTs = %v", got)
+	if got := grammarlint.LeftRecursion(g); len(got) != 1 || got[0].NT != "E" {
+		t.Errorf("grammarlint.LeftRecursion = %v, want E alone", got)
 	}
 	res := p.Parse(word("n"))
 	if res.Kind != Error || res.Err == nil {

@@ -16,6 +16,7 @@ import (
 
 	"costar/internal/analysis"
 	"costar/internal/grammar"
+	"costar/internal/grammarlint"
 )
 
 // RemoveUseless returns a grammar containing only productions whose
@@ -80,16 +81,19 @@ func RemoveUseless(g *grammar.Grammar) *grammar.Grammar {
 // first.
 func EliminateLeftRecursion(g *grammar.Grammar) (*grammar.Grammar, error) {
 	g = RemoveUseless(g)
-	an := analysis.New(g)
-	if !an.HasLeftRecursion() {
+	found := grammarlint.LeftRecursion(g)
+	if len(found) == 0 {
 		return g, nil
 	}
+	an := analysis.New(g)
 	// Guard: Paull's algorithm is only correct here without ε-productions
 	// on the left-recursive part and without cycles. Detect the hard cases
 	// and refuse (the caller sees a clear error instead of a wrong grammar).
-	for _, nt := range an.LeftRecursiveNTs() {
-		if an.Nullable(nt) {
-			return nil, fmt.Errorf("transform: cannot eliminate left recursion: %s is both left-recursive and nullable", nt)
+	leftRec := make(map[string]bool, len(found))
+	for _, d := range found {
+		leftRec[d.NT] = true
+		if an.Nullable(d.NT) {
+			return nil, fmt.Errorf("transform: cannot eliminate left recursion: %s is both left-recursive and nullable", d.NT)
 		}
 	}
 	for _, p := range g.Prods {
@@ -105,7 +109,7 @@ func EliminateLeftRecursion(g *grammar.Grammar) (*grammar.Grammar, error) {
 			if i == 0 {
 				continue
 			}
-			if s.IsNT() && an.LeftRecursive(s.Name) && an.NullableForm(p.Rhs[:i]) {
+			if s.IsNT() && leftRec[s.Name] && an.NullableForm(p.Rhs[:i]) {
 				return nil, fmt.Errorf("transform: cannot eliminate hidden left recursion in %s (nullable prefix before %s)", p, s.Name)
 			}
 			if !an.NullableForm(p.Rhs[i : i+1]) {
@@ -204,8 +208,17 @@ func EliminateLeftRecursion(g *grammar.Grammar) (*grammar.Grammar, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transform: %w", err)
 	}
-	if lr := analysis.FindLeftRecursion(out); len(lr) != 0 {
-		return nil, fmt.Errorf("transform: residual left recursion in %v (unsupported grammar shape)", lr)
+	if lr := grammarlint.LeftRecursion(out); len(lr) != 0 {
+		return nil, fmt.Errorf("transform: residual left recursion in %v (unsupported grammar shape)", ntNames(lr))
 	}
 	return out, nil
+}
+
+// ntNames lists the nonterminals that left-recursion diagnostics name.
+func ntNames(diags []grammarlint.Diagnostic) []string {
+	names := make([]string, len(diags))
+	for i, d := range diags {
+		names[i] = d.NT
+	}
+	return names
 }

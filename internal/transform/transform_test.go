@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"costar/internal/analysis"
 	"costar/internal/earley"
 	"costar/internal/grammar"
+	"costar/internal/grammarlint"
 	"costar/internal/machine"
 	"costar/internal/parser"
 )
@@ -55,8 +55,8 @@ func TestEliminateDirectLeftRecursion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lr := analysis.FindLeftRecursion(out); len(lr) != 0 {
-		t.Fatalf("still left-recursive: %v\n%s", lr, out)
+	if lr := grammarlint.LeftRecursion(out); len(lr) != 0 {
+		t.Fatalf("still left-recursive: %v\n%s", ntNames(lr), out)
 	}
 	// CoStar can now parse what it previously errored on.
 	p := parser.MustNew(out, parser.Options{})
@@ -82,8 +82,8 @@ func TestEliminateIndirectLeftRecursion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lr := analysis.FindLeftRecursion(out); len(lr) != 0 {
-		t.Fatalf("still left-recursive: %v\n%s", lr, out)
+	if lr := grammarlint.LeftRecursion(out); len(lr) != 0 {
+		t.Fatalf("still left-recursive: %v\n%s", ntNames(lr), out)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestEliminateRefusesHardCases(t *testing.T) {
 			// Acceptable only if the result really is non-left-recursive
 			// and the language is preserved on small words (e.g. the
 			// unproductive case collapses to an empty language).
-			if lr := analysis.FindLeftRecursion(out); len(lr) != 0 {
+			if lr := grammarlint.LeftRecursion(out); len(lr) != 0 {
 				t.Errorf("%q: silently produced a left-recursive grammar", src)
 			}
 			continue
@@ -180,8 +180,8 @@ func TestEliminationRandomized(t *testing.T) {
 			continue // hard case, correctly refused
 		}
 		succeeded++
-		if lr := analysis.FindLeftRecursion(out); len(lr) != 0 {
-			t.Fatalf("residual left recursion %v\nfrom:\n%s\nto:\n%s", lr, g, out)
+		if lr := grammarlint.LeftRecursion(out); len(lr) != 0 {
+			t.Fatalf("residual left recursion %v\nfrom:\n%s\nto:\n%s", ntNames(lr), g, out)
 		}
 		for i := 0; i < 30; i++ {
 			w := randomWord(rng, g.Terminals(), 6)

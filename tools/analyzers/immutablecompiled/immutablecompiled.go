@@ -1,9 +1,11 @@
 // Package immutablecompiled flags writes to the dense tables of
-// grammar.Compiled and analysis.Analysis outside their constructor files.
+// grammar.Compiled, analysis.Analysis and analysis.Targets outside their
+// constructor files.
 //
-// Both types promise immutability after construction — the concurrency
-// story of parser sessions (many goroutines share one Compiled and one
-// Analysis with no locks) rests on it, and the certificate layer adds a
+// These types promise immutability after construction — the concurrency
+// story of parser sessions (many goroutines share one Compiled, one
+// Analysis and each start symbol's Targets with no locks) rests on it,
+// and the certificate layer adds a
 // second reason: a Certificate is bound to the grammar content at issuance,
 // so a post-construction table write would silently invalidate an attached
 // certificate. The fields are unexported, which already confines writes to
@@ -30,11 +32,10 @@ var protected = map[string]struct {
 	},
 	"analysis": {
 		fields: set("nullableID", "firstRow", "followRow", "rowWords", "eofCol",
-			"nullable", "first", "follow", "callSites", "leftRec", "cycles"),
-		// snapshot.go holds FromSnapshot, the artifact-load constructor: it
-		// populates a fresh Analysis from serialized fixpoint tables before
-		// any sharing, the same lifecycle phase as New in analysis.go.
-		allow: set("analysis.go", "snapshot.go"),
+			"byNT", "canFinish"),
+		// analysis.go holds New (the fixpoints), targets.go NewTargetsFor
+		// (the return targets).
+		allow: set("analysis.go", "targets.go"),
 	},
 }
 
@@ -49,7 +50,7 @@ func set(names ...string) map[string]bool {
 // Analyzer is the exported instance for multichecker bundling.
 var Analyzer = &analyzerkit.Analyzer{
 	Name: "immutablecompiled",
-	Doc: "flag writes to grammar.Compiled / analysis.Analysis tables outside their constructor files\n\n" +
+	Doc: "flag writes to grammar.Compiled / analysis.Analysis / analysis.Targets tables outside their constructor files\n\n" +
 		"The compiled grammar and its analyses are shared across goroutines without locks\n" +
 		"and carry content-fingerprinted certificates; both depend on the tables being\n" +
 		"frozen once construction finishes.",

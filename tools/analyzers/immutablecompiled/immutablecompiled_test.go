@@ -80,11 +80,14 @@ func TestAnalysisTablesProtected(t *testing.T) {
 		"other.go": `package analysis
 func (a *Analysis) evil() {
 	a.firstRow[0][0] = 1
-	a.nullable["S"] = true
+	a.nullableID[0] = true
+}
+func (t *Targets) evil() {
+	t.canFinish[0] = true
 }`,
 	})
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2: %v", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("got %d diagnostics, want 3: %v", len(diags), diags)
 	}
 }
 
