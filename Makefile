@@ -42,7 +42,7 @@ bench:
 perf-gate:
 	$(GO) test -tags perfgate -count=1 -p 1 -v \
 		-run '^(TestFasterThanVerified|TestScalingSmoke|TestColdStartGate|TestRecoverOverheadGate|TestFig9Linearity|TestFig10Slowdown|TestFig11WarmUp)$$' \
-		./internal/allstar ./internal/languages ./internal/bench
+		./internal/languages ./internal/bench
 
 # End-to-end daemon smoke: boot the real binary on a compiled artifact,
 # fire concurrent clean + broken + oversized requests, assert the

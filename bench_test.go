@@ -6,7 +6,7 @@ package costar
 //	go test -bench=. -benchmem
 //
 // Figure 9  → BenchmarkFig9*   (CoStar parse time per language; ns/token)
-// Figure 10 → BenchmarkFig10*  (verified engine vs imperative baseline)
+// Figure 10 → BenchmarkFig10*  (persistent and in-place engines vs imperative baseline)
 // Figure 11 → BenchmarkFig11*  (baseline cold vs warm prediction cache)
 // Figure 8 is a static table (BenchmarkFig8Corpus times corpus+lexing).
 
@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"costar/internal/allstar"
-	"costar/internal/avl"
 	"costar/internal/bench"
 	"costar/internal/grammar"
 	"costar/internal/languages/jsonlang"
@@ -95,12 +94,24 @@ func BenchmarkFig9DOT(b *testing.B)    { benchFig9(b, "dot") }
 func BenchmarkFig9Python(b *testing.B) { benchFig9(b, "python") }
 
 // ---------------------------------------------------------------------------
-// Figure 10: verified engine vs imperative baseline (and the lexer side)
+// Figure 10: persistent and in-place engines vs imperative baseline (and
+// the lexer side)
 // ---------------------------------------------------------------------------
 
 func benchFig10(b *testing.B, lang string) {
 	l, toks, src := corpusFile(b, lang, 4000)
-	b.Run("costar", func(b *testing.B) {
+	b.Run("persistent", func(b *testing.B) {
+		p := bench.NewPersistent(l.Grammar, false)
+		p.Parse(toks)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res := p.Parse(toks); res.Kind != machine.Unique {
+				b.Fatal(res.Reason)
+			}
+		}
+		reportPerToken(b, len(toks))
+	})
+	b.Run("in-place", func(b *testing.B) {
 		p := parser.MustNew(l.Grammar, parser.Options{})
 		p.Parse(toks)
 		b.ResetTimer()
@@ -250,7 +261,81 @@ func BenchmarkAblationInvariants(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMaps: the Coq-style persistent AVL map over symbol names
+// avlSet is a persistent AVL set of strings, the stand-in for the Coq
+// FSets that the verified engine's visited sets used before grammar
+// compilation. Only the map ablation below uses it.
+type avlSet struct{ root *avlNode }
+
+// avlNode is never mutated after creation; every Add returns a new path.
+type avlNode struct {
+	key         string
+	left, right *avlNode
+	height      int8
+}
+
+func avlHeight(n *avlNode) int8 {
+	if n == nil {
+		return 0
+	}
+	return n.height
+}
+
+func avlMk(key string, l, r *avlNode) *avlNode {
+	return &avlNode{key: key, left: l, right: r, height: max(avlHeight(l), avlHeight(r)) + 1}
+}
+
+// avlBalance builds the node (key, l, r), rotating once or twice when the
+// subtrees' heights differ by 2.
+func avlBalance(key string, l, r *avlNode) *avlNode {
+	switch bf := avlHeight(l) - avlHeight(r); {
+	case bf > 1:
+		if avlHeight(l.left) >= avlHeight(l.right) {
+			return avlMk(l.key, l.left, avlMk(key, l.right, r))
+		}
+		lr := l.right
+		return avlMk(lr.key, avlMk(l.key, l.left, lr.left), avlMk(key, lr.right, r))
+	case bf < -1:
+		if avlHeight(r.left) <= avlHeight(r.right) {
+			return avlMk(r.key, avlMk(key, l, r.left), r.right)
+		}
+		rl := r.left
+		return avlMk(rl.key, avlMk(key, l, rl.left), avlMk(r.key, rl.right, r.right))
+	}
+	return avlMk(key, l, r)
+}
+
+func avlInsert(n *avlNode, key string) *avlNode {
+	if n == nil {
+		return avlMk(key, nil, nil)
+	}
+	switch strings.Compare(key, n.key) {
+	case -1:
+		return avlBalance(n.key, avlInsert(n.left, key), n.right)
+	case 1:
+		return avlBalance(n.key, n.left, avlInsert(n.right, key))
+	}
+	return n
+}
+
+// Add returns the set with key included.
+func (s avlSet) Add(key string) avlSet { return avlSet{avlInsert(s.root, key)} }
+
+// Contains reports membership in O(log n) string compares.
+func (s avlSet) Contains(key string) bool {
+	for n := s.root; n != nil; {
+		switch strings.Compare(key, n.key) {
+		case -1:
+			n = n.left
+		case 1:
+			n = n.right
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// BenchmarkAblationMaps: the Coq-style persistent AVL set over symbol names
 // (what the verified engine used for visited sets before grammar
 // compilation; Section 6.1 blames its comparisons for Python's slowness)
 // versus Go's native hash map versus the dense NTSet bitset the machine now
@@ -264,7 +349,7 @@ func BenchmarkAblationMaps(b *testing.B) {
 	}
 	b.Run("avl", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			var s avl.Set
+			var s avlSet
 			for _, k := range keys {
 				s = s.Add(k)
 			}
@@ -303,12 +388,23 @@ func BenchmarkAblationMaps(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationStacks: the functional persistent machine versus the
-// imperative baseline on identical input — the "cost of the verified
-// style" headline, isolated from lexing.
+// BenchmarkAblationStacks: the three Figure 10 engines on identical input,
+// warm caches, lexing excluded — the persistent machine (the paper's
+// CoStar, a fresh state per step), the parser session (the same
+// transitions stepped in place), and the imperative baseline: the "cost of
+// the verified style" headline, isolated from prediction differences.
 func BenchmarkAblationStacks(b *testing.B) {
 	l, toks, _ := corpusFile(b, "dot", 2500)
 	b.Run("persistent", func(b *testing.B) {
+		p := bench.NewPersistent(l.Grammar, false)
+		p.Parse(toks)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Parse(toks)
+		}
+		reportPerToken(b, len(toks))
+	})
+	b.Run("in-place", func(b *testing.B) {
 		p := parser.MustNew(l.Grammar, parser.Options{})
 		p.Parse(toks)
 		b.ResetTimer()

@@ -84,6 +84,12 @@ func run(w io.Writer, path string, stats, lexRules, check, fix, vet bool, emit s
 			fmt.Fprintf(w, "#   %-16s %s%s\n", r.Name, r.Pattern, skip)
 		}
 	}
+	// One verifier report serves -check's LL(1) line, -vet and
+	// -emit-artifact's clean test.
+	var rep *grammarlint.Report
+	if check || vet || emit != "" {
+		rep = grammarlint.Check(g)
+	}
 	if check {
 		if lr := grammarlint.LeftRecursion(g); len(lr) > 0 {
 			names := make([]string, len(lr))
@@ -100,7 +106,7 @@ func run(w io.Writer, path string, stats, lexRules, check, fix, vet bool, emit s
 		// A grammar is LL(1) exactly when no two alternatives of one
 		// nonterminal share a 1-token lookahead: grammarlint's sll-conflict.
 		var conflicts []grammarlint.Diagnostic
-		for _, d := range grammarlint.Check(g).Diags {
+		for _, d := range rep.Diags {
 			if d.Code == grammarlint.CodeSLLConflict {
 				conflicts = append(conflicts, d)
 			}
@@ -113,7 +119,6 @@ func run(w io.Writer, path string, stats, lexRules, check, fix, vet bool, emit s
 		}
 	}
 	if vet {
-		rep := grammarlint.Check(g)
 		if rep.Count(grammarlint.Info) > 0 || !rep.Clean() {
 			fmt.Fprintln(w)
 			for _, d := range rep.Diags {
@@ -130,7 +135,7 @@ func run(w io.Writer, path string, stats, lexRules, check, fix, vet bool, emit s
 		// A cold artifact: tables, certificate (when the grammar
 		// vets clean), and the embedded .g4 source the lexer recompiles
 		// from — no warm DFA snapshot. `costar compile` adds the warming.
-		if rep := grammarlint.Check(g); rep.Clean() {
+		if rep.Clean() {
 			if _, _, err := costar.Certify(g); err != nil {
 				return fmt.Errorf("certification failed on a clean grammar: %v", err)
 			}

@@ -343,18 +343,18 @@ func (a *Analysis) computeFollow() {
 	}
 }
 
-// Reachable returns the nonterminals reachable from the start symbol.
-func (a *Analysis) Reachable() map[string]bool {
+// Reachable returns the nonterminals reachable from g's start symbol.
+func Reachable(g *grammar.Grammar) map[string]bool {
 	out := map[string]bool{}
-	if !a.G.HasNT(a.G.Start) {
+	if !g.HasNT(g.Start) {
 		return out
 	}
-	work := []string{a.G.Start}
-	out[a.G.Start] = true
+	work := []string{g.Start}
+	out[g.Start] = true
 	for len(work) > 0 {
 		nt := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, rhs := range a.G.RhssFor(nt) {
+		for _, rhs := range g.RhssFor(nt) {
 			for _, s := range rhs {
 				if s.IsNT() && !out[s.Name] {
 					out[s.Name] = true
@@ -366,14 +366,14 @@ func (a *Analysis) Reachable() map[string]bool {
 	return out
 }
 
-// Productive returns the nonterminals that derive at least one (finite)
-// terminal word.
-func (a *Analysis) Productive() map[string]bool {
+// Productive returns the nonterminals of g that derive at least one
+// (finite) terminal word.
+func Productive(g *grammar.Grammar) map[string]bool {
 	out := map[string]bool{}
 	changed := true
 	for changed {
 		changed = false
-		for _, p := range a.G.Prods {
+		for _, p := range g.Prods {
 			if out[p.Lhs] {
 				continue
 			}

@@ -91,11 +91,11 @@ func TestReachableProductive(t *testing.T) {
 		Dead -> d ;
 		Loop -> Loop x
 	`)
-	r := a.Reachable()
+	r := Reachable(a.G)
 	if !r["S"] || !r["A"] || r["Dead"] || r["Loop"] {
 		t.Errorf("Reachable = %v", r)
 	}
-	p := a.Productive()
+	p := Productive(a.G)
 	if !p["S"] || !p["A"] || !p["Dead"] || p["Loop"] {
 		t.Errorf("Productive = %v", p)
 	}

@@ -1,8 +1,9 @@
 // Package bench is the evaluation harness: it regenerates every table and
 // figure of the paper's Section 6 on synthetic corpora — Figure 8 (grammar
 // and data-set sizes), Figure 9 (input size vs. parse time with regression
-// and LOWESS), Figure 10 (slowdown of the verified engine relative to the
-// imperative baseline, parser-only and full pipeline), and Figure 11 (the
+// and LOWESS), Figure 10 (slowdown of the persistent engine, and of the
+// in-place session, relative to the imperative baseline, parser-only and
+// full pipeline), and Figure 11 (the
 // baseline's cold- vs. warmed-cache behaviour on Python) — plus the
 // ablation studies listed in DESIGN.md §5.
 package bench
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"costar/internal/allstar"
+	"costar/internal/analysis"
 	"costar/internal/grammar"
 	"costar/internal/languages/dotlang"
 	"costar/internal/languages/jsonlang"
@@ -20,6 +22,8 @@ import (
 	"costar/internal/languages/xmllang"
 	"costar/internal/machine"
 	"costar/internal/parser"
+	"costar/internal/prediction"
+	"costar/internal/source"
 	"costar/internal/stats"
 )
 
@@ -117,10 +121,41 @@ func mustUnique(kind machine.ResultKind, lang string, seed int64, detail string)
 	}
 }
 
-// newCoStar builds a verified-engine session in the paper's benchmark
-// configuration (fresh prediction cache per parse, like each CoStar trial).
+// newCoStar builds a parser session, which steps the machine in place,
+// optionally in the paper's benchmark configuration (fresh prediction
+// cache per parse, like each CoStar trial).
 func newCoStar(g *grammar.Grammar, freshCache bool) *parser.Parser {
 	return parser.MustNew(g, parser.Options{FreshCachePerParse: freshCache})
+}
+
+// Persistent is the paper's CoStar: the persistent machine of Section 3.3,
+// every step building a fresh state, run by machine.Multistep over
+// machine.InitSource (no Mem) with a fresh predictor per parse. It is the
+// verified functional style that Figure 10 measures against the
+// imperative baseline.
+type Persistent struct {
+	g     *grammar.Grammar
+	tg    *analysis.Targets
+	cache *prediction.Cache // nil: an empty SLL DFA per parse
+}
+
+// NewPersistent builds the persistent engine for g. With freshCache every
+// parse starts from an empty SLL DFA, the paper's configuration; without
+// it the parses share one.
+func NewPersistent(g *grammar.Grammar, freshCache bool) *Persistent {
+	p := &Persistent{g: g, tg: analysis.NewTargets(g)}
+	if !freshCache {
+		p.cache = prediction.NewCache()
+	}
+	return p
+}
+
+// Parse parses w from the grammar's start symbol.
+func (p *Persistent) Parse(w []grammar.Token) machine.Result {
+	gov := machine.NewGovernor(nil, machine.Limits{})
+	ap := prediction.NewWith(p.g, p.tg, prediction.Options{Cache: p.cache, Governor: gov})
+	st := machine.InitSource(p.g, p.g.Start, source.FromTokens(p.g.Compiled(), w))
+	return machine.Multistep(p.g, ap, st, machine.Options{Governor: gov})
 }
 
 // newBaseline builds the imperative baseline.

@@ -104,9 +104,14 @@ func TestFig10(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	for _, r := range rows {
+		if r.ParserSlowdown <= 0 || r.PipelineSlowdown <= 0 || r.InPlaceSlowdown <= 0 {
+			t.Errorf("%s: a Figure 10 arm measured nothing: %+v", r.Benchmark, r)
+		}
+	}
 	var sb strings.Builder
 	PrintFig10(&sb, rows)
-	if !strings.Contains(sb.String(), "slowdown") {
+	if !strings.Contains(sb.String(), "lexer+parser slowdown") || !strings.Contains(sb.String(), "in-place slowdown") {
 		t.Errorf("output:\n%s", sb.String())
 	}
 }

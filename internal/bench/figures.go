@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"costar/internal/stats"
@@ -152,23 +153,28 @@ func PrintFig9(w io.Writer, series []Fig9Series) {
 // Figure 10: CoStar slowdown relative to the imperative baseline
 // ---------------------------------------------------------------------------
 
-// Fig10Row is one benchmark's pair of bars.
+// Fig10Row is one benchmark's bars. The paper's CoStar is the persistent
+// engine (Persistent); the in-place session takes the same transitions
+// without building a state per step, and is reported beside it.
 type Fig10Row struct {
 	Benchmark string
-	// ParserSlowdown: CoStar parse time / baseline parse time (lexing
-	// excluded) — the striped blue bar.
+	// ParserSlowdown: persistent CoStar parse time / baseline parse time
+	// (lexing excluded) — the striped blue bar.
 	ParserSlowdown    float64
 	ParserSlowdownStd float64
-	// PipelineSlowdown: (lex + CoStar) / (lex + baseline) — the dotted
-	// orange bar, "the cost of replacing an unverified parser with CoStar
-	// in a lexing/parsing pipeline".
+	// PipelineSlowdown: (lex + persistent CoStar) / (lex + baseline) — the
+	// dotted orange bar, "the cost of replacing an unverified parser with
+	// CoStar in a lexing/parsing pipeline".
 	PipelineSlowdown    float64
 	PipelineSlowdownStd float64
+	// InPlaceSlowdown: in-place session parse time / baseline parse time.
+	InPlaceSlowdown    float64
+	InPlaceSlowdownStd float64
 }
 
 // Fig10 measures per-file slowdowns and averages them, like the paper.
-// Both parsers run in the paper's configuration: fresh caches per trial
-// (ANTLR "instantiated a new parser with an empty cache per trial").
+// All three engines run in the paper's configuration: fresh caches per
+// trial (ANTLR "instantiated a new parser with an empty cache per trial").
 func Fig10(cfg Config) ([]Fig10Row, error) {
 	var out []Fig10Row
 	for _, l := range Languages() {
@@ -176,16 +182,29 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		costar := newCoStar(l.Grammar, true)
+		costar := NewPersistent(l.Grammar, true)
+		inPlace := newCoStar(l.Grammar, true)
 		base := newBaseline(l.Grammar, true)
-		var parserRatios, pipelineRatios []float64
+		var parserRatios, pipelineRatios, inPlaceRatios []float64
 		for _, f := range files {
 			f := f
-			costarT, _ := timeIt(cfg.Trials, func() {
+			// A GC barrier before each arm, so no engine is charged the
+			// garbage of the one timed before it: the persistent engine
+			// builds a state per step.
+			arm := func(parse func()) time.Duration {
+				runtime.GC()
+				mean, _ := timeIt(cfg.Trials, parse)
+				return mean
+			}
+			costarT := arm(func() {
 				res := costar.Parse(f.Tokens)
 				mustUnique(res.Kind, l.Name, f.Seed, res.Reason)
 			})
-			baseT, _ := timeIt(cfg.Trials, func() {
+			inPlaceT := arm(func() {
+				res := inPlace.Parse(f.Tokens)
+				mustUnique(res.Kind, l.Name, f.Seed, res.Reason)
+			})
+			baseT := arm(func() {
 				res := base.Parse(f.Tokens)
 				mustUnique(res.Kind, l.Name, f.Seed, res.Reason)
 			})
@@ -193,6 +212,7 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 			parserRatios = append(parserRatios, costarT.Seconds()/baseT.Seconds())
 			pipelineRatios = append(pipelineRatios,
 				(lexT.Seconds()+costarT.Seconds())/(lexT.Seconds()+baseT.Seconds()))
+			inPlaceRatios = append(inPlaceRatios, inPlaceT.Seconds()/baseT.Seconds())
 		}
 		out = append(out, Fig10Row{
 			Benchmark:           l.Name,
@@ -200,19 +220,24 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 			ParserSlowdownStd:   stats.StdDev(parserRatios),
 			PipelineSlowdown:    stats.Mean(pipelineRatios),
 			PipelineSlowdownStd: stats.StdDev(pipelineRatios),
+			InPlaceSlowdown:     stats.Mean(inPlaceRatios),
+			InPlaceSlowdownStd:  stats.StdDev(inPlaceRatios),
 		})
 	}
 	return out, nil
 }
 
-// PrintFig10 renders the two bars per benchmark.
+// PrintFig10 renders the paper's two bars per benchmark and the in-place
+// session's parser-only bar.
 func PrintFig10(w io.Writer, rows []Fig10Row) {
-	fmt.Fprintf(w, "Figure 10: CoStar average slowdown relative to the imperative ALL(*) baseline\n")
-	fmt.Fprintf(w, "%-10s %22s %26s\n", "Benchmark", "parser-only slowdown", "lexer+parser slowdown")
+	fmt.Fprintf(w, "Figure 10: average slowdown relative to the imperative ALL(*) baseline\n")
+	fmt.Fprintf(w, "(CoStar = the persistent machine; in-place = the parser session)\n")
+	fmt.Fprintf(w, "%-10s %22s %26s %22s\n", "Benchmark", "parser-only slowdown", "lexer+parser slowdown", "in-place slowdown")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %15.1fx ±%4.1f %19.1fx ±%4.1f\n",
+		fmt.Fprintf(w, "%-10s %15.1fx ±%4.1f %19.1fx ±%4.1f %15.1fx ±%4.1f\n",
 			r.Benchmark, r.ParserSlowdown, r.ParserSlowdownStd,
-			r.PipelineSlowdown, r.PipelineSlowdownStd)
+			r.PipelineSlowdown, r.PipelineSlowdownStd,
+			r.InPlaceSlowdown, r.InPlaceSlowdownStd)
 	}
 }
 

@@ -14,6 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"costar/internal/grammar"
+	"costar/internal/languages/jsonlang"
+	"costar/internal/languages/pylang"
+	"costar/internal/machine"
 	"costar/internal/parser"
 )
 
@@ -178,23 +182,84 @@ func TestFig9Linearity(t *testing.T) {
 	}
 }
 
-// TestFig10Slowdown gates Figure 10's premise: the verified engine is no
-// faster than the imperative baseline, and since lexing is shared, adding it
-// cannot make the pipeline slowdown exceed the parser-only one.
+// TestFig10Slowdown gates Figure 10's premise: the verified functional
+// style — the persistent machine, the paper's CoStar — is no faster than
+// the imperative baseline, and since lexing is shared, adding it cannot
+// make the pipeline slowdown exceed the parser-only one. The in-place
+// session, which takes the same transitions without building a state per
+// step, is logged beside it and not gated.
 func TestFig10Slowdown(t *testing.T) {
 	rows, err := Fig10(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		t.Logf("%s: parser-only %.2fx (gate >= 1x), pipeline %.2fx (gate <= parser-only + 0.5 = %.2fx)",
-			r.Benchmark, r.ParserSlowdown, r.PipelineSlowdown, r.ParserSlowdown+0.5)
+		t.Logf("%s: persistent parser-only %.2fx (gate >= 1x), pipeline %.2fx (gate <= parser-only + 0.5 = %.2fx); in-place %.2fx",
+			r.Benchmark, r.ParserSlowdown, r.PipelineSlowdown, r.ParserSlowdown+0.5, r.InPlaceSlowdown)
 		if r.ParserSlowdown < 1 {
-			t.Errorf("%s: verified engine faster than baseline (%.2fx)? suspicious", r.Benchmark, r.ParserSlowdown)
+			t.Errorf("%s: persistent engine faster than baseline (%.2fx)? suspicious", r.Benchmark, r.ParserSlowdown)
 		}
 		if r.PipelineSlowdown > r.ParserSlowdown+0.5 {
 			t.Errorf("%s: pipeline slowdown (%.1f) should not exceed parser-only (%.1f) — lexing is shared",
 				r.Benchmark, r.PipelineSlowdown, r.ParserSlowdown)
+		}
+	}
+}
+
+// TestFasterThanVerified checks the premise of Figure 10: the imperative
+// baseline must beat the verified-style engine — the persistent machine,
+// which builds a fresh state per step — by a clear margin once both caches
+// are warm (the paper reports roughly 4-11x for ANTLR vs CoStar).
+func TestFasterThanVerified(t *testing.T) {
+	jt, err := jsonlang.Tokenize(jsonlang.Generate(5, 6000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := pylang.Tokenize(pylang.Generate(5, 6000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		g    *grammar.Grammar
+		toks []grammar.Token
+	}{
+		{"json", jsonlang.Grammar(), jt},
+		{"python", pylang.Grammar(), pt},
+	}
+	for _, c := range cases {
+		base := newBaseline(c.g, false)
+		ref := NewPersistent(c.g, false)
+		if r := base.Parse(c.toks); r.Kind != machine.Unique {
+			t.Fatalf("%s baseline: %v %s", c.name, r.Kind, r.Reason)
+		}
+		if r := ref.Parse(c.toks); r.Kind != machine.Unique {
+			t.Fatalf("%s verified: %v", c.name, r.Kind)
+		}
+		// Best-of-trials per engine, with the engines interleaved so drift
+		// hits both. Each trial starts behind a GC barrier, so neither engine
+		// is charged the other's garbage, followed by one untimed parse: the
+		// barrier drains pooled scratch, which a warm engine would have.
+		// Interference only ever adds time, so the minimum is the estimate
+		// least distorted by a loaded machine.
+		const trials = 7
+		warmOnce := func(parse func()) time.Duration {
+			runtime.GC()
+			parse()
+			t0 := time.Now()
+			parse()
+			return time.Since(t0)
+		}
+		baseT, refT := time.Duration(1<<63-1), time.Duration(1<<63-1)
+		for i := 0; i < trials; i++ {
+			baseT = min(baseT, warmOnce(func() { base.Parse(c.toks) }))
+			refT = min(refT, warmOnce(func() { ref.Parse(c.toks) }))
+		}
+		slow := float64(refT) / float64(baseT)
+		t.Logf("%s: %d tokens, baseline %v, verified %v, slowdown %.1fx (gate >= 1.5x)",
+			c.name, len(c.toks), baseT, refT, slow)
+		if slow < 1.5 {
+			t.Errorf("%s: verified engine should be clearly slower than the baseline (got %.2fx)", c.name, slow)
 		}
 	}
 }

@@ -305,8 +305,8 @@ func (v *verifier) checkDuplicates() {
 // unreachable from the start symbol, or unproductive (deriving no finite
 // terminal word).
 func (v *verifier) checkUseless() {
-	reach := v.an.Reachable()
-	prod := v.an.Productive()
+	reach := analysis.Reachable(v.g)
+	prod := analysis.Productive(v.g)
 	for _, nt := range v.g.Nonterminals() {
 		if nt == "" {
 			continue // already an empty-lhs error

@@ -40,7 +40,7 @@ func CheckStacksWf(g *grammar.Grammar, st *State) error {
 		// processed symbols, then (if a child frame is open above) the
 		// child's nonterminal occupying the in-progress position, then the
 		// unprocessed remainder.
-		form := p.F.ProcInOrder()
+		form := append([]grammar.SymID(nil), p.F.Proc...) // never append into the frame's own buffer
 		if above != nil {
 			form = append(form, grammar.NTSym(above.Lhs))
 		}

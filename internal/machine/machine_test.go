@@ -498,18 +498,22 @@ func TestStackHelpers(t *testing.T) {
 	}
 }
 
+// TestPrefixFrameOrdering: accumulators hold the oldest entry first, and
+// consProc appends to a copy, so extending one frame twice leaves both
+// extensions, and the frame itself, intact.
 func TestPrefixFrameOrdering(t *testing.T) {
 	tab := tree.NewTable(nil)
-	f := PrefixFrame{}
-	f = f.consProc(grammar.TermSym(0), tab.Leaf(grammar.Tok("a", "1")))
-	f = f.consProc(grammar.TermSym(1), tab.Leaf(grammar.Tok("b", "2")))
-	proc := f.ProcInOrder()
-	if len(proc) != 2 || proc[0] != grammar.TermSym(0) || proc[1] != grammar.TermSym(1) {
-		t.Errorf("ProcInOrder = %v", proc)
+	f1 := PrefixFrame{}.consProc(grammar.TermSym(0), tab.Leaf(grammar.Tok("a", "1")))
+	f2 := f1.consProc(grammar.TermSym(1), tab.Leaf(grammar.Tok("b", "2")))
+	alt := f1.consProc(grammar.TermSym(2), tab.Leaf(grammar.Tok("c", "3")))
+	if len(f2.Proc) != 2 || f2.Proc[0] != grammar.TermSym(0) || f2.Proc[1] != grammar.TermSym(1) {
+		t.Errorf("Proc = %v, want oldest first", f2.Proc)
 	}
-	forest := f.ForestInOrder()
-	if tab.Tree(forest[0]).Token().Literal != "1" || tab.Tree(forest[1]).Token().Literal != "2" {
-		t.Errorf("ForestInOrder = %v", forest)
+	if tab.Tree(f2.Trees[0]).Token().Literal != "1" || tab.Tree(f2.Trees[1]).Token().Literal != "2" {
+		t.Errorf("Trees = %v, want oldest first", f2.Trees)
+	}
+	if len(f1.Proc) != 1 || len(f1.Trees) != 1 || alt.Proc[1] != grammar.TermSym(2) || f2.Proc[1] != grammar.TermSym(1) {
+		t.Errorf("consProc shared storage: f1 %v, f2 %v, alt %v", f1.Proc, f2.Proc, alt.Proc)
 	}
 }
 

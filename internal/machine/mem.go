@@ -1,230 +1,198 @@
 package machine
 
 import (
-	"costar/internal/arena"
+	"slices"
+
 	"costar/internal/grammar"
 	"costar/internal/tree"
 )
 
-// Mem is the machine's allocation context: slab arenas backing the values a
-// run produces in O(nodes) quantity — states, stack nodes, the frames'
-// processed-symbol and partial-forest accumulators (tree IDs, no pointers),
-// visited-set overflow words. With a Mem attached a run costs O(slabs) heap
-// allocations; without one (a nil *Mem everywhere) every helper falls back
-// to plain allocation, so the functional machine API and its tests are
-// unchanged.
+// Mem is the scratch of an in-place run: one State, the stack nodes it
+// steps on (one prefix and one suffix node per depth), and its visited
+// set's overflow words. Multistep with a Mem and no OnStep observer steps
+// that one State in place, so a step writes a few words and allocates
+// nothing:
+//
+//   - push X advances the top suffix frame's Rest past X and takes the
+//     nodes at the next depth, emptying their accumulators;
+//   - consume appends the symbol and its leaf to the top prefix frame and
+//     advances the top suffix frame's Rest;
+//   - return builds the node from the top frame's trees and appends it to
+//     the caller frame.
+//
+// The visited set is one bitset: push sets a bit, return clears it, and
+// consume empties it. Runs without a Mem (Init, InitSource) and observed
+// runs take the same transitions through the persistent Step.
 //
 // Lifetime contract (see DESIGN.md §5f):
 //
-//   - Everything in a Mem is scratch: it dies when the caller drops the
-//     machine Result's Final state. Reset recycles it. A pooled Mem must
-//     therefore never be Reset (or returned to a pool) while a *State,
-//     stack node, or NTSet from the previous run is still reachable — the
-//     parser drops Result.Final before releasing its Mem.
+//   - Everything in a Mem is scratch that the next run on it overwrites:
+//     an in-place run halts in the Mem's state, and Result.Final points at
+//     it. The caller must drop Result.Final, and every node and
+//     accumulator reachable from it, before it starts another run on the
+//     Mem or returns the Mem to a pool. The parser does.
 //   - The run's tree table (State.Trees) is NOT scratch and not in the Mem:
 //     the parse tree escapes into the caller's Result and keeps the table
-//     alive. Reset clears the states that referenced it, which detaches it;
-//     the next run starts a table of its own.
-//   - A run is linear (see retire): Multistep with no OnStep observer
-//     recycles each stepped state and the scratch the step replaced, so
-//     the arenas grow with the stack depth, not the step count. Only the
-//     current state — and, at the halt, Result.Final — stays valid.
+//     alive. Reset drops the Mem's reference to it.
+//   - The Mem owns every node and buffer an in-place run writes. A run that
+//     starts from a state the Mem did not build (recovery's repaired
+//     states are persistent heap values that share nodes with the halted
+//     run) first copies it into the Mem's nodes, frame contents included
+//     (adopt). An in-place run never appends into a span it did not carve.
+//
+// Nodes are carved in chunks that double the number carved so far, and
+// every prefix node's accumulators start with room for the grammar's
+// longest right-hand side, so a fresh Mem costs O(log depth) allocations
+// and a warm one none.
 //
 // A Mem belongs to a single parse on a single goroutine, like the Governor.
 type Mem struct {
-	states arena.Arena[State]
-	prefix arena.Arena[PrefixStack]
-	suffix arena.Arena[SuffixStack]
-	syms   arena.Slab[grammar.SymID]
-	acc    arena.Slab[tree.ID] // PrefixFrame.Trees accumulators
-	words  arena.Slab[uint64]  // NTSet overflow words
-
-	// Retired scratch, drawn from before the arenas above are bumped.
-	spare      *State
-	freePrefix *PrefixStack // linked through Below
-	freeSuffix *SuffixStack // linked through Below
-	freeSyms   freeSpans[grammar.SymID]
-	freeAcc    freeSpans[tree.ID]
-	freeWords  freeSpans[uint64]
+	state  State
+	levels []*level // levels[d] holds the nodes at stack depth d (0 = bottom)
+	words  []uint64 // state.Visited's overflow words
+	start  [1]grammar.SymID
+	width  int // accumulator capacity of newly carved nodes
 }
+
+// level is one depth's pair of stack nodes. Their Below links are set when
+// the level is carved: level d's nodes always sit on level d-1's.
+type level struct {
+	p PrefixStack
+	s SuffixStack
+}
+
+// minLevels is the size of a Mem's first chunk of levels.
+const minLevels = 64
 
 // NewMem returns a fresh allocation context.
 func NewMem() *Mem { return &Mem{} }
 
-// Reset recycles the scratch arenas for the next run. Used prefixes are
-// zeroed, so an idle pooled Mem pins no memory from the parse it last
-// served — in particular not the tree table its states referenced.
-func (m *Mem) Reset() {
-	m.states.Reset()
-	m.prefix.Reset()
-	m.suffix.Reset()
-	m.syms.Reset()
-	m.acc.Reset()
-	m.words.Reset()
-	m.spare, m.freePrefix, m.freeSuffix = nil, nil, nil
-	m.freeSyms.reset()
-	m.freeAcc.reset()
-	m.freeWords.reset()
+// Reset drops the Mem's reference to the run it last served — its state,
+// and through it the tree table and the cursor — so an idle pooled Mem
+// pins nothing of that parse. The nodes and their buffers stay for the
+// next run.
+func (m *Mem) Reset() { m.state = State{} }
+
+// begin readies the Mem for a run over g's compiled form c and returns the
+// visited set's overflow words, sized to c's nonterminals. Their contents
+// are the last run's: the caller overwrites them.
+func (m *Mem) begin(g *grammar.Grammar, c *grammar.Compiled) []uint64 {
+	m.width = max(g.MaxRhsLen(), 1)
+	n := max(0, (c.NumNTs()-64+63)/64)
+	if cap(m.words) < n {
+		m.words = make([]uint64, n)
+	}
+	return m.words[:n]
 }
 
-func (m *Mem) newState(v State) *State {
-	if m == nil {
-		st := v
-		return &st
-	}
-	if st := m.spare; st != nil {
-		m.spare = nil
-		*st = v
-		return st
-	}
-	return m.states.New(v)
-}
-
-func (m *Mem) pushPrefix(f PrefixFrame, below *PrefixStack) *PrefixStack {
-	if m == nil {
-		return &PrefixStack{F: f, Below: below}
-	}
-	if n := m.freePrefix; n != nil {
-		m.freePrefix = n.Below
-		*n = PrefixStack{F: f, Below: below}
-		return n
-	}
-	return m.prefix.New(PrefixStack{F: f, Below: below})
-}
-
-func (m *Mem) pushSuffix(f SuffixFrame, below *SuffixStack) *SuffixStack {
-	if m == nil {
-		return &SuffixStack{F: f, Below: below}
-	}
-	if n := m.freeSuffix; n != nil {
-		m.freeSuffix = n.Below
-		*n = SuffixStack{F: f, Below: below}
-		return n
-	}
-	return m.suffix.New(SuffixStack{F: f, Below: below})
-}
-
-func (m *Mem) symSpan(n int) []grammar.SymID {
-	if m == nil {
-		return make([]grammar.SymID, 0, n)
-	}
-	if s, ok := m.freeSyms.take(n); ok {
-		return s
-	}
-	return m.syms.Make(n)
-}
-
-func (m *Mem) accSpan(n int) []tree.ID {
-	if m == nil {
-		return make([]tree.ID, 0, n)
-	}
-	if s, ok := m.freeAcc.take(n); ok {
-		return s
-	}
-	return m.acc.Make(n)
-}
-
-// addVisited is s.AddIn with the copied overflow words carved from m.
-func (m *Mem) addVisited(s NTSet, n grammar.NTID) NTSet {
-	if m == nil || n < 64 {
-		return s.AddIn(nil, n)
-	}
-	return s.addHi(m.wordSpan(s.addWidth(n)), n)
-}
-
-// removeVisited is s.RemoveIn with the copied overflow words carved from m.
-func (m *Mem) removeVisited(s NTSet, n grammar.NTID) NTSet {
-	if m == nil || n < 64 || !s.Contains(n) {
-		return s.RemoveIn(nil, n)
-	}
-	return s.removeHi(m.wordSpan(len(s.hi)), n)
-}
-
-func (m *Mem) wordSpan(n int) []uint64 {
-	if s, ok := m.freeWords.take(n); ok {
-		return s[:n]
-	}
-	return m.words.Make(n)[:n]
-}
-
-// consProcIn is PrefixFrame.consProc with the copies carved from m.
-func (m *Mem) consProcIn(f PrefixFrame, s grammar.SymID, v tree.ID) PrefixFrame {
-	proc := append(m.symSpan(len(f.Proc)+1), s)
-	proc = append(proc, f.Proc...)
-	trees := append(m.accSpan(len(f.Trees)+1), v)
-	trees = append(trees, f.Trees...)
-	return PrefixFrame{Proc: proc, Trees: trees}
-}
-
-// retire recycles what the continuing step st → next (taken by op) left
-// unreachable: st itself, the suffix node the step replaced, the prefix
-// nodes it replaced (one on consume, two on return) with their Proc and
-// Trees accumulator spans, and st's visited-set overflow words when next
-// no longer shares them. Everything else st reaches is shared with next.
-//
-// Retiring is sound only in a linear run, where nothing but next is read
-// after the step: Multistep calls it only when no OnStep observer can keep
-// st, LL prediction walks the machine's suffix stack only for the duration
-// of Predict, and Cache.intern deep-copies what the SLL cache keeps. A run
-// never retires its final state, so Result.Final and everything reachable
-// from it stay valid until Reset. A nil m (no Mem) retires nothing.
-func (m *Mem) retire(st, next *State, op OpKind) {
-	if m == nil {
-		return
-	}
-	switch op {
-	case OpConsume:
-		m.retirePrefix(st.Prefix)
-	case OpReturn:
-		below := st.Prefix.Below
-		m.retirePrefix(st.Prefix)
-		m.retirePrefix(below)
-	}
-	st.Suffix.Below, m.freeSuffix = m.freeSuffix, st.Suffix
-	if hi := st.Visited.hi; len(hi) > 0 && (len(next.Visited.hi) == 0 || &next.Visited.hi[0] != &hi[0]) {
-		m.freeWords.put(hi)
-	}
-	m.spare = st
-}
-
-// retirePrefix frees n and its spans. Retired nodes and states keep their
-// stale fields: every reuse overwrites them whole.
-func (m *Mem) retirePrefix(n *PrefixStack) {
-	m.freeSyms.put(n.F.Proc)
-	m.freeAcc.put(n.F.Trees)
-	n.Below, m.freePrefix = m.freePrefix, n
-}
-
-// freeSpans holds retired exact-capacity spans, bucketed by capacity.
-type freeSpans[T any] struct{ byCap [][][]T }
-
-// take returns a retired span of length 0 and capacity exactly n.
-func (f *freeSpans[T]) take(n int) ([]T, bool) {
-	if n < len(f.byCap) {
-		if l := f.byCap[n]; len(l) > 0 {
-			f.byCap[n] = l[:len(l)-1]
-			return l[len(l)-1][:0], true
+// grow carves levels until there are at least n.
+func (m *Mem) grow(n int) {
+	size := max(minLevels, len(m.levels), n-len(m.levels))
+	w := m.width
+	chunk := make([]level, size)
+	syms := make([]grammar.SymID, size*w)
+	trees := make([]tree.ID, size*w)
+	m.levels = slices.Grow(m.levels, size)
+	for i := range chunk {
+		lv := &chunk[i]
+		b := i * w
+		lv.p.F = PrefixFrame{Proc: syms[b : b : b+w], Trees: trees[b : b : b+w]}
+		if d := len(m.levels); d > 0 {
+			below := m.levels[d-1]
+			lv.p.Below, lv.s.Below = &below.p, &below.s
 		}
+		m.levels = append(m.levels, lv)
 	}
-	return nil, false
 }
 
-// put retires s, which nothing may reference any more.
-func (f *freeSpans[T]) put(s []T) {
-	n := cap(s)
-	if n == 0 {
-		return
+// adopt makes st the Mem's in-place state and returns it. Frames copy into
+// the per-depth nodes, accumulator contents included, from the top down
+// to the first depth whose nodes st already shares: a repaired state
+// shares everything below its repair with the halted run, so a repair
+// costs the frames it rebuilt. The visited set copies into the Mem's
+// words. A state whose stacks differ in height is not one the machine
+// builds; adopt returns nil for it, and Multistep runs it persistently.
+func (m *Mem) adopt(g *grammar.Grammar, st *State) *State {
+	h := st.Suffix.Height()
+	if h == 0 || st.Prefix.Height() != h {
+		return nil
 	}
-	if n >= len(f.byCap) {
-		f.byCap = append(f.byCap, make([][][]T, n+1-len(f.byCap))...)
+	vis := st.Visited
+	words := m.begin(g, st.C)
+	clear(words[copy(words, vis.hi):]) // vis.hi may be words itself
+	if h > len(m.levels) {
+		m.grow(h)
 	}
-	f.byCap[n] = append(f.byCap[n], s)
+	p, s := st.Prefix, st.Suffix
+	for d := h - 1; d >= 0; d-- {
+		lv := m.levels[d]
+		if p == &lv.p && s == &lv.s {
+			break
+		}
+		lv.p.F.Proc = append(lv.p.F.Proc[:0], p.F.Proc...)
+		lv.p.F.Trees = append(lv.p.F.Trees[:0], p.F.Trees...)
+		lv.s.F = s.F
+		p, s = p.Below, s.Below
+	}
+	top := m.levels[h-1]
+	m.state = *st
+	m.state.Prefix, m.state.Suffix = &top.p, &top.s
+	m.state.Visited = NTSet{lo: vis.lo, hi: words}
+	m.state.Mem = m
+	return &m.state
 }
 
-// reset empties every bucket, keeping the buckets' capacity.
-func (f *freeSpans[T]) reset() {
-	for i, l := range f.byCap {
-		clear(l[:cap(l)])
-		f.byCap[i] = l[:0]
+// step takes one transition on the in-place state st, whose stacks are
+// depth frames high: Step's dispatch and checks, with the next state
+// written over st instead of built beside it. It returns the operation
+// taken, or OpNone after writing the halting outcome to *halt.
+func (m *Mem) step(g *grammar.Grammar, pred Predictor, st *State, depth int, halt *StepResult) OpKind {
+	top := st.Suffix
+	if len(top.F.Rest) == 0 {
+		if top.Below == nil {
+			*halt = finalize(st)
+			return OpNone
+		}
+		node, ok := returnNode(st, halt)
+		if !ok {
+			return OpNone
+		}
+		x := top.F.Lhs
+		st.Prefix, st.Suffix = st.Prefix.Below, top.Below
+		f := &st.Prefix.F
+		f.Proc = append(f.Proc, grammar.NTSym(x))
+		f.Trees = append(f.Trees, node)
+		st.Visited.unset(x)
+		return OpReturn
 	}
+	head := top.F.Rest[0]
+	if head.IsT() {
+		leaf, ok := consumeLeaf(st, head.Term(), halt)
+		if !ok {
+			return OpNone
+		}
+		f := &st.Prefix.F
+		f.Proc = append(f.Proc, head)
+		f.Trees = append(f.Trees, leaf)
+		top.F.Rest = top.F.Rest[1:]
+		st.Consumed++
+		st.Visited.empty()
+		return OpConsume
+	}
+	x := head.NT()
+	rhs, ambig, ok := predictRhs(g, pred, st, x, halt)
+	if !ok {
+		return OpNone
+	}
+	top.F.Rest = top.F.Rest[1:]
+	if depth >= len(m.levels) {
+		m.grow(depth + 1)
+	}
+	lv := m.levels[depth]
+	lv.p.F.Proc, lv.p.F.Trees = lv.p.F.Proc[:0], lv.p.F.Trees[:0]
+	lv.s.F = SuffixFrame{Lhs: x, Rest: rhs}
+	st.Prefix, st.Suffix = &lv.p, &lv.s
+	st.Visited.set(x)
+	st.Unique = st.Unique && !ambig
+	return OpPush
 }

@@ -19,7 +19,8 @@ type Result struct {
 	// messages derive their "expected one of ..." sets from its suffix
 	// stack (a luxury top-down parsers get for free; the related-work
 	// section notes error reporting is a research problem for bottom-up
-	// parsers).
+	// parsers), and recovery resumes from it. After an in-place run it is
+	// the Mem's state: valid until the Mem's next run or Reset.
 	Final *State
 }
 
@@ -87,7 +88,7 @@ type Options struct {
 	Certified bool
 }
 
-// Multistep drives Step until the machine halts and converts the terminal
+// Multistep drives the machine until it halts and converts the terminal
 // StepResult into a Result, labeling the final tree Unique or Ambig
 // according to the machine's uniqueness flag.
 //
@@ -103,12 +104,13 @@ type Options struct {
 // dozen steps) and enforces Limits; an over-budget or canceled run halts
 // with the governor's sticky structured error, never a false Reject.
 //
-// Linearity: a run whose states carry a Mem and that has no OnStep
-// observer recycles each stepped state, and the stack nodes and
-// accumulators the step replaced, into the Mem (Mem.retire), so its
-// scratch is bounded by the stack depth rather than the step count. The
-// caller must not read st, or any state but Result.Final, after the call.
-// Runs without a Mem, and observed runs, keep every state intact.
+// Two engines, one transition relation: a run whose state carries a Mem and
+// that has no OnStep observer steps in place — it adopts st into the Mem
+// and applies each transition to that one State (see Mem), and
+// Result.Final is the Mem's state. The caller must not read st afterwards.
+// Runs without a Mem, and observed runs, step persistently through Step
+// and keep every state intact. Both take the same transitions, so they
+// return equal results.
 func Multistep(g *grammar.Grammar, pred Predictor, st *State, opts Options) Result {
 	if opts.Certified {
 		st.Certified = true // fresh initial state; the flag propagates through every step
@@ -116,6 +118,12 @@ func Multistep(g *grammar.Grammar, pred Predictor, st *State, opts Options) Resu
 	gov := opts.Governor
 	if gov == nil {
 		gov = NewGovernor(nil, Limits{})
+	}
+	var m *Mem
+	if st.Mem != nil && opts.OnStep == nil {
+		if in := st.Mem.adopt(g, st); in != nil {
+			m, st = st.Mem, in
+		}
 	}
 	// Suffix height and tree-node count are maintained incrementally from
 	// the op kind (push +1, return -1, consume +1 leaf, return +1 node);
@@ -141,17 +149,22 @@ func Multistep(g *grammar.Grammar, pred Predictor, st *State, opts Options) Resu
 			return finish(Result{Kind: ResultError, Err: gErr,
 				Steps: steps, Consumed: st.Consumed, Final: st})
 		}
-		r := Step(g, pred, st)
-		steps++
-		if opts.OnStep != nil {
-			opts.OnStep(st, r.Op, r.State)
+		var r StepResult
+		if m != nil {
+			// A continuing step leaves r.Kind at its zero value, StepCont.
+			r.Op = m.step(g, pred, st, depth, &r)
+		} else {
+			r = Step(g, pred, st)
+			if opts.OnStep != nil {
+				opts.OnStep(st, r.Op, r.State)
+			}
+			if r.Kind == StepCont {
+				st = r.State
+			}
 		}
+		steps++
 		switch r.Kind {
 		case StepCont:
-			if opts.OnStep == nil {
-				st.Mem.retire(st, r.State, r.Op)
-			}
-			st = r.State
 			switch r.Op {
 			case OpPush:
 				depth++

@@ -19,9 +19,11 @@ import (
 //
 // The zero value is the empty set. NTSet is a value type: Add and Remove
 // return new sets and never mutate the receiver or its overflow storage.
+// The one exception is an in-place run's visited set, whose overflow words
+// belong to the run's Mem and are written by set, unset and empty.
 type NTSet struct {
 	lo uint64   // NTIDs 0..63
-	hi []uint64 // NTIDs 64..; immutable once stored
+	hi []uint64 // NTIDs 64..; immutable once stored, except in place
 }
 
 // Contains reports membership. Negative IDs (NoNT) are never members.
@@ -44,8 +46,7 @@ func (s NTSet) Add(n grammar.NTID) NTSet { return s.AddIn(nil, n) }
 
 // AddIn is Add with the copy-on-write overflow words carved from sl (nil
 // falls back to plain allocation). The resulting set's lifetime is bounded
-// by sl's next Reset; the machine passes its Mem's word slab, which the
-// parser recycles only after the run's states are dropped.
+// by sl's next Reset; prediction passes its decision scratch's word slab.
 func (s NTSet) AddIn(sl *arena.Slab[uint64], n grammar.NTID) NTSet {
 	if n < 0 {
 		return s
@@ -53,17 +54,7 @@ func (s NTSet) AddIn(sl *arena.Slab[uint64], n grammar.NTID) NTSet {
 	if n < 64 {
 		return NTSet{lo: s.lo | 1<<uint(n), hi: s.hi}
 	}
-	return s.addHi(makeWords(sl, s.addWidth(n)), n)
-}
-
-// addWidth is the overflow width of s with n (>= 64) added.
-func (s NTSet) addWidth(n grammar.NTID) int {
-	return max(len(s.hi), int(n-64)>>6+1)
-}
-
-// addHi is AddIn for n >= 64 with the copied overflow words written to hi,
-// whose length must be s.addWidth(n); its previous contents are ignored.
-func (s NTSet) addHi(hi []uint64, n grammar.NTID) NTSet {
+	hi := makeWords(sl, max(len(s.hi), int(n-64)>>6+1))
 	clear(hi[copy(hi, s.hi):])
 	hi[int(n-64)>>6] |= 1 << uint((n-64)&63)
 	return NTSet{lo: s.lo, hi: hi}
@@ -81,12 +72,7 @@ func (s NTSet) RemoveIn(sl *arena.Slab[uint64], n grammar.NTID) NTSet {
 	if n < 64 {
 		return NTSet{lo: s.lo &^ (1 << uint(n)), hi: s.hi}
 	}
-	return s.removeHi(makeWords(sl, len(s.hi)), n)
-}
-
-// removeHi is RemoveIn for a member n >= 64 with the copied overflow words
-// written to hi, whose length must be len(s.hi).
-func (s NTSet) removeHi(hi []uint64, n grammar.NTID) NTSet {
+	hi := makeWords(sl, len(s.hi))
 	copy(hi, s.hi)
 	hi[int(n-64)>>6] &^= 1 << uint((n-64)&63)
 	return NTSet{lo: s.lo, hi: hi}
@@ -97,6 +83,30 @@ func makeWords(sl *arena.Slab[uint64], width int) []uint64 {
 		return make([]uint64, width)
 	}
 	return sl.Make(width)[:width]
+}
+
+// set adds n (>= 0) in place; hi must already cover n.
+func (s *NTSet) set(n grammar.NTID) {
+	if n < 64 {
+		s.lo |= 1 << uint(n)
+		return
+	}
+	s.hi[int(n-64)>>6] |= 1 << uint((n-64)&63)
+}
+
+// unset removes n (>= 0) in place; hi must already cover n.
+func (s *NTSet) unset(n grammar.NTID) {
+	if n < 64 {
+		s.lo &^= 1 << uint(n)
+		return
+	}
+	s.hi[int(n-64)>>6] &^= 1 << uint((n-64)&63)
+}
+
+// empty removes every member in place.
+func (s *NTSet) empty() {
+	s.lo = 0
+	clear(s.hi)
 }
 
 // Len returns the number of members.

@@ -6,6 +6,7 @@ package machine
 // predictor chooses (the lemmas quantify over all reachable states).
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -34,6 +35,24 @@ func (c chaosPredictor) Predict(nt grammar.NTID, _ *SuffixStack, _ *source.Curso
 		kind = PredAmbig
 	}
 	return Prediction{Kind: kind, Rhs: cc.Rhs(idxs[c.rng.Intn(len(idxs))])}
+}
+
+// wideGrammar defines 64 unreachable filler nonterminals first, so the
+// live ones get IDs past the visited set's inline word and every push and
+// every ε-return touches overflow words:
+// S -> A S | ε, A -> B a | a, B -> b | ε.
+func wideGrammar() *grammar.Grammar {
+	b := grammar.NewBuilder("S")
+	for i := 0; i < 64; i++ {
+		b.Add(fmt.Sprintf("F%d", i), grammar.T("c"))
+	}
+	b.Add("S", grammar.NT("A"), grammar.NT("S"))
+	b.Add("S")
+	b.Add("A", grammar.NT("B"), grammar.T("a"))
+	b.Add("A", grammar.T("a"))
+	b.Add("B", grammar.T("b"))
+	b.Add("B")
+	return b.Grammar()
 }
 
 func randomGrammarFor(rng *rand.Rand) *grammar.Grammar {

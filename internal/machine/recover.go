@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"costar/internal/analysis"
 	"costar/internal/diag"
@@ -115,8 +116,8 @@ func RecoverFrom(g *grammar.Grammar, pred Predictor, an *analysis.Analysis, reje
 			res = r.forceClose(st, steps)
 			break
 		}
-		// The segment may retire nodes next shares with st (a linear run,
-		// see Mem.retire): nothing below reads st or next again.
+		// With a Mem the segment adopts next into it and steps in place,
+		// overwriting st: nothing below reads st or next again.
 		seg := Multistep(g, pred, next, segOpts)
 		steps += seg.Steps
 		seg.Steps = steps
@@ -424,16 +425,14 @@ func (r *recovery) drain(st *State) ([]tree.ID, *Error) {
 // the leaves are buffered for wrapRoot instead: finalize requires the
 // bottom frame to hold exactly one tree.
 func (r *recovery) attachSkip(st *State, leaves []tree.ID) *State {
-	m := st.Mem
 	prefix := st.Prefix
 	if st.Suffix.Below == nil {
 		r.leading = append(r.leading, leaves...)
 	} else if len(leaves) > 0 {
 		node := st.Trees.ErrorNode(tree.ErrNT, leaves)
 		f := st.Prefix.F
-		trees := append(m.accSpan(len(f.Trees)+1), node)
-		trees = append(trees, f.Trees...)
-		prefix = m.pushPrefix(PrefixFrame{Proc: f.Proc, Trees: trees}, st.Prefix.Below)
+		trees := append(f.Trees[:len(f.Trees):len(f.Trees)], node)
+		prefix = &PrefixStack{F: PrefixFrame{Proc: f.Proc, Trees: trees}, Below: st.Prefix.Below}
 	}
 	// Tokens were consumed: the visited set empties, as after a consume.
 	return r.reposition(st, prefix)
@@ -443,32 +442,35 @@ func (r *recovery) attachSkip(st *State, leaves []tree.ID) *State {
 // count resynchronized to the cursor (skipped tokens count as consumed);
 // the visited set empties because input moved.
 func (r *recovery) reposition(st *State, prefix *PrefixStack) *State {
-	m := st.Mem
-	return m.newState(State{
+	return &State{
 		C: st.C, Start: st.Start,
 		Prefix: prefix, Suffix: st.Suffix,
 		Src: st.Src, Consumed: st.Src.Pos(),
-		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: m,
-	})
+		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: st.Mem,
+	}
 }
 
 // insertTerminal synthesizes the expected terminal a as an error leaf and
-// steps past it, mirroring stepConsume without touching the cursor. The
+// steps past it, mirroring a consume without touching the cursor. The
 // visited set empties (the synthesized token counts as a consume for the
 // left-recursion guard, or insertion into a left-recursive-looking spot
 // would trip the certificate assertion).
 func (r *recovery) insertTerminal(st *State, a grammar.TermID) *State {
-	m := st.Mem
 	tok := grammar.Token{Terminal: r.c.TermName(a)}
-	topSuffix := SuffixFrame{Lhs: st.Suffix.F.Lhs, Rest: st.Suffix.F.Rest[1:]}
-	topPrefix := m.consProcIn(st.Prefix.F, grammar.TermSym(a), st.Trees.ErrorLeaf(tok))
-	return m.newState(State{
+	return r.stepPast(st, grammar.TermSym(a), st.Trees.ErrorLeaf(tok))
+}
+
+// stepPast rebuilds st with the top suffix frame's head symbol sym
+// processed into tree v, as a consume does, but with the cursor and the
+// consumed count untouched and the visited set emptied.
+func (r *recovery) stepPast(st *State, sym grammar.SymID, v tree.ID) *State {
+	return &State{
 		C: st.C, Start: st.Start,
-		Prefix: m.pushPrefix(topPrefix, st.Prefix.Below),
-		Suffix: m.pushSuffix(topSuffix, st.Suffix.Below),
+		Prefix: &PrefixStack{F: st.Prefix.F.consProc(sym, v), Below: st.Prefix.Below},
+		Suffix: &SuffixStack{F: SuffixFrame{Lhs: st.Suffix.F.Lhs, Rest: st.Suffix.F.Rest[1:]}, Below: st.Suffix.Below},
 		Src:    st.Src, Consumed: st.Consumed,
-		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: m,
-	})
+		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: st.Mem,
+	}
 }
 
 // dropNT steps past nonterminal x with an empty error node, mirroring a
@@ -479,36 +481,24 @@ func (r *recovery) insertTerminal(st *State, a grammar.TermID) *State {
 // non-consuming loop still terminates: every round costs a repair, and the
 // budget force-closes the parse.
 func (r *recovery) dropNT(st *State, x grammar.NTID) *State {
-	m := st.Mem
-	node := st.Trees.ErrorNode(x, nil)
-	topSuffix := SuffixFrame{Lhs: st.Suffix.F.Lhs, Rest: st.Suffix.F.Rest[1:]}
-	topPrefix := m.consProcIn(st.Prefix.F, grammar.NTSym(x), node)
-	return m.newState(State{
-		C: st.C, Start: st.Start,
-		Prefix: m.pushPrefix(topPrefix, st.Prefix.Below),
-		Suffix: m.pushSuffix(topSuffix, st.Suffix.Below),
-		Src:    st.Src, Consumed: st.Consumed,
-		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: m,
-	})
+	return r.stepPast(st, grammar.NTSym(x), st.Trees.ErrorNode(x, nil))
 }
 
-// popFrame closes the top production early, mirroring stepReturn but
+// popFrame closes the top production early, mirroring a return but
 // labeling the node as an error node (its children are a strict prefix of
 // the right-hand side). The visited set empties for the same reason as in
 // dropNT: the caller resumes at the same token and may re-open nonterminals
 // it opened before the repair.
 func (r *recovery) popFrame(st *State) *State {
 	x := st.Suffix.F.Lhs
-	m := st.Mem
-	node := st.Trees.ErrorNode(x, st.Prefix.F.ForestInOrder())
-	caller := m.consProcIn(st.Prefix.Below.F, grammar.NTSym(x), node)
-	return m.newState(State{
+	node := st.Trees.ErrorNode(x, st.Prefix.F.Trees)
+	return &State{
 		C: st.C, Start: st.Start,
-		Prefix: m.pushPrefix(caller, st.Prefix.Below.Below),
+		Prefix: &PrefixStack{F: st.Prefix.Below.F.consProc(grammar.NTSym(x), node), Below: st.Prefix.Below.Below},
 		Suffix: st.Suffix.Below,
 		Src:    st.Src, Consumed: st.Consumed,
-		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: m,
-	})
+		Unique: st.Unique, Certified: st.Certified, Trees: st.Trees, Mem: st.Mem,
+	}
 }
 
 // forceClose ends the run deterministically: remaining input drains into
@@ -532,12 +522,13 @@ func (r *recovery) forceClose(st *State, steps int) Result {
 	var carry []tree.ID // the error node closing the frame above, once there is one
 	//costar:allow governortick -- bounded by the suffix stack depth at the halt, already accounted by StepTick's stackDepth argument during the parse that built it
 	for s != nil && s.Below != nil {
-		kids := append(append(p.F.ForestInOrder(), pending...), carry...)
+		// slices.Concat copies: a frame's trees may be an in-place run's
+		// buffer, which nothing but that run appends to.
+		carry = append(carry[:0], t.ErrorNode(s.F.Lhs, slices.Concat(p.F.Trees, pending, carry)))
 		pending = nil
-		carry = append(carry[:0], t.ErrorNode(s.F.Lhs, kids))
 		p, s = p.Below, s.Below
 	}
-	root := t.ErrorNode(r.start, append(append(p.F.ForestInOrder(), pending...), carry...))
+	root := t.ErrorNode(r.start, slices.Concat(p.F.Trees, pending, carry))
 	r.gov.NotePeakWindow(st.Src.PeakWindow())
 	return Result{
 		Kind: Recovered, Tree: r.wrapRoot(t, root),

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -296,5 +298,44 @@ func TestErrorDiagMapping(t *testing.T) {
 		if d.Code != tc.code || d.Pos.Token != 3 || d.Severity != diag.Error {
 			t.Errorf("Diag(%v) = %v, want code %s at token 3", tc.err, d, tc.code)
 		}
+	}
+}
+
+// TestRecoverFromRetiringRunsMatchesPlain covers the recovery driver on
+// in-place runs. RecoverFrom re-enters Multistep from repaired states that
+// share nodes with the rejected run's Final, so each resumed segment adopts
+// a state built partly from the Mem's own nodes and overwrites the previous
+// segment's Final; no repair reads a state after re-entering. On random
+// broken inputs, recovery with one pooled Mem (Reset between inputs, as the
+// parser does) must give the same kind, tree and diagnostics as recovery
+// without a Mem.
+func TestRecoverFromRetiringRunsMatchesPlain(t *testing.T) {
+	g := grammar.MustParseBNF(`S -> P S | ; P -> l A r | x ; A -> a b | a c | P`)
+	an := analysis.New(g)
+	pred := ll1Predictor{g, an}
+	terms := []string{"l", "a", "b", "c", "r", "x", "y"}
+	rng := rand.New(rand.NewSource(27182))
+	mem := NewMem()
+	recovered := 0
+	for i := 0; i < 500; i++ {
+		w := make([]grammar.Token, rng.Intn(16))
+		for j := range w {
+			name := terms[rng.Intn(len(terms))]
+			w[j] = grammar.Tok(name, name)
+		}
+		want := recoverRun(t, g, w, Options{})
+		mres := Multistep(g, pred, InitSourceIn(mem, g, g.Start, source.FromTokens(g.Compiled(), w)), Options{})
+		got := RecoverFrom(g, pred, an, mres, Options{})
+		if got.Kind != want.Kind || got.Tree.String() != want.Tree.String() || fmt.Sprint(got.Diags) != fmt.Sprint(want.Diags) {
+			t.Fatalf("input %v: pooled recovery gave %v %v %v, plain %v %v %v",
+				w, got.Kind, got.Tree, got.Diags, want.Kind, want.Tree, want.Diags)
+		}
+		if got.Kind == Recovered {
+			recovered++
+		}
+		mem.Reset()
+	}
+	if recovered < 100 {
+		t.Fatalf("only %d of 500 inputs needed recovery", recovered)
 	}
 }

@@ -9,15 +9,15 @@ import (
 	"costar/internal/source"
 )
 
-// TestPooledScratchBoundedByStackDepth pins the linear-run rule (DESIGN.md
+// TestPooledScratchBoundedByStackDepth pins the in-place rule (DESIGN.md
 // §5f): a pooled Mem that serves a short Python parse and then one about
 // 20× longer retains scratch bounded by the stack-depth high-water mark,
-// not by the token or step count. Live scratch is at most depth+2 states'
-// worth of stack nodes, each prefix frame holding accumulators of at most
-// maxRHS+1 elements; slab doubling can at most double that, plus one
-// minimum slab. Without retirement every step's state, nodes and spans
-// stay in the arenas until Reset, and the long parse blows the bound by
-// two orders of magnitude.
+// not by the token or step count. An in-place run owns one prefix and one
+// suffix node per depth, each prefix node holding accumulators of at most
+// maxRHS+1 elements; carving in doubling chunks can at most double that,
+// plus one minimum chunk. A run that kept every step's state, nodes and
+// accumulators until Reset — the persistent machine's allocation pattern —
+// would blow the bound by two orders of magnitude.
 func TestPooledScratchBoundedByStackDepth(t *testing.T) {
 	g := pylang.Grammar()
 	maxRhs := 0

@@ -4,15 +4,21 @@
 // measure of Section 4 (stackScore and the lexicographic triple), and
 // executable versions of the paper's machine-state invariants (Section 5).
 //
-// The implementation is deliberately purely functional, mirroring the
-// Gallina original: stacks are persistent linked lists, frames are
-// copied-on-write, and each step produces a fresh state. Unlike the Coq
-// development, the machine runs on the compiled grammar (grammar.Compiled):
-// stack frames hold dense symbol IDs, so the hot-path comparisons —
-// consume's terminal match, the visited-set membership test — are integer
-// operations, not the string compares the paper's §6.1 identifies as
-// CoStar's bottleneck. The mutable imperative counterpart lives in
-// internal/allstar and serves as the "ANTLR-style" performance baseline.
+// Step is the paper's transition function and is purely functional,
+// mirroring the Gallina original: stacks are persistent linked lists,
+// frames are copied on write, and each step produces a fresh state. Runs
+// with no Mem, and observed runs, step that way; they are the reference
+// the tests hold the production engine to, and the "CoStar" arm of
+// Figure 10. A pooled run (a Mem and no observer) takes the same
+// transitions in place on one State — the zipper idea of Edelmann et
+// al.: each step rewrites a few words of one focused structure (see Mem).
+// Unlike the Coq development, the machine runs on the compiled grammar
+// (grammar.Compiled): stack frames hold dense symbol IDs, so the hot-path
+// comparisons — consume's terminal match, the visited-set membership test —
+// are integer operations, not the string compares the paper's §6.1
+// identifies as CoStar's bottleneck. The imperative ALL(*) counterpart
+// lives in internal/allstar and serves as the "ANTLR-style" performance
+// baseline.
 package machine
 
 import (
@@ -24,16 +30,18 @@ import (
 
 // PrefixFrame is one frame [α, f] of the prefix stack Φ: the symbols already
 // matched in this frame and the parse trees derived for them, as IDs into
-// the run's tree table (State.Trees). Both slices are stored in reverse
-// order (most recently processed first), the standard functional-accumulator
-// layout; they are reversed once at return time.
+// the run's tree table (State.Trees). Both slices hold the oldest entry
+// first, so a return hands Trees to the table as the node's children
+// as is. A persistent step appends to a copy (consProc); an in-place run
+// appends to the Mem's own buffer.
 type PrefixFrame struct {
-	Proc  []grammar.SymID // processed symbols α, reversed
-	Trees []tree.ID       // partial derivation f, reversed
+	Proc  []grammar.SymID // processed symbols α, in order
+	Trees []tree.ID       // partial derivation f, in order
 }
 
-// PrefixStack is a persistent stack of prefix frames; nil is invalid — a
-// machine always has at least one frame.
+// PrefixStack is a stack of prefix frames; nil is invalid — a machine
+// always has at least one frame. Step shares nodes persistently; an
+// in-place run's nodes are its Mem's, one per depth.
 type PrefixStack struct {
 	F     PrefixFrame
 	Below *PrefixStack
@@ -54,16 +62,12 @@ type SuffixFrame struct {
 	Rest []grammar.SymID // unprocessed symbols β
 }
 
-// SuffixStack is a persistent stack of suffix frames; nil is invalid inside
-// a machine state but is used as the "below bottom" terminator.
+// SuffixStack is a stack of suffix frames, shared like PrefixStack; nil is
+// invalid inside a machine state but is used as the "below bottom"
+// terminator.
 type SuffixStack struct {
 	F     SuffixFrame
 	Below *SuffixStack
-}
-
-// PushPrefix returns the stack with a new top frame.
-func PushPrefix(f PrefixFrame, below *PrefixStack) *PrefixStack {
-	return &PrefixStack{F: f, Below: below}
 }
 
 // PushSuffix returns the stack with a new top frame.
@@ -108,36 +112,15 @@ func (s *SuffixStack) Unproc() []grammar.SymID {
 	return out
 }
 
-// consProc returns a copy of the frame with symbol s and tree v prepended to
-// the processed accumulators. Copying keeps older states intact; frames are
-// bounded by the grammar's longest right-hand side, so the copy is O(1) per
-// grammar.
+// consProc returns a copy of the frame with symbol s and tree v appended
+// to the processed accumulators. The capacity-limited reslices make each
+// append copy, which keeps older states intact; frames are bounded by the
+// grammar's longest right-hand side, so the copy is O(1) per grammar.
 func (f PrefixFrame) consProc(s grammar.SymID, v tree.ID) PrefixFrame {
-	proc := make([]grammar.SymID, 0, len(f.Proc)+1)
-	proc = append(proc, s)
-	proc = append(proc, f.Proc...)
-	trees := make([]tree.ID, 0, len(f.Trees)+1)
-	trees = append(trees, v)
-	trees = append(trees, f.Trees...)
-	return PrefixFrame{Proc: proc, Trees: trees}
-}
-
-// ForestInOrder returns the frame's trees in left-to-right derivation order.
-func (f PrefixFrame) ForestInOrder() []tree.ID {
-	out := make([]tree.ID, len(f.Trees))
-	for i, v := range f.Trees {
-		out[len(f.Trees)-1-i] = v
+	return PrefixFrame{
+		Proc:  append(f.Proc[:len(f.Proc):len(f.Proc)], s),
+		Trees: append(f.Trees[:len(f.Trees):len(f.Trees)], v),
 	}
-	return out
-}
-
-// ProcInOrder returns the frame's processed symbols in left-to-right order.
-func (f PrefixFrame) ProcInOrder() []grammar.SymID {
-	out := make([]grammar.SymID, len(f.Proc))
-	for i, s := range f.Proc {
-		out[len(f.Proc)-1-i] = s
-	}
-	return out
 }
 
 // StringWith renders the suffix stack top-to-bottom, e.g. "[A d] [S]",
@@ -160,7 +143,7 @@ func (s *PrefixStack) StringWith(c *grammar.Compiled, t *tree.Table) string {
 	var parts []string
 	for ; s != nil; s = s.Below {
 		var ts []string
-		for _, v := range s.F.ForestInOrder() {
+		for _, v := range s.F.Trees {
 			ts = append(ts, t.Tree(v).String())
 		}
 		parts = append(parts, "["+strings.Join(ts, " ")+"]")

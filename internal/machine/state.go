@@ -19,11 +19,13 @@ import (
 // remaining input is a demand-driven cursor carrying pre-interned terminal
 // IDs, and the visited set is a bitset over NTIDs.
 //
-// The stacks are persistent and shared across states, but the cursor is a
-// single mutable value threaded linearly through the run: after a consume,
-// earlier states' view of the remaining input has moved too. Each state
-// snapshots its own Consumed count, so measures taken before a step
-// (Meas in OnStep hooks, the termination tests) remain valid afterwards.
+// Step treats states as values: its stacks are persistent and shared
+// across states. An in-place run instead rewrites the one State its Mem
+// owns (see Mem). Either way the cursor is a single mutable value threaded
+// linearly through the run: after a consume, earlier states' view of the
+// remaining input has moved too. Each state snapshots its own Consumed
+// count, so measures taken before a step (Meas in OnStep hooks, the
+// termination tests) remain valid afterwards.
 type State struct {
 	C        *grammar.Compiled // compiled grammar the IDs index into
 	Start    grammar.NTID      // start nonterminal (for invariant checking and finalization)
@@ -36,7 +38,7 @@ type State struct {
 	// Certified marks a run on a statically verified grammar (one carrying a
 	// grammar.Certificate): Theorem 5.8 plus the certificate's
 	// no-left-recursion check make the visited-set probe provably
-	// unreachable, so stepPush demotes it from a LeftRecursive error to a
+	// unreachable, so a push demotes it from a LeftRecursive error to a
 	// certificate-violation assertion. The bookkeeping itself stays on — the
 	// termination measure (measure.go) reads Visited — so certified and
 	// uncertified runs take bit-identical transitions on certified grammars.
@@ -45,10 +47,10 @@ type State struct {
 	// holds IDs into it. It is propagated unchanged through every step and
 	// never pooled: the tree the run returns keeps it alive.
 	Trees *tree.Table
-	// Mem is the run's allocation context, propagated unchanged through
-	// every step. Nil means plain heap allocation (the default for Init and
-	// InitSource); InitSourceIn attaches one. See Mem for the lifetime
-	// contract pooled callers must honor.
+	// Mem is the scratch an unobserved run steps this state in place on,
+	// propagated unchanged through every step. Nil (the default for Init
+	// and InitSource) means every step is persistent; InitSourceIn attaches
+	// one. See Mem for the lifetime contract pooled callers must honor.
 	Mem *Mem
 }
 
@@ -70,25 +72,43 @@ func InitSource(g *grammar.Grammar, start string, src *source.Cursor) *State {
 	return InitSourceIn(nil, g, start, src)
 }
 
-// InitSourceIn is InitSource with the run's allocations carved from m, the
-// arena-backed entry point pooled sessions use. A nil m is InitSource.
+// InitSourceIn is InitSource with the state and its stack nodes taken from
+// m, the entry point pooled sessions use: with a warm m it allocates only
+// the run's tree table. A nil m is InitSource.
 func InitSourceIn(m *Mem, g *grammar.Grammar, start string, src *source.Cursor) *State {
 	c := g.Compiled()
 	sid, ok := c.NTIDOf(start)
 	if !ok {
 		panic(fmt.Sprintf("machine: start symbol %q is not in the grammar", start))
 	}
-	return m.newState(State{
+	st := State{
 		C:        c,
 		Start:    sid,
-		Prefix:   m.pushPrefix(PrefixFrame{}, nil),
-		Suffix:   m.pushSuffix(SuffixFrame{Lhs: grammar.NoNT, Rest: append(m.symSpan(1), grammar.NTSym(sid))}, nil),
 		Src:      src,
 		Consumed: src.Pos(),
 		Unique:   true,
 		Trees:    tree.NewTable(c.NTNames()),
 		Mem:      m,
-	})
+	}
+	if m == nil {
+		heap := st // a copy, so that st itself never escapes to the heap
+		heap.Prefix = &PrefixStack{}
+		heap.Suffix = &SuffixStack{F: SuffixFrame{Lhs: grammar.NoNT, Rest: []grammar.SymID{grammar.NTSym(sid)}}}
+		return &heap
+	}
+	words := m.begin(g, c)
+	clear(words)
+	if len(m.levels) == 0 {
+		m.grow(1)
+	}
+	lv := m.levels[0]
+	m.start[0] = grammar.NTSym(sid)
+	lv.p.F.Proc, lv.p.F.Trees = lv.p.F.Proc[:0], lv.p.F.Trees[:0]
+	lv.s.F = SuffixFrame{Lhs: grammar.NoNT, Rest: m.start[:]}
+	st.Prefix, st.Suffix = &lv.p, &lv.s
+	st.Visited = NTSet{hi: words}
+	m.state = st
+	return &m.state
 }
 
 // String renders the state compactly for traces:

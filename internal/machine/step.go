@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"costar/internal/grammar"
+	"costar/internal/tree"
 )
 
 // Step performs a single atomic transition σ { σ′ (Section 3.3). It
@@ -24,19 +25,55 @@ import (
 // left-recursion check is one bitset probe — no string touches the hot
 // path.
 func Step(g *grammar.Grammar, pred Predictor, st *State) StepResult {
+	var r StepResult
 	top := st.Suffix
 	if len(top.F.Rest) == 0 {
 		if top.Below == nil {
 			return finalize(st)
 		}
-		return stepReturn(st)
+		if node, ok := returnNode(st, &r); ok {
+			// X is now fully processed, so it leaves the visited set (it is
+			// present only when X derived ε-so-far, i.e. no token was
+			// consumed since its push). The two cases are exactly Lemma
+			// 4.4's "(a) decreases or (b) remains constant" split for the
+			// stack score.
+			x, caller := top.F.Lhs, st.Prefix.Below
+			n := *st
+			n.Prefix = &PrefixStack{F: caller.F.consProc(grammar.NTSym(x), node), Below: caller.Below}
+			n.Suffix = top.Below
+			n.Visited = st.Visited.Remove(x)
+			r = StepResult{Kind: StepCont, Op: OpReturn, State: &n}
+		}
+		return r
 	}
+	rest := SuffixFrame{Lhs: top.F.Lhs, Rest: top.F.Rest[1:]}
 	head := top.F.Rest[0]
 	if head.IsT() {
-		return stepConsume(st, head.Term())
+		if leaf, ok := consumeLeaf(st, head.Term(), &r); ok {
+			n := *st
+			n.Prefix = &PrefixStack{F: st.Prefix.F.consProc(head, leaf), Below: st.Prefix.Below}
+			n.Suffix = &SuffixStack{F: rest, Below: top.Below}
+			n.Consumed++
+			n.Visited = NTSet{}
+			r = StepResult{Kind: StepCont, Op: OpConsume, State: &n}
+		}
+		return r
 	}
-	return stepPush(g, pred, st, head.NT())
+	if rhs, ambig, ok := predictRhs(g, pred, st, head.NT(), &r); ok {
+		n := *st
+		n.Prefix = &PrefixStack{Below: st.Prefix}
+		n.Suffix = &SuffixStack{F: SuffixFrame{Lhs: head.NT(), Rest: rhs}, Below: &SuffixStack{F: rest, Below: top.Below}}
+		n.Visited = st.Visited.Add(head.NT())
+		n.Unique = st.Unique && !ambig
+		r = StepResult{Kind: StepCont, Op: OpPush, State: &n}
+	}
+	return r
 }
+
+// The checks and shared side effects of each transition: returnNode,
+// consumeLeaf and predictRhs are what Step and an in-place run (Mem.step)
+// both do before they build the next state, each its own way. On a halt
+// they write the outcome (reject or error) to *halt and report false.
 
 // finalize handles the final configuration: no unprocessed symbols and a
 // single frame on each stack.
@@ -63,96 +100,75 @@ func finalize(st *State) StepResult {
 	return StepResult{Kind: StepAccept, Tree: st.Trees.Tree(st.Prefix.F.Trees[0])}
 }
 
-// stepReturn pops the completed top frames and stores Node(X, f) in the
-// caller's prefix frame (the (σ5) → (σ6) transition of Figure 2).
-func stepReturn(st *State) StepResult {
+// returnNode checks a return and builds Node(X, f) from the top frame's
+// trees; the transition then pops the completed top frames and stores the
+// node in the caller's prefix frame (the (σ5) → (σ6) transition of
+// Figure 2).
+func returnNode(st *State, halt *StepResult) (tree.ID, bool) {
 	x := st.Suffix.F.Lhs
 	if x == grammar.NoNT {
-		return StepResult{Kind: StepError, Err: InvalidState(
+		*halt = StepResult{Kind: StepError, Err: InvalidState(
 			"return with no open nonterminal in a non-bottom frame")}
+		return 0, false
 	}
 	if st.Prefix == nil || st.Prefix.Below == nil {
-		return StepResult{Kind: StepError, Err: InvalidState(
+		*halt = StepResult{Kind: StepError, Err: InvalidState(
 			"return: prefix stack height %d below suffix stack height %d",
 			st.Prefix.Height(), st.Suffix.Height())}
+		return 0, false
 	}
-	m := st.Mem
-	node := st.Trees.NodeRev(x, st.Prefix.F.Trees)
-	caller := m.consProcIn(st.Prefix.Below.F, grammar.NTSym(x), node)
-	// X is now fully processed, so it leaves the visited set (it is present
-	// only when X derived ε-so-far, i.e. no token was consumed since its
-	// push). The two cases are exactly Lemma 4.4's "(a) decreases or
-	// (b) remains constant" split for the stack score.
-	next := m.newState(State{
-		C:         st.C,
-		Start:     st.Start,
-		Prefix:    m.pushPrefix(caller, st.Prefix.Below.Below),
-		Suffix:    st.Suffix.Below,
-		Src:       st.Src,
-		Consumed:  st.Consumed,
-		Visited:   m.removeVisited(st.Visited, x),
-		Unique:    st.Unique,
-		Certified: st.Certified,
-		Trees:     st.Trees,
-		Mem:       m,
-	})
-	return StepResult{Kind: StepCont, Op: OpReturn, State: next}
+	return st.Trees.Node(x, st.Prefix.F.Trees), true
 }
 
-// stepConsume matches terminal a against the next token (the (σ2) → (σ3)
-// transition of Figure 2). A successful consume empties the visited set and
-// advances the cursor — the one transition that shrinks the window.
-func stepConsume(st *State, a grammar.TermID) StepResult {
+// consumeLeaf matches terminal a against the next token, builds its leaf
+// and advances the cursor (the (σ2) → (σ3) transition of Figure 2). A
+// consume also empties the visited set; it is the one transition that
+// shrinks the window.
+func consumeLeaf(st *State, a grammar.TermID, halt *StepResult) (tree.ID, bool) {
 	t, ok := st.Src.Peek(0)
 	if !ok {
 		if err := st.Src.Err(); err != nil {
-			return StepResult{Kind: StepError, Err: SourceErr(err)}
+			*halt = StepResult{Kind: StepError, Err: SourceErr(err)}
+			return 0, false
 		}
-		return StepResult{Kind: StepReject,
+		*halt = StepResult{Kind: StepReject,
 			Reason: "input exhausted while expecting terminal " + grammar.T(st.C.TermName(a)).String()}
+		return 0, false
 	}
 	tok, _ := st.Src.Token(0)
 	if t != a {
-		return StepResult{Kind: StepReject,
+		*halt = StepResult{Kind: StepReject,
 			Reason: "expected terminal " + grammar.T(st.C.TermName(a)).String() + ", found " + tok.String()}
+		return 0, false
 	}
-	m := st.Mem
-	topSuffix := SuffixFrame{Lhs: st.Suffix.F.Lhs, Rest: st.Suffix.F.Rest[1:]}
-	topPrefix := m.consProcIn(st.Prefix.F, grammar.TermSym(a), st.Trees.Leaf(tok))
+	leaf := st.Trees.Leaf(tok)
 	st.Src.Advance()
-	next := m.newState(State{
-		C:         st.C,
-		Start:     st.Start,
-		Prefix:    m.pushPrefix(topPrefix, st.Prefix.Below),
-		Suffix:    m.pushSuffix(topSuffix, st.Suffix.Below),
-		Src:       st.Src,
-		Consumed:  st.Consumed + 1,
-		Unique:    st.Unique,
-		Certified: st.Certified,
-		Trees:     st.Trees,
-		Mem:       m,
-	})
-	return StepResult{Kind: StepCont, Op: OpConsume, State: next}
+	return leaf, true
 }
 
-// stepPush checks for left recursion, asks the predictor for a right-hand
-// side for x, and pushes it (the (σ0) → (σ1) transition of Figure 2).
-func stepPush(g *grammar.Grammar, pred Predictor, st *State, x grammar.NTID) StepResult {
+// predictRhs checks for left recursion and asks the predictor for a
+// right-hand side for x, which the transition then pushes (the (σ0) → (σ1)
+// transition of Figure 2). ambig reports that more than one right-hand
+// side is viable.
+func predictRhs(g *grammar.Grammar, pred Predictor, st *State, x grammar.NTID, halt *StepResult) (rhs []grammar.SymID, ambig, ok bool) {
 	if st.Visited.Contains(x) {
 		if st.Certified {
 			// The grammar carries a no-left-recursion certificate, so this
 			// branch is statically unreachable (Theorem 5.8); reaching it
 			// means the certificate lied — an internal inconsistency, not a
 			// grammar-authoring error.
-			return StepResult{Kind: StepError, Err: InvalidState(
+			*halt = StepResult{Kind: StepError, Err: InvalidState(
 				"certificate violation: certified grammar re-opened %s without consuming a token", st.C.NTName(x))}
+			return nil, false, false
 		}
-		return StepResult{Kind: StepError, Err: LeftRecursive(st.C.NTName(x),
+		*halt = StepResult{Kind: StepError, Err: LeftRecursive(st.C.NTName(x),
 			"nonterminal re-opened without consuming a token")}
+		return nil, false, false
 	}
 	if !st.C.HasNTID(x) {
-		return StepResult{Kind: StepError, Err: InvalidState(
+		*halt = StepResult{Kind: StepError, Err: InvalidState(
 			"top stack nonterminal %s has no productions", st.C.NTName(x))}
+		return nil, false, false
 	}
 	p := pred.Predict(x, st.Suffix, st.Src)
 	switch p.Kind {
@@ -160,35 +176,22 @@ func stepPush(g *grammar.Grammar, pred Predictor, st *State, x grammar.NTID) Ste
 		// A truncated source looks like EOF to prediction; surface the
 		// underlying failure rather than a spurious rejection.
 		if err := st.Src.Err(); err != nil {
-			return StepResult{Kind: StepError, Err: SourceErr(err)}
+			*halt = StepResult{Kind: StepError, Err: SourceErr(err)}
+			return nil, false, false
 		}
 		reason := "no viable right-hand side for nonterminal " + st.C.NTName(x)
 		if p.FailDepth > 0 {
 			reason += fmt.Sprintf(" (last alternative died %d tokens ahead)", p.FailDepth)
 		}
-		return StepResult{Kind: StepReject, Reason: reason}
+		*halt = StepResult{Kind: StepReject, Reason: reason}
+		return nil, false, false
 	case PredError:
 		err := p.Err
 		if err == nil {
 			err = InvalidState("predictor returned PredError with nil error")
 		}
-		return StepResult{Kind: StepError, Err: err}
+		*halt = StepResult{Kind: StepError, Err: err}
+		return nil, false, false
 	}
-	m := st.Mem
-	caller := SuffixFrame{Lhs: st.Suffix.F.Lhs, Rest: st.Suffix.F.Rest[1:]}
-	pushed := SuffixFrame{Lhs: x, Rest: p.Rhs}
-	next := m.newState(State{
-		C:         st.C,
-		Start:     st.Start,
-		Prefix:    m.pushPrefix(PrefixFrame{}, st.Prefix),
-		Suffix:    m.pushSuffix(pushed, m.pushSuffix(caller, st.Suffix.Below)),
-		Src:       st.Src,
-		Consumed:  st.Consumed,
-		Visited:   m.addVisited(st.Visited, x),
-		Unique:    st.Unique && p.Kind != PredAmbig,
-		Certified: st.Certified,
-		Trees:     st.Trees,
-		Mem:       m,
-	})
-	return StepResult{Kind: StepCont, Op: OpPush, State: next}
+	return p.Rhs, p.Kind == PredAmbig, true
 }

@@ -156,9 +156,9 @@ type Parser struct {
 	certified bool
 
 	// pool recycles per-parse state (governor, predictor with its decision
-	// scratch, machine arenas, token cursor) across parses, so a warm
-	// session's steady-state allocation rate is amortized to near zero. See
-	// parseScratch for the lifetime contract.
+	// scratch, the machine's in-place Mem, token cursor) across parses, so
+	// a warm session's steady-state allocation rate is amortized to near
+	// zero. See parseScratch for the lifetime contract.
 	pool sync.Pool
 
 	statsMu sync.Mutex
@@ -167,8 +167,9 @@ type Parser struct {
 
 // parseScratch is the pooled per-parse state. Everything here is scratch
 // whose lifetime ends with the parse: the governor and predictor are Reset
-// for each parse, the machine arenas (states, stack frames, accumulators)
-// and a FreshCachePerParse session's parse-private DFA are cleared once the
+// for each parse, the machine's Mem (the state the run steps in place, its
+// per-depth stack nodes and accumulators) is overwritten by the next run,
+// a FreshCachePerParse session's parse-private DFA is cleared once the
 // Result is built, and the cursor keeps only its interned-ID capacity
 // between parses. None of it is Result-scoped: each run builds its tree in
 // a table of its own that only the Result's tree keeps alive, so pooled
@@ -193,7 +194,7 @@ func (p *Parser) getScratch() *parseScratch {
 }
 
 // release returns scratch to the pool. Callers must have dropped every
-// reference into the scratch arenas first (in parse, the deferred release
+// reference into the scratch first (in parse, the deferred release
 // runs after the Result — which aliases only the run's tree table — is
 // fully built and the machine's final state is out of scope).
 func (p *Parser) release(sc *parseScratch) {

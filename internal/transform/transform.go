@@ -24,8 +24,7 @@ import (
 // (derive at least one finite word). The start symbol is kept even when
 // unproductive, so the result always validates if the input did.
 func RemoveUseless(g *grammar.Grammar) *grammar.Grammar {
-	an := analysis.New(g)
-	productive := an.Productive()
+	productive := analysis.Productive(g)
 	// Reachability must be computed over the productive sub-grammar:
 	// a reachable-but-only-through-unproductive-rules nonterminal is
 	// still useless.

@@ -70,16 +70,6 @@ func (t *Table) Node(nt grammar.NTID, kids []ID) ID {
 	return id
 }
 
-// NodeRev is Node with kids given last child first, the order in which the
-// machine's accumulators hold them.
-func (t *Table) NodeRev(nt grammar.NTID, rev []ID) ID {
-	id, span := t.node(int32(nt), len(rev), 0)
-	for i, k := range rev {
-		span[len(rev)-1-i] = k
-	}
-	return id
-}
-
 // ErrorNode appends a recovery error node labeled nt over kids, in order.
 func (t *Table) ErrorNode(nt grammar.NTID, kids []ID) ID {
 	id, span := t.node(int32(nt), len(kids), errBit)

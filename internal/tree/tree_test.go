@@ -126,8 +126,7 @@ func TestEqualAcrossTables(t *testing.T) {
 	tab := NewTable([]string{"S", "A"})
 	a := tab.Leaf(grammar.Tok("a", "a"))
 	inner := tab.Node(1, []ID{tab.Leaf(grammar.Tok("b", "b"))})
-	// NodeRev takes children last first, as the machine accumulates them.
-	outerA := tab.NodeRev(1, []ID{inner, a})
+	outerA := tab.Node(1, []ID{a, inner})
 	root := tab.Node(0, []ID{outerA, tab.Leaf(grammar.Tok("d", "d"))})
 	if v := tab.Tree(root); !v.Equal(fig2Tree()) || v.Hash() != fig2Tree().Hash() || v.String() != fig2Tree().String() {
 		t.Errorf("table tree %s differs from hand-built %s", v, fig2Tree())

@@ -1,6 +1,7 @@
 // Package scratchescape enforces the DESIGN.md §5f lifetime contract:
-// values carved from pooled per-parse scratch — machine.Mem's arenas,
-// prediction's decision scratch, the parser's pooled parseScratch — must
+// values carved from pooled per-parse scratch — machine.Mem's in-place
+// state, nodes and buffers, prediction's decision scratch, the parser's
+// pooled parseScratch — must
 // never flow into anything that outlives the parse: a Result (other than
 // the documented machine.Result.Final exception), or the shared SLL DFA
 // cache's retained structures (dfaState fields, the retained parameters
@@ -14,7 +15,7 @@
 // arena allocation calls, and same-package call summaries, is filtered by
 // a type gate (only types that can alias pooled memory carry taint — a
 // tree.ID copied out of a scratch accumulator is clean, the []tree.ID
-// accumulator span itself is not), and is reported where it crosses a
+// accumulator buffer itself is not), and is reported where it crosses a
 // retention boundary. Escapes a human can prove safe are suppressed in place with
 // `//costar:allow scratchescape -- <why>`.
 //
@@ -36,10 +37,12 @@ import (
 // pkgName → typeName → field set. A nil field set means every field.
 var sourceFields = map[string]map[string]map[string]bool{
 	"machine": {
-		// Mem's arenas are scratch. The run's tree table (State.Trees) is
-		// Result-scoped and deliberately not a source — see the §5f
-		// contract in mem.go.
-		"Mem": {"states": true, "prefix": true, "suffix": true, "syms": true, "acc": true, "words": true},
+		// An in-place run's scratch: the state it steps, the per-depth
+		// stack nodes with their accumulator buffers (levels), the visited
+		// set's overflow words, and the bottom frame's start symbol. The
+		// run's tree table (State.Trees) is Result-scoped and deliberately
+		// not a source — see the §5f contract in mem.go.
+		"Mem": {"state": true, "levels": true, "words": true, "start": true},
 	},
 	"prediction": {
 		"scratch": nil, // every field of the decision scratch is scratch
@@ -54,9 +57,8 @@ var sourceFields = map[string]map[string]map[string]bool{
 // is cache-owned no matter what went in. Bare names are package
 // functions, Type.Method names are methods.
 var sanitizers = map[string]bool{
-	"stateMem.copyConfigs":      true, // carves from the cache generation's slabs
-	"stateMem.copyInts":         true,
-	"PrefixFrame.ForestInOrder": true,
+	"stateMem.copyConfigs": true, // carves from the cache generation's slabs
+	"stateMem.copyInts":    true,
 }
 
 // retainedParams maps same-package functions that retain specific
@@ -90,7 +92,7 @@ var resultTypes = map[string]map[string]map[string]bool{
 // be arena-carved); everything else — basics, strings, *tree.Tree,
 // grammar.Token, Usage values — cannot.
 var taintCapable = map[string]map[string]bool{
-	"machine":    {"State": true, "PrefixStack": true, "SuffixStack": true, "PrefixFrame": true, "SuffixFrame": true, "NTSet": true, "Mem": true, "Result": true},
+	"machine":    {"State": true, "PrefixStack": true, "SuffixStack": true, "PrefixFrame": true, "SuffixFrame": true, "NTSet": true, "Mem": true, "Result": true, "level": true},
 	"prediction": {"config": true, "scratch": true, "engine": true},
 	"arena":      {"Arena": true, "Slab": true},
 }
@@ -99,10 +101,10 @@ var taintCapable = map[string]map[string]bool{
 var Analyzer = &analyzerkit.Analyzer{
 	Name: "scratchescape",
 	Doc: "flag pooled scratch escaping into Results or the shared DFA cache\n\n" +
-		"Per-parse scratch (machine.Mem arenas, prediction decision scratch) dies at\n" +
-		"Reset; anything that outlives the parse — Result fields, interned dfaStates —\n" +
-		"must hold deep copies (stateMem.copyConfigs/copyInts). An escape is a\n" +
-		"use-after-reset when the pooled Mem serves its next parse.",
+		"Per-parse scratch (machine.Mem's in-place nodes and buffers, prediction decision\n" +
+		"scratch) is reused by the next parse; anything that outlives the parse — Result\n" +
+		"fields, interned dfaStates — must hold deep copies (stateMem.copyConfigs/copyInts).\n" +
+		"An escape is a use-after-reset when the pooled Mem serves its next parse.",
 	Run:       run,
 	NeedTypes: true,
 	Match: func(pkgName, pkgPath string) bool {

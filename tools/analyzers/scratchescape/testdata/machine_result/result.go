@@ -1,7 +1,7 @@
 // Fixture: the §5f Result boundary. machine.Result.Final is the one
 // sanctioned scratch-in-Result field (the parser extracts what it needs
-// before releasing its Mem); every other Result field must hold memory
-// that survives the pooled arenas' Reset.
+// before it releases its Mem); every other Result field must hold memory
+// that the pooled Mem's next run does not overwrite.
 package machine
 
 type State struct{ step int }
@@ -9,60 +9,73 @@ type State struct{ step int }
 // ID names a node of a Result-scoped tree table.
 type ID int32
 
+type PrefixStack struct {
+	Trees []ID
+	Below *PrefixStack
+}
+
 type Result struct {
 	Steps int
 	Final *State
 	Trace []*State
+	Top   *PrefixStack
 	Root  ID
 	Kids  []ID
+	Words []uint64
 }
 
-// Mem is the pooled per-parse arena bundle; states and acc are scratch.
+// level is one stack depth's node; its accumulator buffer is scratch too.
+type level struct {
+	p PrefixStack
+}
+
+// Mem is the in-place run's scratch: its state, per-depth nodes with their
+// accumulator buffers, and the visited set's overflow words.
 type Mem struct {
-	states []State
-	acc    []ID // tree-ID accumulator spans
-}
-
-func (m *Mem) newState() *State {
-	m.states = append(m.states, State{})
-	return &m.states[len(m.states)-1]
+	state  State
+	levels []*level
+	words  []uint64
 }
 
 // finish uses the documented Final exception; accepted.
 func finish(m *Mem) Result {
-	return Result{Steps: len(m.states), Final: m.newState()}
+	return Result{Steps: 1, Final: &m.state}
 }
 
-// leakTrace stores arena-backed states beyond the exception.
+// leakTrace stores the in-place state beyond the exception.
 func leakTrace(m *Mem) Result {
-	st := m.newState()
 	var r Result
 	r.Steps = 1
-	r.Trace = []*State{st} // want "Results outlive the pooled Mem"
+	r.Trace = []*State{&m.state} // want "Results outlive the pooled Mem"
 	return r
 }
 
-// leakLiteral leaks the same way through a composite literal field.
-func leakLiteral(m *Mem) Result {
+// leakNode stores a per-depth node through a composite literal field.
+func leakNode(m *Mem) Result {
 	return Result{
-		Trace: []*State{m.newState()}, // want "deep-copy before it outlives the parse"
+		Top: &m.levels[0].p, // want "deep-copy before it outlives the parse"
 	}
 }
 
-// leakAccSpan stores a scratch accumulator span of tree IDs: pointer-free,
-// but the pooled Mem overwrites the span on its next parse.
-func leakAccSpan(m *Mem) Result {
+// leakBuffer stores a node's accumulator buffer of tree IDs: pointer-free,
+// but the next run appends over it.
+func leakBuffer(m *Mem) Result {
 	var r Result
-	r.Kids = m.acc[:2] // want "Results outlive the pooled Mem"
+	r.Kids = m.levels[1].p.Trees // want "Results outlive the pooled Mem"
 	return r
 }
 
-// an ID copied out of the accumulator is a value, and clean.
+// leakWords stores the visited set's overflow words.
+func leakWords(m *Mem) Result {
+	return Result{Words: m.words[:1]} // want "deep-copy before it outlives the parse"
+}
+
+// an ID copied out of a buffer is a value, and clean.
 func rootOf(m *Mem) Result {
-	return Result{Root: m.acc[0]}
+	return Result{Root: m.levels[0].p.Trees[0]}
 }
 
 // derived values (counts, flags) computed from scratch are clean.
 func summarize(m *Mem) Result {
-	return Result{Steps: len(m.states)}
+	return Result{Steps: len(m.levels)}
 }
