@@ -138,9 +138,15 @@ func TestAllocGuardWarmPythonStream(t *testing.T) {
 // states. Interning used to deep-copy each state node by node and build its
 // key in fresh buffers (49.6 allocs/token on this input); states are now
 // carved from slabs with keys built and hashed in scratch, no key is
-// stored, and the parse-private DFA is recycled with the pooled scratch:
-// measured at 0.36 allocs/token (0.51 while each state kept its key string
-// and each parse built a new DFA). The ceiling is the usual ~10x headroom.
+// stored, and the parse-private DFA is recycled with the pooled scratch.
+// Two copies remained until the DFA's edges and starts became slot tables:
+// every new edge copied its state's whole edge map, and every new start
+// state the generation's whole start map (0.353 allocs/token, 1,961 per
+// parse). A new edge is now one compare-and-swap into a row carved from the
+// recycled slabs: measured at 0.0049 allocs/token (27 per parse), the
+// residue being the parse's tree table. The alloc ceiling is the usual ~10x
+// headroom; the byte ceiling is ~1.25x the measured 235 B/token (275
+// with the map copies), most of it the tree table.
 func TestAllocGuardColdPythonParse(t *testing.T) {
 	src := pylang.Generate(42, 3000)
 	toks, err := pylang.Lang.Tokenize(src)
@@ -148,11 +154,13 @@ func TestAllocGuardColdPythonParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := parser.MustNew(pylang.Lang.Grammar(), parser.Options{FreshCachePerParse: true})
-	allocGuard(t, len(toks), 5, func() {
+	op := func() {
 		if res := p.Parse(toks); res.Kind != machine.Unique {
 			t.Fatal(res.Reason)
 		}
-	})
+	}
+	allocGuard(t, len(toks), 0.05, op)
+	bytesGuard(t, len(toks), 295, op)
 }
 
 // TestAllocGuardWarmServeSession guards the costar serve request path: a

@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"costar"
+	"costar/internal/grammarlint"
 	"costar/internal/languages"
 )
 
@@ -67,7 +68,7 @@ func compile(langName, g4Path, bnfPath, out string, warm, warmMax int, cold bool
 	// -artifact sessions start certified. Not clean is not fatal — the
 	// artifact is simply uncertified, like a plain NewParser session.
 	if rep := costar.Vet(g); rep.Clean() {
-		if _, _, err := costar.Certify(g); err != nil {
+		if _, err := grammarlint.Issue(rep); err != nil {
 			return fmt.Errorf("certification failed on a clean grammar: %v", err)
 		}
 	} else {

@@ -83,7 +83,7 @@ func runVet(args []string) int {
 			fmt.Printf("%s%s\n", prefix, d)
 		}
 		if rep.Clean() {
-			cert, _, err := costar.Certify(tg.g)
+			cert, err := grammarlint.Issue(rep)
 			if err != nil {
 				// Clean implies certifiable; failure here is a bug.
 				fmt.Fprintf(os.Stderr, "costar vet: %scertification failed: %v\n", prefix, err)

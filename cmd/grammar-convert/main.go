@@ -136,7 +136,7 @@ func run(w io.Writer, path string, stats, lexRules, check, fix, vet bool, emit s
 		// vets clean), and the embedded .g4 source the lexer recompiles
 		// from — no warm DFA snapshot. `costar compile` adds the warming.
 		if rep.Clean() {
-			if _, _, err := costar.Certify(g); err != nil {
+			if _, err := grammarlint.Issue(rep); err != nil {
 				return fmt.Errorf("certification failed on a clean grammar: %v", err)
 			}
 		}

@@ -8,11 +8,14 @@ import (
 
 // predictor owns the GSS and the persistent DFA cache. One predictor
 // serves a whole session; Reset drops the learned DFA (cold-cache runs).
+// The DFA has the verified engine's layout: start states indexed by
+// nonterminal and edges by terminal, so Figure 10 compares machines rather
+// than tables.
 type predictor struct {
 	ig  *igrammar
 	gss *gss
 
-	starts map[grammar.NTID]*pdfaState // per decision nonterminal
+	starts []*pdfaState // by decision nonterminal
 	states map[string]*pdfaState
 }
 
@@ -22,7 +25,10 @@ type pdfaState struct {
 	uniqueAlt  int32 // -1 when unresolved
 	conflict   int32 // lowest alt of an early-detected conflict, or -1
 	anomalous  bool
-	edges      map[grammar.TermID]*pdfaState
+	// edges holds the successor per terminal t at t+1 (slot 0 for
+	// NoTerm); nil for a state adaptivePredict answers at without reading
+	// a token.
+	edges []*pdfaState
 }
 
 // predOutcome is the predictor's answer for one decision.
@@ -49,25 +55,32 @@ func newPredictor(ig *igrammar) *predictor {
 	return &predictor{
 		ig:     ig,
 		gss:    newGSS(),
-		starts: make(map[grammar.NTID]*pdfaState),
+		starts: make([]*pdfaState, ig.c.NumNTs()),
 		states: make(map[string]*pdfaState),
 	}
 }
 
 // reset drops the DFA but keeps the GSS (node ids stay valid).
 func (p *predictor) reset() {
-	p.starts = make(map[grammar.NTID]*pdfaState)
+	clear(p.starts)
 	p.states = make(map[string]*pdfaState)
 }
 
-func (p *predictor) size() (starts, states int) { return len(p.starts), len(p.states) }
+func (p *predictor) size() (starts, states int) {
+	for _, st := range p.starts {
+		if st != nil {
+			starts++
+		}
+	}
+	return starts, len(p.states)
+}
 
 // adaptivePredict picks a production for decision nonterminal nt. The
 // machine's current stack (as GSS continuation chain) is supplied lazily
 // via mkContext, so the common SLL path never materializes it.
 func (p *predictor) adaptivePredict(nt grammar.NTID, remaining []grammar.TermID, mkContext func() int32) predOutcome {
-	st, ok := p.starts[nt]
-	if !ok {
+	st := p.starts[nt]
+	if st == nil {
 		st = p.buildStart(nt)
 		p.starts[nt] = st
 	}
@@ -92,10 +105,10 @@ func (p *predictor) adaptivePredict(nt grammar.NTID, remaining []grammar.TermID,
 			return resolveEOF(st.haltedAlts)
 		}
 		t := remaining[depth]
-		next, ok := st.edges[t]
-		if !ok {
+		next := st.edges[t+1]
+		if next == nil {
 			next = p.intern(p.closure(modeSLL, moveConfigs(p.ig, p.gss, st.configs, t)))
-			st.edges[t] = next
+			st.edges[t+1] = next
 		}
 		st = next
 	}
@@ -243,8 +256,7 @@ func (p *predictor) intern(cl pclosure) *pdfaState {
 	if st, ok := p.states[key]; ok {
 		return st
 	}
-	st := &pdfaState{uniqueAlt: -1, conflict: -1, anomalous: cl.anomalous,
-		configs: cfgs, edges: make(map[grammar.TermID]*pdfaState)}
+	st := &pdfaState{uniqueAlt: -1, conflict: -1, anomalous: cl.anomalous, configs: cfgs}
 	// Resolution facts.
 	altSet := map[int32]bool{}
 	for _, c := range cfgs {
@@ -279,6 +291,9 @@ func (p *predictor) intern(cl pclosure) *pdfaState {
 		if len(st.haltedAlts) > 1 && st.conflict < 0 {
 			st.conflict = st.haltedAlts[0]
 		}
+	}
+	if st.uniqueAlt < 0 && st.conflict < 0 && !st.anomalous && len(cfgs) > 0 {
+		st.edges = make([]*pdfaState, p.ig.c.NumTerms()+1)
 	}
 	p.states[key] = st
 	return st

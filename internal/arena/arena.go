@@ -86,7 +86,12 @@ func (a *Arena[T]) grow() {
 // touched slab is zeroed (so no stale pointers pin dead trees or input
 // buffers from the pool) and the allocator rewinds to the first slab. Slabs
 // are retained for reuse — a warm arena's steady state allocates nothing.
+// An arena nothing was carved from since its last Reset is already reset,
+// so Reset returns at once.
 func (a *Arena[T]) Reset() {
+	if a.cur == 0 && a.off == 0 {
+		return
+	}
 	for i := 0; i < a.cur; i++ {
 		clear(a.slabs[i])
 	}
@@ -167,8 +172,12 @@ func (s *Slab[T]) grow(n int) {
 // Reset recycles the slab allocator: the used prefix of every touched slab
 // is zeroed so pooled scratch cannot pin previously returned spans, and the
 // allocator rewinds to the first slab, retaining capacity for the next
-// parse.
+// parse. Like Arena.Reset, it returns at once when nothing was carved since
+// the last Reset.
 func (s *Slab[T]) Reset() {
+	if s.cur == 0 && s.off == 0 {
+		return
+	}
 	for i := 0; i < s.cur; i++ {
 		clear(s.slabs[i])
 	}

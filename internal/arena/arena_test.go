@@ -116,3 +116,28 @@ func TestZeroValueGrowthSequence(t *testing.T) {
 		t.Fatalf("slab size after growth cap: %d, want %d", len(a.buf), maxSlab)
 	}
 }
+
+// TestResetWithNothingCarvedKeepsRewind: a Reset with nothing carved since
+// the last one returns at once and leaves both allocators rewound, so the
+// next carve reuses the first slot.
+func TestResetWithNothingCarvedKeepsRewind(t *testing.T) {
+	var a Arena[int]
+	var s Slab[int]
+	for i := 0; i < 3*minSlab; i++ {
+		a.New(i)
+		s.Make(1)
+	}
+	a.Reset()
+	s.Reset()
+	a.Reset()
+	s.Reset()
+	if a.cur != 0 || a.off != 0 || s.cur != 0 || s.off != 0 {
+		t.Fatalf("second Reset moved the allocators: arena at slab %d+%d, slab at %d+%d", a.cur, a.off, s.cur, s.off)
+	}
+	if p := a.New(9); p != &a.slabs[0][0] || *p != 9 {
+		t.Fatal("the arena does not carve from its first slot after a second Reset")
+	}
+	if sp := s.Make(1); unsafe.SliceData(sp[:1]) != &s.slabs[0][0] {
+		t.Fatal("the slab allocator does not carve from its first slot after a second Reset")
+	}
+}

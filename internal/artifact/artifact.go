@@ -118,7 +118,7 @@ func (a *Artifact) Realize() (*Realized, error) {
 			return nil, fmt.Errorf("%w: %v", ErrMismatch, err)
 		}
 	}
-	cache := prediction.NewCache()
+	cache := prediction.NewCache(c)
 	if err := cache.Import(c, a.Cache); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

@@ -159,6 +159,31 @@ func TestRealizeRejectsTampering(t *testing.T) {
 			}
 			panic("warmed artifact has no edges")
 		}, artifact.ErrCorrupt},
+		// Edges and starts fill slots by a compare-and-swap from nil: a
+		// slot named twice, a terminal past the row, or an edge out of a
+		// state SLL never leaves by an edge has nowhere to go.
+		{"cache duplicate edge", func(a *artifact.Artifact) {
+			ss := withEdges(a)
+			ss.EdgeTerms = append(ss.EdgeTerms, ss.EdgeTerms[0])
+			ss.EdgeStates = append(ss.EdgeStates, ss.EdgeStates[0])
+		}, artifact.ErrCorrupt},
+		{"cache edge terminal past the row", func(a *artifact.Artifact) {
+			withEdges(a).EdgeTerms[0] = int32(len(a.Tables.TermNames))
+		}, artifact.ErrCorrupt},
+		{"cache edge on a resolved state", func(a *artifact.Artifact) {
+			for i := range a.Cache.States {
+				ss := &a.Cache.States[i]
+				if resolved(ss) {
+					ss.EdgeTerms = append(ss.EdgeTerms, 0)
+					ss.EdgeStates = append(ss.EdgeStates, 0)
+					return
+				}
+			}
+			panic("warmed artifact has no resolved state")
+		}, artifact.ErrCorrupt},
+		{"cache duplicate start", func(a *artifact.Artifact) {
+			a.Cache.Starts = append(a.Cache.Starts, a.Cache.Starts[0])
+		}, artifact.ErrCorrupt},
 		{"cache config alt", func(a *artifact.Artifact) {
 			for i := range a.Cache.States {
 				if len(a.Cache.States[i].Configs) > 0 {
@@ -216,6 +241,30 @@ func TestRealizeRejectsTampering(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withEdges returns the first state of a's DFA that has an edge.
+func withEdges(a *artifact.Artifact) *prediction.StateSnapshot {
+	for i := range a.Cache.States {
+		if len(a.Cache.States[i].EdgeTerms) > 0 {
+			return &a.Cache.States[i]
+		}
+	}
+	panic("warmed artifact has no edges")
+}
+
+// resolved reports whether every config of ss predicts one alternative,
+// so that SLL answers at the state without reading a token.
+func resolved(ss *prediction.StateSnapshot) bool {
+	if ss.Anomalous || len(ss.Configs) == 0 {
+		return false
+	}
+	for _, c := range ss.Configs {
+		if c.Alt != ss.Configs[0].Alt {
+			return false
+		}
+	}
+	return true
 }
 
 // deepChain appends a chain of n frames to a's frame table, each a copy of

@@ -145,7 +145,7 @@ type Persistent struct {
 func NewPersistent(g *grammar.Grammar, freshCache bool) *Persistent {
 	p := &Persistent{g: g, tg: analysis.NewTargets(g)}
 	if !freshCache {
-		p.cache = prediction.NewCache()
+		p.cache = prediction.NewCache(g.Compiled())
 	}
 	return p
 }

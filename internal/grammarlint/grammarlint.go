@@ -222,18 +222,28 @@ const IssuerName = "grammarlint"
 // the first blocking diagnostic.
 func Certify(g *grammar.Grammar) (*grammar.Certificate, *Report, error) {
 	r := Check(g)
+	cert, err := Issue(r)
+	return cert, r, err
+}
+
+// Issue is Certify for a report Check already computed: it issues and
+// attaches the certificate for r.Grammar without verifying it again, or
+// refuses with the report's first error. r must come from Check on that
+// grammar.
+func Issue(r *Report) (*grammar.Certificate, error) {
 	if errs := r.Errors(); len(errs) > 0 {
-		return nil, r, fmt.Errorf("grammarlint: %d error(s); first: %s", len(errs), errs[0])
+		return nil, fmt.Errorf("grammarlint: %d error(s); first: %s", len(errs), errs[0])
 	}
+	c := r.Grammar.Compiled()
 	cert := &grammar.Certificate{
-		Fingerprint: g.Compiled().Fingerprint(),
+		Fingerprint: c.Fingerprint(),
 		Checks:      []string{"well-formed", "no-left-recursion", "no-derivation-cycles"},
 		Issuer:      IssuerName,
 	}
-	if err := g.Compiled().Certify(cert); err != nil {
-		return nil, r, err
+	if err := c.Certify(cert); err != nil {
+		return nil, err
 	}
-	return cert, r, nil
+	return cert, nil
 }
 
 // verifier accumulates diagnostics over one grammar.

@@ -474,6 +474,28 @@ func TestCertifyRefusesLeftRecursion(t *testing.T) {
 	}
 }
 
+// TestIssueFromReport: a report Check already computed certifies its
+// grammar exactly as Certify does, with no second verification, and a
+// report with errors is refused without attaching anything.
+func TestIssueFromReport(t *testing.T) {
+	g := grammar.MustParseBNF(`S -> a S | b`)
+	cert, err := Issue(Check(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := Certify(grammar.MustParseBNF(`S -> a S | b`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cert, want) || g.Compiled().Certificate() != cert {
+		t.Errorf("Issue gave %v (attached %v), Certify %v", cert, g.Compiled().Certificate(), want)
+	}
+	lr := grammar.MustParseBNF(`E -> E plus n | n`)
+	if cert, err := Issue(Check(lr)); err == nil || cert != nil || lr.Compiled().Certificate() != nil {
+		t.Fatalf("Issue certified a left-recursive grammar (cert=%v, err=%v)", cert, err)
+	}
+}
+
 func TestForeignCertificateRejected(t *testing.T) {
 	g1 := grammar.MustParseBNF(`S -> a`)
 	g2 := grammar.MustParseBNF(`S -> b`)

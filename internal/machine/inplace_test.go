@@ -43,7 +43,7 @@ func (e *engine) parse(t *testing.T, w []grammar.Token, seed int64) outcome {
 	t.Helper()
 	cache := e.cache
 	if e.fresh {
-		cache = prediction.NewCache()
+		cache = prediction.NewCache(e.g.Compiled())
 	}
 	gov := machine.NewGovernor(nil, machine.Limits{MaxSteps: 100000})
 	var pred machine.Predictor
@@ -129,7 +129,7 @@ func differential(t *testing.T, name string, g *grammar.Grammar, words [][]gramm
 			}
 			mk := func(mem *machine.Mem) *engine {
 				return &engine{g: g, an: an, tg: tg, mem: mem, recover: recover, fresh: fresh,
-					cache: prediction.NewCache(), chaos: chaos}
+					cache: prediction.NewCache(g.Compiled()), chaos: chaos}
 			}
 			inPlace, persistent := mk(machine.NewMem()), mk(nil)
 			for i, w := range words {

@@ -24,7 +24,7 @@ func TestPooledScratchBoundedByStackDepth(t *testing.T) {
 	for _, rhs := range g.Compiled().Tables().ProdRhs {
 		maxRhs = max(maxRhs, len(rhs))
 	}
-	cache := prediction.NewCache()
+	cache := prediction.NewCache(g.Compiled())
 	mem := machine.NewMem()
 	parse := func(size int) (machine.Result, int) {
 		toks, err := pylang.Tokenize(pylang.Generate(11, size))

@@ -217,7 +217,7 @@ func New(g *grammar.Grammar, opts Options) (*Parser, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return newSession(g, analysis.New(g), prediction.NewCache(), opts), nil
+	return newSession(g, analysis.New(g), prediction.NewCache(g.Compiled()), opts), nil
 }
 
 // newSession assembles a session over a validated grammar, its analysis
@@ -363,7 +363,7 @@ func (p *Parser) parse(ctx context.Context, start string, sc *parseScratch, src 
 	cache := p.cache
 	if p.opts.FreshCachePerParse {
 		if sc.cache == nil {
-			sc.cache = prediction.NewCache()
+			sc.cache = prediction.NewCache(p.g.Compiled())
 		}
 		cache = sc.cache
 	}

@@ -15,13 +15,12 @@ import (
 // stable subparser configurations plus its precomputed resolution facts and
 // outgoing edges (∆ of Figure 1, with states q as subparser sets).
 //
-// Concurrency: every field except edges is immutable after interning.
-// edges grows copy-on-write — readers follow transitions with a single
-// atomic load (edge), writers serialize on mu and publish a fresh map
-// (setEdge) — so the warm-cache hit path is lock-free. Edges are keyed by
-// dense terminal IDs and state identity is the content of the canonical
-// configs, filed under the hash of their packed-int32 key; neither hashes a
-// symbol name.
+// Concurrency: every field is immutable after interning except the slots
+// of edges. A slot is written once, by a compare-and-swap from nil
+// (setEdge), and read with one atomic load (edge), so both the warm hit
+// path and a new edge are lock-free. Edges are indexed by dense terminal
+// IDs and state identity is the content of the canonical configs, filed
+// under the hash of their packed-int32 key; neither hashes a symbol name.
 type dfaState struct {
 	configs    []config  // stable, canonically ordered (halted included)
 	haltedAlts []int     // alts with a completed simulated parse
@@ -29,47 +28,29 @@ type dfaState struct {
 	anomalous  bool      // construction involved a subparser kill
 	next       *dfaState // next state filed under the same key hash
 
-	mu    sync.Mutex // serializes edge additions; readers never take it
-	edges atomic.Pointer[map[grammar.TermID]*dfaState]
+	// edges is the state's row of successors: slot 0 for NoTerm, slot t+1
+	// for terminal t. Only a state SLL can leave by an edge has a row (see
+	// newDFAState); sllPredict answers at every other state without
+	// reading a token.
+	edges []atomic.Pointer[dfaState]
 }
 
-// noEdges is the edge map every state starts with. It is shared and never
-// written: setEdge always publishes a fresh copy, so one empty map serves
-// every new state.
-var noEdges = map[grammar.TermID]*dfaState{}
-
-// edge returns the successor of st over terminal t, lock-free.
-func (st *dfaState) edge(t grammar.TermID) (*dfaState, bool) {
-	next, ok := (*st.edges.Load())[t]
-	return next, ok
+// edge returns the successor of st over terminal t, or nil; lock-free. st
+// must have a row.
+func (st *dfaState) edge(t grammar.TermID) *dfaState {
+	return st.edges[t+1].Load()
 }
 
-// setEdge publishes t→next and returns the edge's winner. Under a race the
-// first writer wins; because successors are interned by content, racing
-// writers hold the identical *dfaState anyway, so either answer is correct
-// and the loser simply discards its redundant build.
+// setEdge publishes t→next and returns the edge's winner. A slot is
+// written only by a compare-and-swap from nil, so under a race the first
+// writer wins; because successors are interned by content, racing writers
+// hold the identical *dfaState anyway, so either answer is correct and the
+// loser simply discards its redundant build.
 func (st *dfaState) setEdge(t grammar.TermID, next *dfaState) *dfaState {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	m := st.edges.Load()
-	if exist, ok := (*m)[t]; ok {
-		return exist
+	if st.edges[t+1].CompareAndSwap(nil, next) {
+		return next
 	}
-	nm := make(map[grammar.TermID]*dfaState, len(*m)+1)
-	for k, v := range *m {
-		nm[k] = v
-	}
-	nm[t] = next
-	st.edges.Store(&nm)
-	return next
-}
-
-// installEdges publishes a complete edge map on a state not yet visible to
-// any reader — the snapshot-import bulk path, where building edges one
-// setEdge at a time would copy the map once per edge. Once a state is
-// shared, edges grow only through setEdge's copy-on-write protocol.
-func (st *dfaState) installEdges(m map[grammar.TermID]*dfaState) {
-	st.edges.Store(&m)
+	return st.edges[t+1].Load()
 }
 
 // sameContent reports whether st is the state for the canonical configs
@@ -117,8 +98,8 @@ func sameRest(a, b []grammar.SymID) bool {
 // cacheGen is one generation of cached DFA states; Reset swaps the whole
 // generation so in-flight readers keep a consistent snapshot.
 type cacheGen struct {
-	mu      sync.Mutex // serializes copy-on-write updates to starts
-	starts  atomic.Pointer[map[grammar.NTID]*dfaState]
+	starts  []atomic.Pointer[dfaState] // start state per decision nonterminal, written like an edge slot
+	nStarts atomic.Int64               // filled start slots, readable without locks
 	shards  [internShards]internShard
 	nStates atomic.Int64 // interned states over all shards, readable without locks
 }
@@ -189,24 +170,10 @@ func (g *cacheGen) all() []*dfaState {
 	return sts
 }
 
-func newGen() *cacheGen {
-	g := &cacheGen{}
-	m := make(map[grammar.NTID]*dfaState)
-	g.starts.Store(&m)
-	return g
-}
-
-// installStarts publishes a complete start map on a generation not yet
-// visible to any reader (snapshot import); shared generations grow starts
-// only through Cache.start's copy-on-write path.
-func (g *cacheGen) installStarts(m map[grammar.NTID]*dfaState) {
-	g.starts.Store(&m)
-}
-
 // stateMem is the cache-owned memory interned states are carved from: bump
-// slabs for the states, their configs, suffix-stack frames, and halted-alt
-// lists. It belongs to one shard of one generation, so a new state costs
-// amortized O(1) allocations however many frames it copies. A shared cache
+// slabs for the states, their configs, suffix-stack frames, halted-alt
+// lists and edge rows. It belongs to one shard of one generation, so a new
+// state costs amortized O(1) allocations however many frames it copies. A shared cache
 // never resets it — Reset drops the whole generation, and the garbage
 // collector frees its slabs once no in-flight parse holds one of its
 // states; only Clear, on a cache no other goroutine can reach, rewinds it.
@@ -217,33 +184,44 @@ type stateMem struct {
 	configs arena.Slab[config]
 	frames  arena.Slab[machine.SuffixStack] // one span per copied chain or imported frame table
 	ints    arena.Slab[int]
+	rows    arena.Slab[atomic.Pointer[dfaState]]
 }
 
 // newDFAState assembles a state from cache-owned configs and its alt
 // summary (alts drive uniqueAlt; haltedAlts is retained). cfgs and
 // haltedAlts must already be owned by the cache — callers copy scratch with
-// copyConfigs and copyInts before passing it here.
-func (m *stateMem) newDFAState(cfgs []config, alts, haltedAlts []int, anomalous bool) *dfaState {
-	st := m.states.New(dfaState{
+// copyConfigs and copyInts before passing it here. A state whose configs
+// still disagree on the alternative gets an empty row of terms+1 edge
+// slots; an anomalous, resolved or dead state gets none, because SLL
+// answers there without following an edge.
+func (m *stateMem) newDFAState(cfgs []config, alts, haltedAlts []int, anomalous bool, terms int) *dfaState {
+	unique := -1
+	var row []atomic.Pointer[dfaState]
+	switch {
+	case anomalous || len(alts) == 0:
+		// LL fallback or reject: no row.
+	case len(alts) == 1:
+		unique = alts[0]
+	default:
+		row = m.rows.Make(terms + 1)[:terms+1]
+	}
+	return m.states.New(dfaState{
 		configs:    cfgs,
 		haltedAlts: haltedAlts,
-		uniqueAlt:  -1,
+		uniqueAlt:  unique,
 		anomalous:  anomalous,
+		edges:      row,
 	})
-	st.edges.Store(&noEdges)
-	if len(alts) == 1 && !anomalous {
-		st.uniqueAlt = alts[0]
-	}
-	return st
 }
 
 // reset rewinds every slab for reuse; the arenas zero what they handed out,
-// so a reset stateMem pins no state or frame.
+// so a reset stateMem pins no state or frame and hands out empty rows.
 func (m *stateMem) reset() {
 	m.states.Reset()
 	m.configs.Reset()
 	m.frames.Reset()
 	m.ints.Reset()
+	m.rows.Reset()
 }
 
 // copyConfigs deep-copies configs into m: the slice and each stack chain.
@@ -284,7 +262,8 @@ func (m *stateMem) copyInts(xs []int) []int {
 }
 
 // Cache is the persistent SLL DFA: start states per decision nonterminal
-// and interned states by content. A Cache belongs to one grammar; reuse
+// and interned states by content. A Cache belongs to the grammar it was
+// made for, whose terminal and nonterminal counts size its slots; reuse
 // across inputs is safe and is how the "warmed cache" configurations of
 // Figure 11 and the session API work.
 //
@@ -292,17 +271,24 @@ func (m *stateMem) copyInts(xs []int) []int {
 // design exploits ALL(*)'s cache monotonicity: states are content-addressed
 // (interning is idempotent), so goroutines racing to extend the DFA
 // converge on identical states and losers discard their builds. Lookups on
-// the warm path (start-state fetch, edge following) are lock-free; only
-// cache growth takes short mutexes.
+// the warm path (start-state fetch, edge following) are one atomic load,
+// and a new edge or start state is one compare-and-swap; only interning a
+// new state takes a short shard mutex.
 type Cache struct {
-	gen atomic.Pointer[cacheGen]
+	gen        atomic.Pointer[cacheGen]
+	terms, nts int // the grammar's terminal and nonterminal counts
 }
 
-// NewCache returns an empty DFA cache.
-func NewCache() *Cache {
-	c := &Cache{}
-	c.gen.Store(newGen())
+// NewCache returns an empty DFA cache for the grammar cg.
+func NewCache(cg *grammar.Compiled) *Cache {
+	c := &Cache{terms: cg.NumTerms(), nts: cg.NumNTs()}
+	c.gen.Store(c.newGen())
 	return c
+}
+
+// newGen returns an empty generation with a start slot per nonterminal.
+func (c *Cache) newGen() *cacheGen {
+	return &cacheGen{starts: make([]atomic.Pointer[dfaState], c.nts)}
 }
 
 // start returns the memoized start state for nt, building it on first use.
@@ -312,25 +298,17 @@ func NewCache() *Cache {
 // returned as-is and never published: the next parse rebuilds cleanly.
 func (c *Cache) start(nt grammar.NTID, build func() *dfaState) *dfaState {
 	g := c.gen.Load()
-	if st, ok := (*g.starts.Load())[nt]; ok {
+	if st := g.starts[nt].Load(); st != nil {
 		return st
 	}
 	st := build()
 	if st == nil {
 		return nil
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	m := g.starts.Load()
-	if exist, ok := (*m)[nt]; ok {
-		return exist
+	if !g.starts[nt].CompareAndSwap(nil, st) {
+		return g.starts[nt].Load()
 	}
-	nm := make(map[grammar.NTID]*dfaState, len(*m)+1)
-	for k, v := range *m {
-		nm[k] = v
-	}
-	nm[nt] = st
-	g.starts.Store(&nm)
+	g.nStarts.Add(1)
 	return st
 }
 
@@ -364,7 +342,7 @@ func (c *Cache) intern(e *engine, res closureResult) *dfaState {
 		return st
 	}
 	alts, halted := e.altSummary(res.stable)
-	st := sh.mem.newDFAState(sh.mem.copyConfigs(res.stable), alts, sh.mem.copyInts(halted), anomalous)
+	st := sh.mem.newDFAState(sh.mem.copyConfigs(res.stable), alts, sh.mem.copyInts(halted), anomalous, c.terms)
 	sh.file(h, st)
 	g.nStates.Add(1)
 	return st
@@ -374,7 +352,7 @@ func (c *Cache) intern(e *engine, res closureResult) *dfaState {
 // the cache footprint. Safe to call while other goroutines parse.
 func (c *Cache) Size() (starts, states int) {
 	g := c.gen.Load()
-	return len(*g.starts.Load()), int(g.nStates.Load())
+	return int(g.nStarts.Load()), int(g.nStates.Load())
 }
 
 // Reset discards all cached states (the "cold cache" configuration of the
@@ -382,16 +360,16 @@ func (c *Cache) Size() (starts, states int) {
 // predictions keep their consistent pre-Reset snapshot and merely stop
 // contributing growth to the new generation.
 func (c *Cache) Reset() {
-	c.gen.Store(newGen())
+	c.gen.Store(c.newGen())
 }
 
 // Clear empties the cache in place and keeps its memory for the next use:
 // every shard's table and slabs are rewound (the slabs zero what they
-// handed out, so an idle cleared cache pins nothing) and an empty start map
-// is published. Unlike Reset, Clear is not safe concurrently with anything,
-// and no state read from the cache before it may be used after it: it is
-// for a cache no other goroutine can reach, such as a session's
-// parse-private DFA recycled with its pooled scratch.
+// handed out, edge rows included, so an idle cleared cache pins nothing)
+// and the start slots are zeroed. Unlike Reset, Clear is not safe
+// concurrently with anything, and no state read from the cache before it
+// may be used after it: it is for a cache no other goroutine can reach,
+// such as a session's parse-private DFA recycled with its pooled scratch.
 func (c *Cache) Clear() {
 	g := c.gen.Load()
 	for i := range g.shards {
@@ -400,5 +378,6 @@ func (c *Cache) Clear() {
 		sh.mem.reset()
 	}
 	g.nStates.Store(0)
-	g.installStarts(make(map[grammar.NTID]*dfaState))
+	clear(g.starts) //costar:allow cowedges -- Clear owns a cache no other goroutine can reach
+	g.nStarts.Store(0)
 }

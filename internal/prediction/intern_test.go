@@ -125,7 +125,7 @@ func TestInternAllocations(t *testing.T) {
 		results = append(results, closureResult{stable: own.copyConfigs(stable)})
 	})
 
-	c := NewCache()
+	c := NewCache(pylang.Lang.Grammar().Compiled())
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.Mallocs
@@ -153,7 +153,7 @@ func TestInternAllocations(t *testing.T) {
 // the shards together hold each state once and agree with Size, and real
 // keys spread over every shard.
 func TestInternShardsPartitionStates(t *testing.T) {
-	c := NewCache()
+	c := NewCache(pylang.Lang.Grammar().Compiled())
 	interned := 0
 	pythonClosures(t, func(ap *AdaptivePredictor, stable []config) {
 		c.intern(&ap.eng, closureResult{stable: stable})
@@ -208,10 +208,10 @@ func TestInternHashCollisions(t *testing.T) {
 		t.Fatalf("found %d distinct closure results, want 3", len(distinct))
 	}
 	const h = 42
-	sh := &NewCache().gen.Load().shards[h%internShards]
+	sh := &NewCache(pylang.Lang.Grammar().Compiled()).gen.Load().shards[h%internShards]
 	var filed []*dfaState
 	for _, cfgs := range distinct[:2] {
-		st := sh.mem.newDFAState(sh.mem.copyConfigs(cfgs), nil, nil, false)
+		st := sh.mem.newDFAState(sh.mem.copyConfigs(cfgs), nil, nil, false, 0)
 		sh.file(h, st)
 		filed = append(filed, st)
 	}

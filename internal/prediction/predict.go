@@ -87,7 +87,7 @@ func (ap *AdaptivePredictor) Cache() *Cache { return ap.cache }
 func (ap *AdaptivePredictor) Reset(targets *analysis.Targets, opts Options) {
 	c := opts.Cache
 	if c == nil {
-		c = NewCache()
+		c = NewCache(ap.eng.c)
 	}
 	gov := opts.Governor
 	if gov == nil {
@@ -265,8 +265,8 @@ func (ap *AdaptivePredictor) sllPredict(nt grammar.NTID, la *source.Cursor) (mac
 			}
 		}
 		ap.noteLookahead(depth + 1)
-		next, ok := st.edge(term)
-		if ok {
+		next := st.edge(term)
+		if next != nil {
 			ap.Stats.CacheHits++
 		} else {
 			// Miss: build the successor and publish it. A goroutine racing

@@ -52,7 +52,7 @@ func TestCacheConcurrentWarm(t *testing.T) {
 		want[i] = ref.Predict(startID, machine.Init(g, g.Start, w).Suffix, source.FromTokens(c, w))
 	}
 
-	shared := NewCache()
+	shared := NewCache(g.Compiled())
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines*len(words))
@@ -95,7 +95,7 @@ func TestCacheConcurrentWarm(t *testing.T) {
 func TestCacheConcurrentParses(t *testing.T) {
 	g := fig2()
 	words := raceWords(32)
-	shared := NewCache()
+	shared := NewCache(g.Compiled())
 	var wg sync.WaitGroup
 	for k := 0; k < 6; k++ {
 		wg.Add(1)
@@ -136,7 +136,7 @@ func TestCacheEdgeIdempotence(t *testing.T) {
 	c := g.Compiled()
 	startID, _ := c.NTIDOf("S")
 	aID, _ := c.TermIDOf("a")
-	shared := NewCache()
+	shared := NewCache(g.Compiled())
 	const goroutines = 16
 	got := make([]*dfaState, goroutines)
 	var wg sync.WaitGroup
@@ -155,5 +155,34 @@ func TestCacheEdgeIdempotence(t *testing.T) {
 		if got[k] != got[0] {
 			t.Fatalf("goroutine %d got a different successor state", k)
 		}
+	}
+}
+
+// TestCacheStartIdempotence is the start-slot twin of
+// TestCacheEdgeIdempotence: racing start calls for one nonterminal
+// converge on a single state, and Size counts it once.
+func TestCacheStartIdempotence(t *testing.T) {
+	g := fig2()
+	startID, _ := g.Compiled().NTIDOf("S")
+	shared := NewCache(g.Compiled())
+	const goroutines = 16
+	got := make([]*dfaState, goroutines)
+	var wg sync.WaitGroup
+	for k := 0; k < goroutines; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			ap := New(g, Options{Cache: shared})
+			got[k] = shared.start(startID, func() *dfaState { return ap.buildStart(startID) })
+		}(k)
+	}
+	wg.Wait()
+	for k := 1; k < goroutines; k++ {
+		if got[k] != got[0] {
+			t.Fatalf("goroutine %d got a different start state", k)
+		}
+	}
+	if starts, _ := shared.Size(); starts != 1 {
+		t.Fatalf("Size reports %d start states after racing one nonterminal, want 1", starts)
 	}
 }

@@ -39,7 +39,8 @@ package prediction
 //     cold path, so an imported generation pins no decoder memory.
 //
 // Export is deterministic (states sorted by canonical key, edges by
-// terminal, starts by nonterminal, frames numbered in the order the sorted
+// terminal with NoTerm first, starts by nonterminal — the slot order of
+// edge rows and start slots — and frames numbered in the order the sorted
 // states first reach them) so that identical warm-ups produce
 // byte-identical artifacts and golden files are stable.
 //
@@ -175,23 +176,17 @@ func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 			}
 			configs += len(st.configs)
 		}
-		edges := *st.edges.Load()
-		if len(edges) > 0 {
-			terms := make([]int32, 0, len(edges))
-			for t := range edges {
-				terms = append(terms, int32(t))
+		for k := range st.edges {
+			target := st.edges[k].Load()
+			if target == nil {
+				continue
 			}
-			sort.Slice(terms, func(a, b int) bool { return terms[a] < terms[b] })
-			ss.EdgeTerms = terms
-			ss.EdgeStates = make([]int32, len(terms))
-			for k, t := range terms {
-				target := edges[grammar.TermID(t)]
-				ti, ok := index[target]
-				if !ok {
-					return CacheSnapshot{}, fmt.Errorf("prediction: cache export: edge target not interned")
-				}
-				ss.EdgeStates[k] = ti
+			ti, ok := index[target]
+			if !ok {
+				return CacheSnapshot{}, fmt.Errorf("prediction: cache export: edge target not interned")
 			}
+			ss.EdgeTerms = append(ss.EdgeTerms, int32(k-1))
+			ss.EdgeStates = append(ss.EdgeStates, ti)
 		}
 		snap.States[i] = ss
 	}
@@ -200,17 +195,16 @@ func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 	}
 	snap.Frames = ft.frames
 
-	starts := *gen.starts.Load()
-	if len(starts) > 0 {
-		snap.Starts = make([]StartSnapshot, 0, len(starts))
-		for nt, st := range starts {
-			si, ok := index[st]
-			if !ok {
-				return CacheSnapshot{}, fmt.Errorf("prediction: cache export: start state not interned")
-			}
-			snap.Starts = append(snap.Starts, StartSnapshot{NT: nt, State: si})
+	for nt := range gen.starts {
+		st := gen.starts[nt].Load()
+		if st == nil {
+			continue
 		}
-		sort.Slice(snap.Starts, func(a, b int) bool { return snap.Starts[a].NT < snap.Starts[b].NT })
+		si, ok := index[st]
+		if !ok {
+			return CacheSnapshot{}, fmt.Errorf("prediction: cache export: start state not interned")
+		}
+		snap.Starts = append(snap.Starts, StartSnapshot{NT: grammar.NTID(nt), State: si})
 	}
 	return snap, nil
 }
@@ -279,15 +273,22 @@ func (ft *frameTable) number(s *machine.SuffixStack) (int32, error) {
 }
 
 // Import replaces the cache's generation with one rebuilt from snap,
-// re-interning every state into cache-owned heap memory. Every reference
-// is bounds-checked against the compiled grammar — Import is the trust
-// boundary for deserialized caches, so malformed snapshots yield an error
-// and leave the cache untouched. State keys, uniqueAlt, and haltedAlts are
-// recomputed from the reconstructed configs, so an imported state is
-// content-addressed identically to a natively interned one and later
-// warm-up seamlessly extends the imported DFA.
+// re-interning every state into cache-owned heap memory. cg must be the
+// grammar the cache was made for. Every reference is bounds-checked
+// against it — Import is the trust boundary for deserialized caches, so
+// malformed snapshots yield an error and leave the cache untouched. State
+// keys, uniqueAlt, and haltedAlts are recomputed from the reconstructed
+// configs, so an imported state is content-addressed identically to a
+// natively interned one and later warm-up seamlessly extends the imported
+// DFA. Edges and starts fill their slots by the same compare-and-swap from
+// nil that a parse uses, so a slot named twice fails the swap, and an edge
+// out of a state without a row — one SLL answers at without reading a
+// token — is refused.
 func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
-	gen := newGen()
+	if cg.NumTerms() != c.terms || cg.NumNTs() != c.nts {
+		return fmt.Errorf("prediction: cache snapshot: grammar has %d terminals and %d nonterminals, the cache was made for %d and %d", cg.NumTerms(), cg.NumNTs(), c.terms, c.nts)
+	}
+	gen := c.newGen()
 	n := len(snap.States)
 	for i := range gen.shards {
 		gen.shards[i].states = make(map[uint64]*dfaState, n/internShards+1)
@@ -326,7 +327,7 @@ func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 			return fmt.Errorf("prediction: cache snapshot: states %d duplicates an earlier state", i)
 		}
 		alts, halted = summarizeAlts(cfgs, alts[:0], halted[:0])
-		st := mem.newDFAState(cfgs, alts, mem.copyInts(halted), ss.Anomalous)
+		st := mem.newDFAState(cfgs, alts, mem.copyInts(halted), ss.Anomalous, c.terms)
 		sh.file(h, st)
 		sts[i] = st
 	}
@@ -335,10 +336,9 @@ func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 		if len(ss.EdgeTerms) != len(ss.EdgeStates) {
 			return fmt.Errorf("prediction: cache snapshot: state %d has %d edge terms but %d targets", i, len(ss.EdgeTerms), len(ss.EdgeStates))
 		}
-		if len(ss.EdgeTerms) == 0 {
-			continue
+		if len(ss.EdgeTerms) > 0 && sts[i].edges == nil {
+			return fmt.Errorf("prediction: cache snapshot: state %d has edges, but SLL never leaves it by an edge", i)
 		}
-		m := make(map[grammar.TermID]*dfaState, len(ss.EdgeTerms))
 		for k, t := range ss.EdgeTerms {
 			// NoTerm is a legitimate edge key: a token the grammar does not
 			// mention drives a move to the dead state, and that edge is
@@ -350,29 +350,23 @@ func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 			if si < 0 || int(si) >= n {
 				return fmt.Errorf("prediction: cache snapshot: state %d edge target %d out of range", i, si)
 			}
-			if _, dup := m[grammar.TermID(t)]; dup {
+			if !sts[i].edges[t+1].CompareAndSwap(nil, sts[si]) {
 				return fmt.Errorf("prediction: cache snapshot: state %d has duplicate edge on terminal %d", i, t)
 			}
-			m[grammar.TermID(t)] = sts[si]
 		}
-		sts[i].installEdges(m)
 	}
-	if len(snap.Starts) > 0 {
-		starts := make(map[grammar.NTID]*dfaState, len(snap.Starts))
-		for _, se := range snap.Starts {
-			if se.NT < 0 || int(se.NT) >= cg.NumNTs() {
-				return fmt.Errorf("prediction: cache snapshot: start nonterminal %d out of range", se.NT)
-			}
-			if se.State < 0 || int(se.State) >= n {
-				return fmt.Errorf("prediction: cache snapshot: start state %d out of range", se.State)
-			}
-			if _, dup := starts[se.NT]; dup {
-				return fmt.Errorf("prediction: cache snapshot: duplicate start for nonterminal %d", se.NT)
-			}
-			starts[se.NT] = sts[se.State]
+	for _, se := range snap.Starts {
+		if se.NT < 0 || int(se.NT) >= cg.NumNTs() {
+			return fmt.Errorf("prediction: cache snapshot: start nonterminal %d out of range", se.NT)
 		}
-		gen.installStarts(starts)
+		if se.State < 0 || int(se.State) >= n {
+			return fmt.Errorf("prediction: cache snapshot: start state %d out of range", se.State)
+		}
+		if !gen.starts[se.NT].CompareAndSwap(nil, sts[se.State]) {
+			return fmt.Errorf("prediction: cache snapshot: duplicate start for nonterminal %d", se.NT)
+		}
 	}
+	gen.nStarts.Store(int64(len(snap.Starts)))
 	c.gen.Store(gen)
 	return nil
 }

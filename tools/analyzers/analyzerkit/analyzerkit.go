@@ -244,24 +244,6 @@ func Deref(t types.Type) types.Type {
 	}
 }
 
-// IsNamed reports whether t (possibly behind pointers) is the named type
-// pkgName.typeName. Matching is by declared package name rather than full
-// import path so that analyzer fixtures — self-contained replicas of the
-// guarded packages under testdata — exercise the same spec the real
-// packages are held to.
-func IsNamed(t types.Type, pkgName, typeName string) bool {
-	if t == nil {
-		return false
-	}
-	n, ok := Deref(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Name() == typeName &&
-		obj.Pkg() != nil && obj.Pkg().Name() == pkgName
-}
-
 // ReceiverOf resolves the method called by a selector call expression and
 // returns the receiver's named type name and package name ("" when the call
 // target is not a resolvable method). Both value and pointer receivers

@@ -1,19 +1,23 @@
-// Package cowedges flags direct mutation of the shared SLL DFA transition
-// maps in internal/prediction outside the copy-on-write path.
+// Package cowedges flags writes to the SLL DFA's slot tables in
+// internal/prediction other than a compare-and-swap from nil.
 //
-// A dfaState's edges (and a cacheGen's starts) are atomic.Pointer-held maps
-// read lock-free by every parsing goroutine; the only sound mutation is the
-// COW sequence in cache.go — copy the map, update the copy, publish it with
-// a single Store under the generation mutex. Two mistakes break this
-// silently and only under load:
+// A dfaState's edges row and a cacheGen's starts hold atomic.Pointer slots
+// that every parsing goroutine reads with one atomic load. A slot is
+// written once: CompareAndSwap(nil, next) publishes it, and a racer that
+// loses the swap adopts the winner, which content addressing makes the
+// identical state. Three mistakes break this silently and only under load:
 //
-//   - writing through a loaded map, (*st.edges.Load())[t] = next, which
-//     races with concurrent readers; and
-//   - calling Store/Swap from outside cache.go, which bypasses the mutex
-//     that serializes writers and can lose concurrent insertions.
+//   - Store or Swap on a slot, which overwrites a published edge or start
+//     that another goroutine may already have followed;
+//   - CompareAndSwap from a non-nil old value, which replaces one the same
+//     way; and
+//   - a plain write through the table — assigning a slot or the row,
+//     clear() — which races with the lock-free readers.
 //
-// The race detector catches the first only when tests happen to collide;
-// this analyzer rejects both shapes statically.
+// Tables are built in composite literals, which are not writes. The one
+// wholesale zeroing, Cache.Clear on a cache no other goroutine can reach,
+// carries a //costar:allow annotation. The check is syntactic, as the
+// fields are unexported: every access site lives in package prediction.
 package cowedges
 
 import (
@@ -22,21 +26,18 @@ import (
 	"costar/tools/analyzers/analyzerkit"
 )
 
-// cowFields are the atomic.Pointer map slots with a COW discipline.
-var cowFields = map[string]bool{"edges": true, "starts": true}
+// slotTables are the fields that hold atomic.Pointer slots.
+var slotTables = map[string]bool{"edges": true, "starts": true}
 
-// mutators are the atomic.Pointer methods that publish a new map.
+// mutators are the atomic.Pointer methods that write a slot.
 var mutators = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap": true}
-
-// allowFile is the one file implementing the COW path.
-const allowFile = "cache.go"
 
 // Analyzer is the exported instance for multichecker bundling.
 var Analyzer = &analyzerkit.Analyzer{
 	Name: "cowedges",
-	Doc: "flag direct mutation of shared DFA edge maps outside the copy-on-write path\n\n" +
-		"dfaState.edges and cacheGen.starts are lock-free shared maps; mutate them only\n" +
-		"via the copy-update-publish sequence in cache.go.",
+	Doc: "flag writes to the SLL DFA's edge and start slots other than CompareAndSwap(nil, …)\n\n" +
+		"dfaState.edges and cacheGen.starts are lock-free shared slot tables; a slot is\n" +
+		"written once, by a compare-and-swap from nil.",
 	Run: run,
 }
 
@@ -45,25 +46,13 @@ func run(pass *analyzerkit.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		inCache := pass.Filename(f.Package) == allowFile
-		// Writes whose target reaches through .edges/.starts — map stores
-		// via a loaded pointer, delete() on a loaded map, aliasing
-		// assignments — race with readers in every file, cache.go included:
-		// the legitimate path copies into a fresh map and never writes
-		// through the shared one.
 		for _, w := range analyzerkit.Writes(f) {
-			for _, sel := range analyzerkit.SelectorsIn(w.Target) {
-				if cowFields[sel.Sel.Name] {
-					pass.Reportf(sel.Sel.Pos(),
-						"write through shared DFA map %s: copy, update the copy, and publish with Store (see cache.go COW path)",
-						sel.Sel.Name)
-				}
+			if sel := slotTable(w.Target); sel != nil {
+				pass.Reportf(sel.Sel.Pos(),
+					"plain write through DFA slot table %s races with lock-free readers: a slot is written only by CompareAndSwap(nil, …)",
+					sel.Sel.Name)
 			}
 		}
-		if inCache {
-			continue
-		}
-		// Publishing calls outside cache.go bypass the writer mutex.
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -73,15 +62,37 @@ func run(pass *analyzerkit.Pass) error {
 			if !ok || !mutators[method.Sel.Name] {
 				return true
 			}
-			field, ok := method.X.(*ast.SelectorExpr)
-			if !ok || !cowFields[field.Sel.Name] {
+			sel := slotTable(method.X)
+			if sel == nil {
 				return true
 			}
-			pass.Reportf(method.Sel.Pos(),
-				"%s.%s outside cache.go bypasses the COW writer mutex; route the update through the cache.go publish path",
-				field.Sel.Name, method.Sel.Name)
+			if method.Sel.Name != "CompareAndSwap" {
+				pass.Reportf(method.Sel.Pos(),
+					"%s on a DFA %s slot can overwrite a published state: publish with CompareAndSwap(nil, …)",
+					method.Sel.Name, sel.Sel.Name)
+			} else if len(call.Args) == 0 || !isNil(call.Args[0]) {
+				pass.Reportf(method.Sel.Pos(),
+					"CompareAndSwap on a DFA %s slot with a non-nil old value replaces a published state: a slot is written only from nil",
+					sel.Sel.Name)
+			}
 			return true
 		})
 	}
 	return nil
+}
+
+// slotTable returns the edges or starts selector that e reaches through,
+// or nil.
+func slotTable(e ast.Expr) *ast.SelectorExpr {
+	for _, sel := range analyzerkit.SelectorsIn(e) {
+		if slotTables[sel.Sel.Name] {
+			return sel
+		}
+	}
+	return nil
+}
+
+func isNil(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
 }

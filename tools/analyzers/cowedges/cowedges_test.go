@@ -36,31 +36,31 @@ func check(t *testing.T, files map[string]string) []analyzerkit.Diagnostic {
 	return diags
 }
 
-func TestFlagsWriteThroughLoadedMap(t *testing.T) {
+func TestFlagsNonNilCompareAndSwap(t *testing.T) {
 	diags := check(t, map[string]string{
-		// Writing through the loaded pointer races with readers even in
-		// cache.go itself — the COW path must copy first.
+		// Swapping from a non-nil old value replaces a published edge,
+		// even in cache.go itself.
 		"cache.go": `package prediction
-func (st *dfaState) evil(t int, next *dfaState) {
-	(*st.edges.Load())[t] = next
+func (st *dfaState) evil(t int, old, next *dfaState) bool {
+	return st.edges[t+1].CompareAndSwap(old, next)
 }`,
 	})
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
 	}
-	if !strings.Contains(diags[0].Message, "COW") {
-		t.Errorf("diagnostic lacks COW guidance: %s", diags[0])
+	if !strings.Contains(diags[0].Message, "only from nil") {
+		t.Errorf("diagnostic lacks the from-nil rule: %s", diags[0])
 	}
 }
 
 func TestFlagsStoreOutsideCacheFile(t *testing.T) {
 	diags := check(t, map[string]string{
 		"predict.go": `package prediction
-func hijack(st *dfaState, m *map[int]*dfaState) {
-	st.edges.Store(m)
+func hijack(st *dfaState, t int, next *dfaState) {
+	st.edges[t+1].Store(next)
 }
-func hijackStarts(g *cacheGen, m *map[int]*dfaState) {
-	g.starts.Swap(m)
+func hijackStarts(g *cacheGen, nt int, st *dfaState) {
+	g.starts[nt].Swap(st)
 }`,
 	})
 	if len(diags) != 2 {
@@ -68,22 +68,22 @@ func hijackStarts(g *cacheGen, m *map[int]*dfaState) {
 	}
 }
 
-func TestAllowsCOWPathInCacheFile(t *testing.T) {
+func TestAllowsCompareAndSwapFromNil(t *testing.T) {
 	diags := check(t, map[string]string{
-		// The legitimate sequence: load, copy into a fresh map, publish.
+		// The protocol: publish from nil, or adopt the racer's winner.
 		"cache.go": `package prediction
-func (st *dfaState) setEdge(t int, next *dfaState) {
-	m := st.edges.Load()
-	nm := make(map[int]*dfaState, len(*m)+1)
-	for k, v := range *m {
-		nm[k] = v
+func (st *dfaState) setEdge(t int, next *dfaState) *dfaState {
+	if st.edges[t+1].CompareAndSwap(nil, next) {
+		return next
 	}
-	nm[t] = next
-	st.edges.Store(&nm)
+	return st.edges[t+1].Load()
+}
+func (g *cacheGen) setStart(nt int, st *dfaState) bool {
+	return g.starts[nt].CompareAndSwap(nil, st)
 }`,
 	})
 	if len(diags) != 0 {
-		t.Fatalf("false positives on the COW path: %v", diags)
+		t.Fatalf("false positives on the compare-and-swap path: %v", diags)
 	}
 }
 
@@ -91,11 +91,7 @@ func TestLoadsAreAllowedEverywhere(t *testing.T) {
 	diags := check(t, map[string]string{
 		"predict.go": `package prediction
 func (st *dfaState) step(t int) *dfaState {
-	next, ok := (*st.edges.Load())[t]
-	if !ok {
-		return nil
-	}
-	return next
+	return st.edges[t+1].Load()
 }`,
 	})
 	if len(diags) != 0 {

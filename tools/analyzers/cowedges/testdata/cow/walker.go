@@ -1,15 +1,28 @@
 package prediction
 
-// writeThrough mutates the shared map in place, racing every lock-free
-// reader.
-func writeThrough(st *dfaState, k int, v *dfaState) {
-	(*st.edges.Load())[k] = v // want "write through shared DFA map"
+// overwrite stores over an edge another goroutine may have followed.
+func overwrite(st *dfaState, t int, next *dfaState) {
+	st.edges[t].Store(next) // want "Store on a DFA edges slot"
 }
 
-// clearThrough empties the shared map in place, racing every lock-free
-// reader just as a delete would.
+// swapStart replaces a published start state.
+func swapStart(g *cacheGen, nt int, st *dfaState) *dfaState {
+	return g.starts[nt].Swap(st) // want "Swap on a DFA starts slot"
+}
+
+// replaceEdge swaps from a non-nil old value.
+func replaceEdge(st *dfaState, t int, old, next *dfaState) bool {
+	return st.edges[t].CompareAndSwap(old, next) // want "non-nil old value"
+}
+
+// dropRow replaces a published state's row.
+func dropRow(st *dfaState) {
+	st.edges = nil // want "plain write through DFA slot table edges"
+}
+
+// clearThrough zeroes a shared row in place, racing every reader.
 func clearThrough(st *dfaState) {
-	clear(*st.edges.Load()) // want "write through shared DFA map"
+	clear(st.edges) // want "plain write through DFA slot table edges"
 }
 
 // clearScratch empties a map no reader shares; accepted.
@@ -17,14 +30,7 @@ func clearScratch(seen map[int]bool) {
 	clear(seen)
 }
 
-// publishElsewhere calls the publishing mutator outside cache.go,
-// bypassing the writer mutex.
-func publishElsewhere(st *dfaState, next *map[int]*dfaState) {
-	st.edges.Store(next) // want "bypasses the COW writer mutex"
-}
-
-// lookup reads through the atomic pointer — the whole point of the
-// scheme; accepted.
-func lookup(st *dfaState, k int) *dfaState {
-	return (*st.edges.Load())[k]
+// lookup is one atomic load; accepted.
+func lookup(st *dfaState, t int) *dfaState {
+	return st.edges[t].Load()
 }

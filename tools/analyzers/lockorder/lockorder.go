@@ -1,27 +1,21 @@
-// Package lockorder enforces the COW cache's atomic/mutex discipline
-// (DESIGN.md §5b) and the stats mutex contract:
+// Package lockorder enforces the stats mutex contract and the leaf rule
+// for the mutexes of the parser and prediction packages (DESIGN.md §5b):
 //
-//  1. Publication stores to the copy-on-write maps — `.edges.Store(...)`
-//     on a dfaState, `.starts.Store(...)` on a cacheGen — must happen
-//     with the owning mutex held. The documented exceptions are the
-//     pre-publication constructors and bulk-import installers
-//     (newDFAState, newGen, installEdges, installStarts), where the
-//     value is not yet visible to any reader. Atomic Loads need no lock;
-//     that is the point of the scheme.
-//  2. In the parser package, the `stats` field is guarded by `statsMu`:
+//  1. In the parser package, the `stats` field is guarded by `statsMu`:
 //     any function touching `.stats` must have acquired `.statsMu`
 //     first (and not released it before the access).
-//  3. The watched mutexes are leaves: no function may acquire one while
-//     holding another (statsMu vs. the cache mutexes, in either order).
-//     A consistent never-nest rule cannot deadlock; any nesting is a
-//     latent lock-inversion the moment a second nesting appears.
+//  2. The watched mutexes are leaves: no function may acquire one while
+//     holding another (statsMu vs. the SLL cache's shard mutexes, or two
+//     shards, in either order). A consistent never-nest rule cannot
+//     deadlock; any nesting is a latent lock-inversion the moment a
+//     second nesting appears.
 //
 // The checks are syntactic over a linear in-source-order walk of each
 // function body — the same soundness argument as cowedges: the fields
-// involved (mu, statsMu, edges, starts, stats) are unexported, so every
-// access site lives in the matched packages, and `defer mu.Unlock()`
-// keeps the mutex held to function end. Suppress a provably-safe site
-// with `//costar:allow lockorder -- <why>`.
+// involved (mu, statsMu, stats) are unexported, so every access site
+// lives in the matched packages, and `defer mu.Unlock()` keeps the mutex
+// held to function end. Suppress a provably-safe site with
+// `//costar:allow lockorder -- <why>`.
 package lockorder
 
 import (
@@ -31,26 +25,13 @@ import (
 	"costar/tools/analyzers/analyzerkit"
 )
 
-// prePublication lists functions where COW-map stores happen before the
-// containing struct is visible to any other goroutine.
-var prePublication = map[string]bool{
-	"newDFAState":   true,
-	"newGen":        true,
-	"installEdges":  true,
-	"installStarts": true,
-}
-
-// cowFields are the atomic COW map fields whose Store calls require the
-// owning mutex (package prediction).
-var cowFields = map[string]bool{"edges": true, "starts": true}
-
 // Analyzer is the exported instance for multichecker bundling.
 var Analyzer = &analyzerkit.Analyzer{
 	Name: "lockorder",
-	Doc: "enforce the COW cache's mutex discipline and stats-mutex contract\n\n" +
-		"edges/starts publication stores need the owning mutex (except pre-publication\n" +
-		"constructors); parser's stats field needs statsMu; and the watched mutexes\n" +
-		"are leaves — acquiring one while holding another is a latent lock inversion.",
+	Doc: "enforce the stats-mutex contract and the leaf-mutex rule\n\n" +
+		"parser's stats field needs statsMu, and the watched mutexes (statsMu, the SLL\n" +
+		"cache's shard mu) are leaves — acquiring one while holding another is a latent\n" +
+		"lock inversion.",
 	Run: run,
 	Match: func(pkgName, pkgPath string) bool {
 		return pkgName == "prediction" || pkgName == "parser"
@@ -67,20 +48,16 @@ func run(pass *analyzerkit.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkFunc(pass, fd)
+			walkBody(pass, fd.Body)
 		}
 	}
 	return nil
 }
 
-// checkFunc walks fd's body in source order, tracking which watched
-// mutexes are held, and reports discipline violations at each site.
-func checkFunc(pass *analyzerkit.Pass, fd *ast.FuncDecl) {
-	walkBody(pass, fd.Name.Name, fd.Body)
-}
-
-// walkBody is the in-source-order walk for one function or closure body.
-func walkBody(pass *analyzerkit.Pass, fnName string, body *ast.BlockStmt) {
+// walkBody walks one function or closure body in source order, tracking
+// which watched mutexes are held, and reports discipline violations at
+// each site.
+func walkBody(pass *analyzerkit.Pass, body *ast.BlockStmt) {
 	held := []string{} // mutex paths currently held, in acquisition order
 	holding := func() string { return strings.Join(held, ", ") }
 	release := func(path string) {
@@ -97,7 +74,7 @@ func walkBody(pass *analyzerkit.Pass, fnName string, body *ast.BlockStmt) {
 			// A closure runs later, under its own discipline; checking
 			// it against the enclosing held-set would be wrong in both
 			// directions. It gets the same walk, fresh.
-			walkBody(pass, fnName, n.Body)
+			walkBody(pass, n.Body)
 			return false
 		case *ast.DeferStmt:
 			// defer mu.Unlock() keeps the mutex held to function end;
@@ -109,11 +86,11 @@ func walkBody(pass *analyzerkit.Pass, fnName string, body *ast.BlockStmt) {
 				return true
 			}
 			base, baseIsMutex := mutexPath(sel.X)
+			if !baseIsMutex {
+				return true
+			}
 			switch sel.Sel.Name {
 			case "Lock":
-				if !baseIsMutex {
-					return true
-				}
 				if len(held) > 0 {
 					pass.Reportf(n.Pos(),
 						"acquiring %s while holding %s: the watched mutexes (statsMu, cache mu) are leaves and must never nest — a second nesting elsewhere is a deadlock",
@@ -121,22 +98,7 @@ func walkBody(pass *analyzerkit.Pass, fnName string, body *ast.BlockStmt) {
 				}
 				held = append(held, base)
 			case "Unlock":
-				if baseIsMutex {
-					release(base)
-				}
-			case "Store":
-				// <x>.edges.Store / <x>.starts.Store: publication into a
-				// COW map.
-				inner, ok := sel.X.(*ast.SelectorExpr)
-				if !ok || !cowFields[inner.Sel.Name] || pass.PkgName != "prediction" {
-					return true
-				}
-				if prePublication[fnName] || len(held) > 0 {
-					return true
-				}
-				pass.Reportf(n.Pos(),
-					"%s.Store without the owning mutex held: copy-on-write publication must serialize on mu (or happen pre-publication in %s)",
-					inner.Sel.Name, "newDFAState/newGen/installEdges/installStarts")
+				release(base)
 			}
 		case *ast.SelectorExpr:
 			// Guarded field: parser's stats requires statsMu.
