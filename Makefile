@@ -68,13 +68,16 @@ alloc-guard:
 # artifact decoder (arbitrary bytes never panic; valid decodes re-encode
 # canonically and never realize silently uncertified), and the recovery
 # driver (fuzzer-mutated inputs: recover-off stays bit-identical, recovered
-# results partition the input and respect the repair budget).
+# results partition the input and respect the repair budget), and the regex
+# engine (every parsed pattern compiles, and its printed form reparses to
+# an automaton with the same longest matches).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzStreamEquivalence -fuzztime=20s -run=FuzzStreamEquivalence .
 	$(GO) test -fuzz=FuzzGrammarLint -fuzztime=20s -run=FuzzGrammarLint .
 	$(GO) test -fuzz=FuzzFaultInjection -fuzztime=20s -run=FuzzFaultInjection .
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=20s -run=FuzzArtifactDecode ./internal/artifact
 	$(GO) test -fuzz=FuzzRecover -fuzztime=20s -run=FuzzRecover .
+	$(GO) test -fuzz=FuzzRxParse -fuzztime=20s -run=FuzzRxParse .
 
 vet:
 	$(GO) vet ./...

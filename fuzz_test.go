@@ -10,6 +10,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"costar/internal/diag"
 	"costar/internal/earley"
@@ -148,6 +149,10 @@ func FuzzCompileGrammar(f *testing.F) {
 	})
 }
 
+// FuzzRxParse: every pattern rx.Parse accepts compiles into the lexer's
+// automaton, and its printed form reparses to the same language: the two
+// automata agree on the longest match of a few fixed inputs and of the
+// pattern text itself.
 func FuzzRxParse(f *testing.F) {
 	seeds := []string{
 		`a(b|c)*d`, `[a-z0-9_]+`, `[^"\\]*`, `A+`, `(()|())*`, `a**`, `[]`, `(((`,
@@ -160,14 +165,40 @@ func FuzzRxParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		d := rx.Compile(n)
-		m := d.Minimize()
+		n2, err := rx.Parse(n.String())
+		if err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", pat, n.String(), err)
+		}
+		m, m2 := rx.CompileMulti([]rx.Node{n}), rx.CompileMulti([]rx.Node{n2})
 		for _, s := range []string{"", "a", "ab", "zzz", pat} {
-			if d.Match(s) != m.Match(s) {
-				t.Fatalf("minimization changed %q on %q", pat, s)
+			l, p, ok := longestMatch(m, s)
+			l2, p2, ok2 := longestMatch(m2, s)
+			if l != l2 || p != p2 || ok != ok2 {
+				t.Fatalf("%q and its printed form %q disagree on %q: (%d, %d, %v) vs (%d, %d, %v)",
+					pat, n.String(), s, l, p, ok, l2, p2, ok2)
 			}
 		}
 	})
+}
+
+// longestMatch walks m over s from its first byte and returns the byte
+// length of the longest accepted prefix, the winning pattern and whether
+// any (possibly empty) prefix was accepted.
+func longestMatch(m *rx.MultiDFA, s string) (length, pattern int, ok bool) {
+	st := m.Start()
+	pattern = m.Accept(st)
+	ok = pattern >= 0
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if st = m.Next(st, r); st < 0 {
+			break
+		}
+		i += size
+		if p := m.Accept(st); p >= 0 {
+			length, pattern, ok = i, p, true
+		}
+	}
+	return length, pattern, ok
 }
 
 func FuzzJSONPipeline(f *testing.F) {

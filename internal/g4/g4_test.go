@@ -268,3 +268,22 @@ func TestLiteralEscapes(t *testing.T) {
 		t.Errorf("tokens = %v", toks)
 	}
 }
+
+// TestNonGreedyRefused: ANTLR's `*?`, `+?` and `??` are non-greedy, which a
+// longest-match lexer cannot honour. Read as a greedy loop made optional,
+// `'/*' .*? '*/'` would lex `/* a */ x /* b */` as one comment and hide
+// `x`, so a lexer rule with such a suffix is refused with its line.
+func TestNonGreedyRefused(t *testing.T) {
+	for _, suffix := range []string{"*?", "+?", "??", "* ?"} {
+		src := "grammar C;\ns : ID* ;\nID : [a-z]+ ;\nCOMMENT : '/*' ." + suffix + " '*/' -> skip ;\nWS : ' '+ -> skip ;\n"
+		_, err := Parse(src)
+		if err == nil || !strings.HasPrefix(err.Error(), "g4: line 4: ") || !strings.Contains(err.Error(), "longest match") {
+			t.Errorf("%q: err = %v", suffix, err)
+		}
+	}
+	// In a parser rule a stacked suffix leaves the language unchanged.
+	f, g, _ := pipeline(t, "grammar P;\ns : 'a'*? 'b' ;\n")
+	if len(f.Parser.Rules) != 1 || g.Start != "s" {
+		t.Errorf("parser rule with *? = %v", f.Parser.Rules)
+	}
+}

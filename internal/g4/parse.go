@@ -378,20 +378,30 @@ func (p *fileParser) lexSuffixed() (lexExpr, error) {
 	if err != nil {
 		return nil, err
 	}
+	suffix := ""
 	for {
-		switch {
-		case p.at(tPunct, "*"):
-			p.take()
+		t, ok := p.peek()
+		if !ok || t.kind != tPunct {
+			return e, nil
+		}
+		switch t.text {
+		case "*":
 			e = lxStar{inner: e}
-		case p.at(tPunct, "+"):
-			p.take()
+		case "+":
 			e = lxPlus{inner: e}
-		case p.at(tPunct, "?"):
-			p.take()
+		case "?":
+			// ANTLR reads a ? after a suffix as non-greedy; taken as one
+			// more Opt it would turn '/*' .*? '*/' into a greedy match
+			// running to the last */ of the input.
+			if suffix != "" {
+				return nil, fmt.Errorf("g4: line %d: non-greedy %s? in a lexer rule: the lexer only does longest match", t.line, suffix)
+			}
 			e = lxOpt{inner: e}
 		default:
 			return e, nil
 		}
+		p.take()
+		suffix = t.text
 	}
 }
 

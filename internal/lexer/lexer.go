@@ -5,8 +5,9 @@
 //
 // A Spec is an ordered list of rules, each a regex (internal/rx) naming the
 // terminal it produces; earlier rules win ties, longest match wins overall.
-// All rules are compiled into a single multi-pattern DFA, the classic
-// lexer-generator construction.
+// The rules of each lexer mode compile into one multi-pattern DFA
+// (rx.CompileMulti), the classic lexer-generator construction, and
+// Scanner.match is the one longest-match loop that walks it.
 package lexer
 
 import (
@@ -112,25 +113,25 @@ func (e *Error) Diag() diag.Diagnostic {
 // the scan loop indexes a slice and pushes ints — no per-token map lookup
 // or string mode keys.
 type Lexer struct {
-	spec    Spec
-	modes   []*modeDFA     // by mode id; 0 = default mode
-	actions []modeAction   // by rule index: precompiled mode switch
-	modeIDs map[string]int // mode name → id (construction and diagnostics)
+	modes []mode // by mode id; 0 = default mode
 }
 
-// modeDFA is the automaton for one mode plus the mapping from its pattern
-// indices back to spec rule indices.
-type modeDFA struct {
-	multi *rx.MultiDFA
-	rules []int
+// mode is the automaton for one lexer mode plus, by pattern index, the
+// record of the rule each pattern came from.
+type mode struct {
+	dfa   *rx.MultiDFA
+	rules []rule
 }
 
-// modeAction is a rule's compiled mode switch: at most one of push/set
-// (target mode ids, -1 = none) and pop is active.
-type modeAction struct {
-	push int
-	set  int
-	pop  bool
+// rule is what the scan loop needs of a spec rule once it has matched: the
+// terminal it names, whether it is a skip rule, and its compiled mode
+// switch (at most one of push/set, as target mode ids with -1 for none,
+// and pop is active).
+type rule struct {
+	name      string
+	skip      bool
+	push, set int
+	pop       bool
 }
 
 // New compiles the spec. It rejects rules that accept the empty string
@@ -138,23 +139,10 @@ type modeAction struct {
 // and rules combining Push/Pop/Set.
 func New(spec Spec) (*Lexer, error) {
 	modeIDs := map[string]int{"": 0} // the default mode is always id 0
-	var byMode [][]int
-	byMode = append(byMode, nil)
-	modeID := func(name string) int {
-		if id, ok := modeIDs[name]; ok {
-			return id
-		}
-		id := len(byMode)
-		modeIDs[name] = id
-		byMode = append(byMode, nil)
-		return id
-	}
+	byMode := [][]int{nil}
 	for i, r := range spec.Rules {
 		if r.Name == "" {
 			return nil, fmt.Errorf("lexer: rule %d has no name", i)
-		}
-		if rx.Compile(r.Pattern).Match("") {
-			return nil, fmt.Errorf("lexer: rule %s accepts the empty string", r.Name)
 		}
 		actions := 0
 		if r.Push != "" {
@@ -169,41 +157,53 @@ func New(spec Spec) (*Lexer, error) {
 		if actions > 1 {
 			return nil, fmt.Errorf("lexer: rule %s combines multiple mode actions", r.Name)
 		}
-		m := modeID(r.Mode)
-		byMode[m] = append(byMode[m], i)
+		id, ok := modeIDs[r.Mode]
+		if !ok {
+			id = len(byMode)
+			modeIDs[r.Mode] = id
+			byMode = append(byMode, nil)
+		}
+		byMode[id] = append(byMode[id], i)
 	}
-	l := &Lexer{spec: spec, modes: make([]*modeDFA, len(byMode)), modeIDs: modeIDs}
-	for mode, idxs := range byMode {
-		if len(idxs) == 0 {
-			continue
-		}
-		nodes := make([]rx.Node, len(idxs))
-		for j, i := range idxs {
-			nodes[j] = spec.Rules[i].Pattern
-		}
-		l.modes[mode] = &modeDFA{multi: rx.CompileMulti(nodes), rules: idxs}
-	}
-	l.actions = make([]modeAction, len(spec.Rules))
-	for i, r := range spec.Rules {
-		a := modeAction{push: -1, set: -1, pop: r.Pop}
-		for _, target := range []string{r.Push, r.Set} {
-			if target != "" {
-				id, ok := modeIDs[target]
-				if !ok || l.modes[id] == nil {
-					return nil, fmt.Errorf("lexer: rule %s targets undefined mode %q", r.Name, target)
-				}
-			}
-		}
-		if r.Push != "" {
-			a.push = modeIDs[r.Push]
-		}
-		if r.Set != "" {
-			a.set = modeIDs[r.Set]
-		}
-		l.actions[i] = a
-	}
-	if l.modes[0] == nil {
+	if len(byMode[0]) == 0 {
 		return nil, fmt.Errorf("lexer: no rules in the default mode")
+	}
+	// Every other mode exists because some rule is in it, so from here on
+	// a known mode name is a mode with rules.
+	target := func(r Rule, name string) (int, error) {
+		if name == "" {
+			return -1, nil
+		}
+		id, ok := modeIDs[name]
+		if !ok {
+			return 0, fmt.Errorf("lexer: rule %s targets undefined mode %q", r.Name, name)
+		}
+		return id, nil
+	}
+	l := &Lexer{modes: make([]mode, len(byMode))}
+	for id, idxs := range byMode {
+		nodes := make([]rx.Node, len(idxs))
+		rules := make([]rule, len(idxs))
+		for p, i := range idxs {
+			r := spec.Rules[i]
+			push, err := target(r, r.Push)
+			if err != nil {
+				return nil, err
+			}
+			set, err := target(r, r.Set)
+			if err != nil {
+				return nil, err
+			}
+			nodes[p] = r.Pattern
+			rules[p] = rule{name: r.Name, skip: r.Skip, push: push, set: set, pop: r.Pop}
+		}
+		m := rx.CompileMulti(nodes)
+		// The start state accepts exactly when some rule of the mode
+		// accepts ε, and names the first such rule.
+		if p := m.Accept(m.Start()); p >= 0 {
+			return nil, fmt.Errorf("lexer: rule %s accepts the empty string", rules[p].name)
+		}
+		l.modes[id] = mode{dfa: m, rules: rules}
 	}
 	return l, nil
 }
@@ -257,18 +257,4 @@ func Reassemble(lexs []Lexeme) string {
 		b.WriteString(lx.Tok.Literal)
 	}
 	return b.String()
-}
-
-// TerminalNames returns the non-skip terminal names the spec can produce,
-// in rule order (useful for cross-checking against a grammar's terminals).
-func (l *Lexer) TerminalNames() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, r := range l.spec.Rules {
-		if !r.Skip && !seen[r.Name] {
-			seen[r.Name] = true
-			out = append(out, r.Name)
-		}
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"costar/internal/grammar"
+	"costar/internal/rx"
 )
 
 func jsonSpec() Spec {
@@ -118,6 +119,21 @@ func TestEmptyMatchRuleRejected(t *testing.T) {
 	}
 }
 
+// TestEmptyMatchRuleNamed: the mode automaton's start state names the
+// first ε-accepting rule of its mode, in any mode.
+func TestEmptyMatchRuleNamed(t *testing.T) {
+	_, err := New(Spec{Rules: []Rule{
+		Pat("A", "a"),
+		{Name: "IN", Pattern: rx.MustParse("b"), Push: "M"},
+		{Name: "OK", Pattern: rx.MustParse("c+"), Mode: "M"},
+		{Name: "BAD", Pattern: rx.MustParse("c?"), Mode: "M"},
+		{Name: "WORSE", Pattern: rx.MustParse("d*"), Mode: "M"},
+	}})
+	if err == nil || err.Error() != "lexer: rule BAD accepts the empty string" {
+		t.Errorf("error = %v", err)
+	}
+}
+
 func TestRoundTripReassembly(t *testing.T) {
 	l := MustNew(jsonSpec())
 	src := `  {"k" : [1,2 , {"n": null}],
@@ -160,19 +176,6 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		if len(toks) != len(Strip(lexs)) {
 			t.Fatal("Tokenize disagrees with Scan+Strip")
-		}
-	}
-}
-
-func TestTerminalNames(t *testing.T) {
-	l := MustNew(jsonSpec())
-	names := l.TerminalNames()
-	if len(names) != 11 { // 9 literals + STRING + NUMBER, WS skipped
-		t.Errorf("TerminalNames = %v", names)
-	}
-	for _, n := range names {
-		if n == "WS" {
-			t.Error("skip rule leaked into TerminalNames")
 		}
 	}
 }

@@ -124,12 +124,13 @@ func (s *Scanner) want(n int) error {
 
 // match runs the current mode's DFA over the window, refilling as the match
 // frontier approaches the window end, and returns the longest match (byte
-// length and pattern index). It mirrors rx.MultiDFA.LongestPrefix, with two
-// streaming additions: it refills rather than decode a rune split across
-// chunks (utf8.FullRuneInString), and at true end of input it decodes
-// truncated bytes to (RuneError, 1) exactly as the string path does. The
-// index i is relative to s.start, which fill rebases to 0 with the tail's
-// order preserved, so i survives refills unadjusted.
+// length and pattern index) — maximal munch, with the DFA's accepting
+// states breaking ties by rule priority. It refills rather than decode a
+// rune split across chunks (utf8.FullRuneInString); once the window is
+// final (at true end of input, and from the start on the ScanString path)
+// it decodes truncated bytes to (RuneError, 1). The index i is relative to
+// s.start, which fill rebases to 0 with the tail's order preserved, so i
+// survives refills unadjusted.
 func (s *Scanner) match(m *rx.MultiDFA) (length, pattern int, ok bool, err error) {
 	st := m.Start()
 	best, bestPat, found := 0, -1, false
@@ -177,8 +178,8 @@ func (s *Scanner) Next() (Lexeme, bool, error) {
 		s.done = true
 		return Lexeme{}, false, nil
 	}
-	cur := s.l.modes[s.modeStack[len(s.modeStack)-1]]
-	n, pat, ok, err := s.match(cur.multi)
+	cur := &s.l.modes[s.modeStack[len(s.modeStack)-1]]
+	n, pat, ok, err := s.match(cur.dfa)
 	if err != nil {
 		s.err = err
 		return Lexeme{}, false, err
@@ -196,15 +197,14 @@ func (s *Scanner) Next() (Lexeme, bool, error) {
 		s.err = &Error{Line: s.line, Col: s.col, Offset: s.offset, Snippet: s.text[s.start:end]}
 		return Lexeme{}, false, s.err
 	}
-	rule := cur.rules[pat]
-	r := s.l.spec.Rules[rule]
+	r := &cur.rules[pat]
 	text := s.text[s.start : s.start+n]
 	lx := Lexeme{
-		Tok:    grammar.Tok(r.Name, text),
+		Tok:    grammar.Tok(r.name, text),
 		Line:   s.line,
 		Col:    s.col,
 		Offset: s.offset,
-		Skip:   r.Skip,
+		Skip:   r.skip,
 	}
 	for _, ch := range text {
 		if ch == '\n' {
@@ -222,12 +222,12 @@ func (s *Scanner) Next() (Lexeme, bool, error) {
 		// governed solely by the lexemes that slice it.
 		s.text, s.start = "", 0
 	}
-	switch a := s.l.actions[rule]; {
-	case a.push >= 0:
-		s.modeStack = append(s.modeStack, a.push)
-	case a.set >= 0:
-		s.modeStack[len(s.modeStack)-1] = a.set
-	case a.pop:
+	switch {
+	case r.push >= 0:
+		s.modeStack = append(s.modeStack, r.push)
+	case r.set >= 0:
+		s.modeStack[len(s.modeStack)-1] = r.set
+	case r.pop:
 		if len(s.modeStack) == 1 {
 			// The triggering lexeme is still delivered; the error surfaces
 			// on the next call (the batch adapter discards both, matching

@@ -1,6 +1,8 @@
 // Package rx is a small regular-expression engine built from scratch for
-// the lexing substrate: pattern → AST → Thompson NFA → DFA (subset
-// construction), with longest-prefix matching for maximal-munch tokenizers.
+// the lexing substrate: patterns → AST → one Thompson NFA → one DFA (subset
+// construction) whose accepting states name the winning pattern. CompileMulti
+// is the only construction; the lexer's scanner walks the result rune by
+// rune for maximal munch with rule priority on ties.
 //
 // The paper's evaluation lexes inputs with ANTLR lexers before parsing;
 // this package plays that role (see internal/lexer and internal/g4). Only

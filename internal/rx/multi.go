@@ -9,14 +9,24 @@ import (
 // subset-construction DFA whose accepting states remember the
 // lowest-numbered pattern that accepts there. This is the classic
 // lexer-generator construction — maximal munch with rule priority on ties.
+//
+// Transitions are stored as sorted rune ranges per state and resolved by
+// binary search. The zero value is not usable; build one with CompileMulti.
 type MultiDFA struct {
+	// trans[s] are the outgoing ranges of state s, sorted by lo.
 	trans  [][]dfaEdge
 	accept []int // accepting pattern index, or -1
 	start  int
 }
 
-// CompileMulti builds a MultiDFA for the given patterns. Lower indices take
-// priority when two patterns accept the same longest prefix.
+type dfaEdge struct {
+	lo, hi rune
+	to     int
+}
+
+// CompileMulti builds a MultiDFA for the given patterns via Thompson
+// construction and the subset construction. Lower indices take priority
+// when two patterns accept the same longest prefix.
 func CompileMulti(nodes []Node) *MultiDFA {
 	n := &nfa{}
 	super := n.newState()
@@ -95,7 +105,50 @@ func CompileMulti(nodes []Node) *MultiDFA {
 	return m
 }
 
-func (m *MultiDFA) step(s int, r rune) int {
+func dedupRunes(rs []rune) []rune {
+	out := rs[:0]
+	for i, r := range rs {
+		if i == 0 || r != out[len(out)-1] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func dedupInts(xs []int) []int {
+	out := xs[:0]
+	for i, x := range xs {
+		if i == 0 || x != out[len(out)-1] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+func mergeEdges(es []dfaEdge) []dfaEdge {
+	var out []dfaEdge
+	for _, e := range es {
+		if n := len(out); n > 0 && out[n-1].to == e.to && out[n-1].hi+1 == e.lo {
+			out[n-1].hi = e.hi
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// NumStates returns the number of DFA states.
+func (m *MultiDFA) NumStates() int { return len(m.trans) }
+
+// Start returns the DFA start state. Start, Next and Accept expose the
+// automaton rune by rune, which is all a longest-match loop needs, and the
+// only shape an incremental lexer can use: its input arrives from a reader
+// in chunks, never as one complete string.
+func (m *MultiDFA) Start() int { return m.start }
+
+// Next steps the DFA from state s on rune r; a negative result means the
+// automaton is dead (no pattern can extend the current prefix).
+func (m *MultiDFA) Next(s int, r rune) int {
 	es := m.trans[s]
 	lo, hi := 0, len(es)-1
 	for lo <= hi {
@@ -112,43 +165,7 @@ func (m *MultiDFA) step(s int, r rune) int {
 	return -1
 }
 
-// LongestPrefix scans src[from:] and returns the byte length of the longest
-// match, the index of the winning pattern, and whether anything (possibly
-// ε) matched.
-func (m *MultiDFA) LongestPrefix(src string, from int) (length, pattern int, ok bool) {
-	st := m.start
-	best, bestPat, found := 0, -1, false
-	if r := m.accept[st]; r >= 0 {
-		bestPat, found = r, true
-	}
-	i := from
-	for i < len(src) {
-		r, size := decodeRune(src[i:])
-		st = m.step(st, r)
-		if st < 0 {
-			break
-		}
-		i += size
-		if rule := m.accept[st]; rule >= 0 {
-			best, bestPat, found = i-from, rule, true
-		}
-	}
-	return best, bestPat, found
-}
-
-// NumStates returns the number of DFA states.
-func (m *MultiDFA) NumStates() int { return len(m.trans) }
-
-// Start returns the DFA start state. Together with Next and Accept it
-// exposes the automaton rune-by-rune, which is what an incremental lexer
-// needs: it cannot hand over a complete string because the input arrives
-// from a reader in chunks.
-func (m *MultiDFA) Start() int { return m.start }
-
-// Next steps the DFA from state s on rune r; a negative result means the
-// automaton is dead (no pattern can extend the current prefix).
-func (m *MultiDFA) Next(s int, r rune) int { return m.step(s, r) }
-
 // Accept returns the index of the highest-priority (lowest-numbered)
-// pattern accepting in state s, or -1 if s is not accepting.
+// pattern accepting in state s, or -1 if s is not accepting. The start
+// state accepts exactly when some pattern accepts ε.
 func (m *MultiDFA) Accept(s int) int { return m.accept[s] }

@@ -12,8 +12,6 @@ type nfa struct {
 	// eps[s] lists ε-successors of s; edges[s] lists labeled successors.
 	eps   [][]int
 	edges [][]nfaEdge
-	start int
-	acc   int
 }
 
 func (n *nfa) newState() int {
@@ -84,13 +82,6 @@ func (n *nfa) build(node Node) (int, int) {
 	default:
 		panic("rx: unknown AST node")
 	}
-}
-
-func compileNFA(node Node) *nfa {
-	n := &nfa{}
-	in, out := n.build(node)
-	n.start, n.acc = in, out
-	return n
 }
 
 // epsClosure expands set (sorted state ids) with ε-reachable states,

@@ -5,16 +5,50 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
-func mustMatch(t *testing.T, pattern, s string, want bool) {
+// longest runs m's longest-match loop over s from its first byte, the way
+// the lexer's scanner does: the byte length of the longest accepted prefix,
+// the pattern that wins it, and whether any (possibly empty) prefix was
+// accepted.
+func longest(m *MultiDFA, s string) (length, pattern int, ok bool) {
+	st := m.Start()
+	pattern = m.Accept(st)
+	ok = pattern >= 0
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if st = m.Next(st, r); st < 0 {
+			break
+		}
+		i += size
+		if p := m.Accept(st); p >= 0 {
+			length, pattern, ok = i, p, true
+		}
+	}
+	return length, pattern, ok
+}
+
+// compile builds the automaton of one pattern.
+func compile(t *testing.T, pattern string) *MultiDFA {
 	t.Helper()
-	d, err := CompilePattern(pattern)
+	n, err := Parse(pattern)
 	if err != nil {
 		t.Fatalf("compile %q: %v", pattern, err)
 	}
-	if got := d.Match(s); got != want {
-		t.Errorf("%q.Match(%q) = %v, want %v", pattern, s, got, want)
+	return CompileMulti([]Node{n})
+}
+
+// matches reports whether m accepts exactly s.
+func matches(m *MultiDFA, s string) bool {
+	n, _, ok := longest(m, s)
+	return ok && n == len(s)
+}
+
+func mustMatch(t *testing.T, pattern, s string, want bool) {
+	t.Helper()
+	if got := matches(compile(t, pattern), s); got != want {
+		t.Errorf("%q matches %q = %v, want %v", pattern, s, got, want)
 	}
 }
 
@@ -78,35 +112,26 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestLongestPrefix(t *testing.T) {
-	d := MustCompilePattern("[0-9]+")
-	n, ok := d.LongestPrefix("123abc", 0)
-	if !ok || n != 3 {
-		t.Errorf("LongestPrefix = %d, %v", n, ok)
+	d := compile(t, "[0-9]+")
+	if n, _, ok := longest(d, "123abc"); !ok || n != 3 {
+		t.Errorf("longest = %d, %v", n, ok)
 	}
-	n, ok = d.LongestPrefix("abc123", 3)
-	if !ok || n != 3 {
-		t.Errorf("LongestPrefix from 3 = %d, %v", n, ok)
-	}
-	if _, ok = d.LongestPrefix("abc", 0); ok {
+	if _, _, ok := longest(d, "abc"); ok {
 		t.Error("no digits should mean no match")
 	}
 	// Maximal munch prefers the longer alternative.
-	d2 := MustCompilePattern("a|ab")
-	n, ok = d2.LongestPrefix("abz", 0)
-	if !ok || n != 2 {
+	if n, _, ok := longest(compile(t, "a|ab"), "abz"); !ok || n != 2 {
 		t.Errorf("maximal munch = %d, %v; want 2", n, ok)
 	}
 	// ε-accepting pattern reports a zero-length match.
-	d3 := MustCompilePattern("a*")
-	n, ok = d3.LongestPrefix("bbb", 0)
-	if !ok || n != 0 {
+	if n, _, ok := longest(compile(t, "a*"), "bbb"); !ok || n != 0 {
 		t.Errorf("ε prefix = %d, %v", n, ok)
 	}
 }
 
 func TestStrAndRoundTrip(t *testing.T) {
-	d := Compile(Str("let"))
-	if !d.Match("let") || d.Match("le") {
+	d := CompileMulti([]Node{Str("let")})
+	if !matches(d, "let") || matches(d, "le") {
 		t.Error("Str literal broken")
 	}
 	// String() output reparses to an equivalent matcher.
@@ -116,40 +141,72 @@ func TestStrAndRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reparse of %q (from %q) failed: %v", n.String(), p, err)
 		}
-		d1, d2 := Compile(n), Compile(n2)
+		d1, d2 := CompileMulti([]Node{n}), CompileMulti([]Node{n2})
 		for _, s := range []string{"", "a", "ab", "abc", "x.y", "xy", "deadbeef", `"q"`} {
-			if d1.Match(s) != d2.Match(s) {
+			n1, _, ok1 := longest(d1, s)
+			n2, _, ok2 := longest(d2, s)
+			if n1 != n2 || ok1 != ok2 {
 				t.Errorf("round-trip changed semantics of %q on %q", p, s)
 			}
 		}
 	}
 }
 
-// TestDifferentialAgainstStdlib drives random patterns and inputs through
-// this engine and the standard library's regexp, which serves as the
-// reference semantics (anchored, with (?s) so '.' matches anything).
+// TestDifferentialAgainstStdlib drives random pattern lists and inputs
+// through the automaton the lexer uses and the standard library's regexp,
+// which serves as the reference semantics: each pattern anchored at the
+// input's start, with (?s) so '.' matches anything, and leftmost-longest
+// matching. Across the list, the longest match wins and a tie goes to the
+// lowest index — maximal munch with rule priority.
 func TestDifferentialAgainstStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alphabet := "abc01"
 	for trial := 0; trial < 400; trial++ {
-		pat := randPattern(rng, 4)
-		std, err := regexp.Compile(`(?s)\A(?:` + pat + `)\z`)
-		if err != nil {
-			continue // pattern landed outside the common subset
+		var pats []string
+		var nodes []Node
+		var std []*regexp.Regexp
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			pat := randPattern(rng, 4)
+			re, err := regexp.Compile(`(?s)\A(?:` + pat + `)`)
+			if err != nil {
+				continue // pattern landed outside the common subset
+			}
+			re.Longest()
+			n, err := Parse(pat)
+			if err != nil {
+				t.Fatalf("our parser rejected %q accepted by stdlib: %v", pat, err)
+			}
+			pats = append(pats, pat)
+			nodes = append(nodes, n)
+			std = append(std, re)
 		}
-		d, err := CompilePattern(pat)
-		if err != nil {
-			t.Fatalf("our parser rejected %q accepted by stdlib: %v", pat, err)
+		if len(nodes) == 0 {
+			continue
 		}
-		for i := 0; i < 40; i++ {
-			n := rng.Intn(7)
+		m := CompileMulti(nodes)
+		want := func(s string) (length, pattern int, ok bool) {
+			length, pattern = 0, -1
+			for i, re := range std {
+				if loc := re.FindStringIndex(s); loc != nil && (!ok || loc[1] > length) {
+					length, pattern, ok = loc[1], i, true
+				}
+			}
+			return length, pattern, ok
+		}
+		if _, wp, _ := want(""); m.Accept(m.Start()) != wp {
+			t.Fatalf("patterns %q: start accepts %d, stdlib's first ε pattern is %d", pats, m.Accept(m.Start()), wp)
+		}
+		for i := 0; i < 60; i++ {
+			n := rng.Intn(8)
 			var b strings.Builder
 			for j := 0; j < n; j++ {
 				b.WriteByte(alphabet[rng.Intn(len(alphabet))])
 			}
 			s := b.String()
-			if got, want := d.Match(s), std.MatchString(s); got != want {
-				t.Fatalf("pattern %q input %q: got %v, stdlib %v", pat, s, got, want)
+			gl, gp, gok := longest(m, s)
+			wl, wp, wok := want(s)
+			if gl != wl || gp != wp || gok != wok {
+				t.Fatalf("patterns %q input %q: got (%d, %d, %v), stdlib (%d, %d, %v)", pats, s, gl, gp, gok, wl, wp, wok)
 			}
 		}
 	}
@@ -225,7 +282,7 @@ func TestNodeStrings(t *testing.T) {
 
 func TestDFAStateCount(t *testing.T) {
 	// Sanity: a keyword DFA has len+1 reachable states.
-	d := Compile(Str("return"))
+	d := CompileMulti([]Node{Str("return")})
 	if d.NumStates() != len("return")+1 {
 		t.Errorf("NumStates = %d, want %d", d.NumStates(), len("return")+1)
 	}
