@@ -181,16 +181,25 @@ func FuzzRxParse(f *testing.F) {
 	})
 }
 
-// longestMatch walks m over s from its first byte and returns the byte
-// length of the longest accepted prefix, the winning pattern and whether
-// any (possibly empty) prefix was accepted.
+// longestMatch walks m over s from its first byte the way the lexer's
+// scanner does — an ASCII byte through the table (NextByte), any other rune
+// through the range search (Next) — and returns the byte length of the
+// longest accepted prefix, the winning pattern and whether any (possibly
+// empty) prefix was accepted.
 func longestMatch(m *rx.MultiDFA, s string) (length, pattern int, ok bool) {
 	st := m.Start()
 	pattern = m.Accept(st)
 	ok = pattern >= 0
 	for i := 0; i < len(s); {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if st = m.Next(st, r); st < 0 {
+		size := 1
+		if b := s[i]; b < utf8.RuneSelf {
+			st = m.NextByte(st, b)
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			st = m.Next(st, r)
+		}
+		if st < 0 {
 			break
 		}
 		i += size
@@ -304,11 +313,12 @@ func FuzzGrammarLint(f *testing.F) {
 
 // FuzzStreamEquivalence feeds arbitrary bytes — invalid UTF-8, truncated
 // tokens, hostile chunkings down to 1-byte reads — through both the batch
-// pipeline (lex everything, parse the slice) and the streaming pipeline
-// (incremental lexing through a demand-driven cursor) and requires them to
-// agree: when batch lexing succeeds the two parses must return the same
-// kind, tree, and consumed count; when it fails the stream must never
-// accept. And nothing may panic.
+// pipeline (lex everything, parse the slice) and the streaming pipelines
+// (incremental lexing through a demand-driven cursor, by the language's
+// named pull and by ParseReader's lexer-bound pull) and requires them to
+// agree: when batch lexing succeeds each stream parse must return the
+// slice parse's kind, tree, and consumed count; when it fails no stream
+// may accept. And nothing may panic.
 func FuzzStreamEquivalence(f *testing.F) {
 	seeds := []struct {
 		src   string
@@ -338,21 +348,28 @@ func FuzzStreamEquivalence(f *testing.F) {
 			sliceRes = p.Parse(toks)
 		}
 		size := 1 + int(chunk)%7
-		cur := jsonlang.Lang.Cursor(iotest(src, size))
-		streamRes := p.ParseSource(cur)
-		if lexErr != nil {
-			if streamRes.Kind == Unique || streamRes.Kind == Ambig {
-				t.Fatalf("slice lexing fails (%v) but stream accepted %q", lexErr, src)
+		for _, s := range []struct {
+			path string
+			res  Result
+		}{
+			{"cursor", p.ParseSource(jsonlang.Lang.Cursor(iotest(src, size)))},
+			{"ParseReader", p.ParseReader(jsonlang.Lexer(), iotest(src, size))},
+		} {
+			streamRes := s.res
+			if lexErr != nil {
+				if streamRes.Kind == Unique || streamRes.Kind == Ambig {
+					t.Fatalf("slice lexing fails (%v) but %s stream accepted %q", lexErr, s.path, src)
+				}
+				continue
 			}
-			return
-		}
-		if streamRes.Kind != sliceRes.Kind || streamRes.Consumed != sliceRes.Consumed {
-			t.Fatalf("stream %s/%d, slice %s/%d for %q (chunk %d)",
-				streamRes.Kind, streamRes.Consumed, sliceRes.Kind, sliceRes.Consumed, src, size)
-		}
-		if (streamRes.Tree == nil) != (sliceRes.Tree == nil) ||
-			(streamRes.Tree != nil && streamRes.Tree.String() != sliceRes.Tree.String()) {
-			t.Fatalf("trees differ for %q (chunk %d)", src, size)
+			if streamRes.Kind != sliceRes.Kind || streamRes.Consumed != sliceRes.Consumed {
+				t.Fatalf("%s stream %s/%d, slice %s/%d for %q (chunk %d)",
+					s.path, streamRes.Kind, streamRes.Consumed, sliceRes.Kind, sliceRes.Consumed, src, size)
+			}
+			if (streamRes.Tree == nil) != (sliceRes.Tree == nil) ||
+				(streamRes.Tree != nil && streamRes.Tree.String() != sliceRes.Tree.String()) {
+				t.Fatalf("%s trees differ for %q (chunk %d)", s.path, src, size)
+			}
 		}
 	})
 }

@@ -6,7 +6,9 @@ package languages_test
 // (lex everything, then parse the slice) — same result kind, same tree,
 // same ambiguity, same consumed count — for every chunking of the input
 // bytes, including 1-byte reads that split multi-byte runes and multi-rune
-// tokens across reader calls.
+// tokens across reader calls. A language without a layout pass is also
+// parsed through Parser.ParseReader, where the lexer hands the cursor each
+// token's terminal ID, under the same contract.
 
 import (
 	"io"
@@ -48,14 +50,17 @@ type streamLang struct {
 	name     string
 	l        *langkit.Language
 	generate func(int64, int) string
+	// reader: the language has no layout pass, so its lexer alone feeds
+	// ParseReader.
+	reader bool
 }
 
 func streamLangs() []streamLang {
 	return []streamLang{
-		{"json", jsonlang.Lang, jsonlang.Generate},
-		{"xml", xmllang.Lang, xmllang.Generate},
-		{"dot", dotlang.Lang, dotlang.Generate},
-		{"python", pylang.Lang, pylang.Generate},
+		{"json", jsonlang.Lang, jsonlang.Generate, true},
+		{"xml", xmllang.Lang, xmllang.Generate, true},
+		{"dot", dotlang.Lang, dotlang.Generate, true},
+		{"python", pylang.Lang, pylang.Generate, false},
 	}
 }
 
@@ -64,7 +69,9 @@ var chunkSizes = []int{1, 3, 7, 64, 4096}
 // checkEquivalence parses src both ways under every chunking and enforces
 // the contract: if the batch pipeline lexes src, the streaming results must
 // deep-equal the slice result; if batch lexing fails, streaming must reject
-// or error (the lexing failure surfaces mid-parse), never accept.
+// or error (the lexing failure surfaces mid-parse), never accept. Streaming
+// runs through the language's cursor and, for a language without a layout
+// pass, through ParseReader too.
 func checkEquivalence(t *testing.T, l streamLang, p *parser.Parser, src, label string) {
 	t.Helper()
 	toks, lexErr := l.l.Tokenize(src)
@@ -72,31 +79,40 @@ func checkEquivalence(t *testing.T, l streamLang, p *parser.Parser, src, label s
 	if lexErr == nil {
 		sliceRes = p.Parse(toks)
 	}
+	same := func(path string, cs int, streamRes parser.Result) bool {
+		t.Helper()
+		if lexErr != nil {
+			if streamRes.Kind == parser.Unique || streamRes.Kind == parser.Ambig {
+				t.Errorf("%s %s %s chunk %d: slice lexing fails (%v) but stream accepted", l.name, label, path, cs, lexErr)
+			}
+			return false
+		}
+		if streamRes.Kind != sliceRes.Kind {
+			t.Errorf("%s %s %s chunk %d: stream %s, slice %s", l.name, label, path, cs, streamRes.Kind, sliceRes.Kind)
+			return false
+		}
+		if streamRes.Consumed != sliceRes.Consumed {
+			t.Errorf("%s %s %s chunk %d: consumed %d, slice %d", l.name, label, path, cs, streamRes.Consumed, sliceRes.Consumed)
+		}
+		if !reflect.DeepEqual(streamRes.Tree, sliceRes.Tree) {
+			t.Errorf("%s %s %s chunk %d: trees differ", l.name, label, path, cs)
+		}
+		return true
+	}
 	for _, cs := range chunkSizes {
 		cur := l.l.Cursor(&chunkReader{s: src, n: cs})
 		streamRes := p.ParseSource(cur)
-		if lexErr != nil {
-			if streamRes.Kind == parser.Unique || streamRes.Kind == parser.Ambig {
-				t.Errorf("%s %s chunk %d: slice lexing fails (%v) but stream accepted", l.name, label, cs, lexErr)
-			}
-			continue
-		}
-		if streamRes.Kind != sliceRes.Kind {
-			t.Errorf("%s %s chunk %d: stream %s, slice %s", l.name, label, cs, streamRes.Kind, sliceRes.Kind)
-			continue
-		}
-		if streamRes.Consumed != sliceRes.Consumed {
-			t.Errorf("%s %s chunk %d: consumed %d, slice %d", l.name, label, cs, streamRes.Consumed, sliceRes.Consumed)
-		}
-		if !reflect.DeepEqual(streamRes.Tree, sliceRes.Tree) {
-			t.Errorf("%s %s chunk %d: trees differ", l.name, label, cs)
-		}
 		// The acceptance bound on the sliding window: the cursor may retain
 		// at most the deepest lookahead any prediction used plus the O(1)
 		// compaction slack — never anything proportional to the input.
-		if bound := streamRes.Stats.MaxLookahead + 64 + 2; cur.PeakWindow() > bound {
-			t.Errorf("%s %s chunk %d: peak window %d exceeds lookahead+slack bound %d",
-				l.name, label, cs, cur.PeakWindow(), bound)
+		if same("cursor", cs, streamRes) {
+			if bound := streamRes.Stats.MaxLookahead + 64 + 2; cur.PeakWindow() > bound {
+				t.Errorf("%s %s chunk %d: peak window %d exceeds lookahead+slack bound %d",
+					l.name, label, cs, cur.PeakWindow(), bound)
+			}
+		}
+		if l.reader {
+			same("ParseReader", cs, p.ParseReader(l.l.Lexer(), &chunkReader{s: src, n: cs}))
 		}
 	}
 }

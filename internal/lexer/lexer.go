@@ -7,11 +7,14 @@
 // terminal it produces; earlier rules win ties, longest match wins overall.
 // The rules of each lexer mode compile into one multi-pattern DFA
 // (rx.CompileMulti), the classic lexer-generator construction, and
-// Scanner.match is the one longest-match loop that walks it.
+// Scanner.match is the one longest-match loop that walks it, ASCII bytes
+// through the automaton's byte rows. A Lexer bound to a grammar (Bind)
+// hands out each token's terminal ID with it.
 package lexer
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"costar/internal/diag"
@@ -215,6 +218,51 @@ func MustNew(spec Spec) *Lexer {
 		panic(err)
 	}
 	return l
+}
+
+// Binding is a lexer bound to one compiled grammar: per mode, the terminal
+// ID of each rule's name in that grammar (grammar.NoTerm for a name the
+// grammar lacks, as Compiled.TermIDOf reports it). It is a value of its own,
+// so one Lexer can serve sessions of different grammars at once; binding
+// never writes into the Lexer. A Binding is immutable and safe for
+// concurrent use.
+type Binding struct {
+	l   *Lexer
+	ids [][]grammar.TermID // by mode, by pattern index
+}
+
+// Bind resolves every rule's terminal name against c once.
+func (l *Lexer) Bind(c *grammar.Compiled) *Binding {
+	b := &Binding{l: l, ids: make([][]grammar.TermID, len(l.modes))}
+	for m := range l.modes {
+		rules := l.modes[m].rules
+		ids := make([]grammar.TermID, len(rules))
+		for p := range rules {
+			id, ok := c.TermIDOf(rules[p].name)
+			if !ok {
+				id = grammar.NoTerm
+			}
+			ids[p] = id
+		}
+		b.ids[m] = ids
+	}
+	return b
+}
+
+// Lexer returns the lexer b binds.
+func (b *Binding) Lexer() *Lexer { return b.l }
+
+// Pull is Lexer.Pull handing out each token with its terminal ID in the
+// bound grammar, so a cursor fed by it (source.IDPull) hashes no names.
+func (b *Binding) Pull(r io.Reader) func() (grammar.Token, grammar.TermID, bool, error) {
+	sc := b.l.ScanReader(r)
+	return func() (grammar.Token, grammar.TermID, bool, error) {
+		mode, pat, text, ok, err := sc.token()
+		if !ok {
+			return grammar.Token{}, grammar.NoTerm, false, err
+		}
+		return grammar.Tok(b.l.modes[mode].rules[pat].name, text), b.ids[mode][pat], true, nil
+	}
 }
 
 // Scan tokenizes src into lexemes, including skip lexemes (callers that

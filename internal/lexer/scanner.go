@@ -125,9 +125,11 @@ func (s *Scanner) want(n int) error {
 // match runs the current mode's DFA over the window, refilling as the match
 // frontier approaches the window end, and returns the longest match (byte
 // length and pattern index) — maximal munch, with the DFA's accepting
-// states breaking ties by rule priority. It refills rather than decode a
-// rune split across chunks (utf8.FullRuneInString); once the window is
-// final (at true end of input, and from the start on the ScanString path)
+// states breaking ties by rule priority. An ASCII byte steps the DFA with
+// one table load (rx.MultiDFA.NextByte); only a byte ≥ 0x80 starts a rune
+// that is decoded and stepped by range search. The loop refills rather than
+// decode a rune split across chunks (utf8.FullRuneInString); once the window
+// is final (at true end of input, and from the start on the ScanString path)
 // it decodes truncated bytes to (RuneError, 1). The index i is relative to
 // s.start, which fill rebases to 0 with the tail's order preserved, so i
 // survives refills unadjusted.
@@ -137,19 +139,29 @@ func (s *Scanner) match(m *rx.MultiDFA) (length, pattern int, ok bool, err error
 	if r := m.Accept(st); r >= 0 {
 		bestPat, found = r, true
 	}
-	i := 0
+	text, i := s.text[s.start:], 0
 	for {
-		for !s.atEOF && !utf8.FullRuneInString(s.text[s.start+i:]) {
+		// Step the window's ASCII bytes, one table load each.
+		for ; i < len(text) && text[i] < utf8.RuneSelf; i++ {
+			if st = m.NextByte(st, text[i]); st < 0 {
+				return best, bestPat, found, nil
+			}
+			if rule := m.Accept(st); rule >= 0 {
+				best, bestPat, found = i+1, rule, true
+			}
+		}
+		if !s.atEOF && !utf8.FullRuneInString(text[i:]) {
 			if err := s.fill(); err != nil {
 				return 0, 0, false, err
 			}
+			text = s.text[s.start:]
+			continue
 		}
-		if s.start+i >= len(s.text) {
+		if i >= len(text) {
 			break
 		}
-		r, size := utf8.DecodeRuneInString(s.text[s.start+i:])
-		st = m.Next(st, r)
-		if st < 0 {
+		r, size := utf8.DecodeRuneInString(text[i:])
+		if st = m.Next(st, r); st < 0 {
 			break
 		}
 		i += size
@@ -160,34 +172,39 @@ func (s *Scanner) match(m *rx.MultiDFA) (length, pattern int, ok bool, err error
 	return best, bestPat, found, nil
 }
 
-// Next returns the next lexeme (including skip lexemes). The second result
-// is false at end of input or on error; errors are sticky. The lexeme's
-// literal is a zero-copy slice of the scanner's current window.
-func (s *Scanner) Next() (Lexeme, bool, error) {
+// scan is the one scan step under Next and the pulls: it matches the next
+// lexeme, moves the position past it and applies its rule's mode action.
+// It returns the mode the lexeme matched in, its pattern index there (the
+// rule is s.l.modes[mode].rules[pat]) and its text, a zero-copy slice of
+// the window. ok is false at end of input or on error; errors are sticky.
+func (s *Scanner) scan() (mode, pat int, text string, ok bool, err error) {
 	if s.err != nil {
-		return Lexeme{}, false, s.err
+		return 0, 0, "", false, s.err
 	}
 	if s.done {
-		return Lexeme{}, false, nil
-	}
-	if err := s.want(1); err != nil {
-		s.err = err
-		return Lexeme{}, false, err
+		return 0, 0, "", false, nil
 	}
 	if s.start >= len(s.text) {
-		s.done = true
-		return Lexeme{}, false, nil
+		if err := s.want(1); err != nil {
+			s.err = err
+			return 0, 0, "", false, err
+		}
+		if s.start >= len(s.text) {
+			s.done = true
+			return 0, 0, "", false, nil
+		}
 	}
-	cur := &s.l.modes[s.modeStack[len(s.modeStack)-1]]
+	mode = s.modeStack[len(s.modeStack)-1]
+	cur := &s.l.modes[mode]
 	n, pat, ok, err := s.match(cur.dfa)
 	if err != nil {
 		s.err = err
-		return Lexeme{}, false, err
+		return 0, 0, "", false, err
 	}
 	if !ok || n == 0 {
 		if err := s.want(errSnippet); err != nil {
 			s.err = err
-			return Lexeme{}, false, err
+			return 0, 0, "", false, err
 		}
 		end := s.start + errSnippet
 		if end > len(s.text) {
@@ -195,24 +212,14 @@ func (s *Scanner) Next() (Lexeme, bool, error) {
 		}
 		// The snippet is a slice of the window, not a copy — see Error.
 		s.err = &Error{Line: s.line, Col: s.col, Offset: s.offset, Snippet: s.text[s.start:end]}
-		return Lexeme{}, false, s.err
+		return 0, 0, "", false, s.err
 	}
-	r := &cur.rules[pat]
-	text := s.text[s.start : s.start+n]
-	lx := Lexeme{
-		Tok:    grammar.Tok(r.name, text),
-		Line:   s.line,
-		Col:    s.col,
-		Offset: s.offset,
-		Skip:   r.skip,
-	}
-	for _, ch := range text {
-		if ch == '\n' {
-			s.line++
-			s.col = 1
-		} else {
-			s.col++
-		}
+	text = s.text[s.start : s.start+n]
+	if nl := strings.Count(text, "\n"); nl > 0 {
+		s.line += nl
+		s.col = 1 + utf8.RuneCountInString(text[strings.LastIndexByte(text, '\n')+1:])
+	} else {
+		s.col += utf8.RuneCountInString(text)
 	}
 	s.offset += n
 	s.start += n
@@ -222,6 +229,7 @@ func (s *Scanner) Next() (Lexeme, bool, error) {
 		// governed solely by the lexemes that slice it.
 		s.text, s.start = "", 0
 	}
+	r := &cur.rules[pat]
 	switch {
 	case r.push >= 0:
 		s.modeStack = append(s.modeStack, r.push)
@@ -237,25 +245,46 @@ func (s *Scanner) Next() (Lexeme, bool, error) {
 			s.modeStack = s.modeStack[:len(s.modeStack)-1]
 		}
 	}
-	return lx, true, nil
+	return mode, pat, text, true, nil
+}
+
+// token is scan with skip lexemes passed over: the next lexeme a parser
+// sees.
+func (s *Scanner) token() (mode, pat int, text string, ok bool, err error) {
+	for {
+		mode, pat, text, ok, err = s.scan()
+		if !ok || !s.l.modes[mode].rules[pat].skip {
+			return mode, pat, text, ok, err
+		}
+	}
+}
+
+// Next returns the next lexeme (including skip lexemes). The second result
+// is false at end of input or on error; errors are sticky. The lexeme's
+// literal is a zero-copy slice of the scanner's current window.
+func (s *Scanner) Next() (Lexeme, bool, error) {
+	line, col, offset := s.line, s.col, s.offset
+	mode, pat, text, ok, err := s.scan()
+	if !ok {
+		return Lexeme{}, false, err
+	}
+	r := &s.l.modes[mode].rules[pat]
+	return Lexeme{Tok: grammar.Tok(r.name, text), Line: line, Col: col, Offset: offset, Skip: r.skip}, true, nil
 }
 
 // Pull returns a demand-driven token source over r: each call lexes just
 // enough input to produce the next non-skip token. The returned function
 // has the shape source.Pull expects, so a cursor can be built directly on
-// top of it.
+// top of it; the cursor then looks each token's terminal name up in its
+// grammar. A Binding's Pull hands the cursor the terminal IDs instead.
 func (l *Lexer) Pull(r io.Reader) func() (grammar.Token, bool, error) {
 	sc := l.ScanReader(r)
 	return func() (grammar.Token, bool, error) {
-		for {
-			lx, ok, err := sc.Next()
-			if err != nil || !ok {
-				return grammar.Token{}, false, err
-			}
-			if !lx.Skip {
-				return lx.Tok, true, nil
-			}
+		mode, pat, text, ok, err := sc.token()
+		if !ok {
+			return grammar.Token{}, false, err
 		}
+		return grammar.Tok(l.modes[mode].rules[pat].name, text), true, nil
 	}
 }
 

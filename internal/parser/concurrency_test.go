@@ -9,12 +9,15 @@ package parser
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"costar/internal/earley"
 	"costar/internal/grammar"
 	"costar/internal/grammarlint"
+	"costar/internal/languages/jsonlang"
 )
 
 // multiStartGrammar has several independent decision nonterminals so that
@@ -209,4 +212,87 @@ func TestConcurrentWarmDeterminism(t *testing.T) {
 			assertSameResult(t, again[i], want[i], g, words[i])
 		}
 	}
+}
+
+// TestParseReaderSharedLexerTwoGrammars feeds one lexer through ParseReader
+// to two sessions at once. jsonlang's session and a BNF session over a
+// subset of JSON's terminals, interned in another order, bind the same
+// lexer rules to different terminal IDs, and the BNF session binds the
+// rules its grammar lacks to NoTerm. Each reader result must equal that
+// session's slice parse of the batch-lexed word. Binding is per session:
+// writing the IDs into the shared lexer instead is a data race, which this
+// test reports under -race.
+func TestParseReaderSharedLexerTwoGrammars(t *testing.T) {
+	lex := jsonlang.Lexer()
+	nums := grammar.MustParseBNF(`
+		list -> NUMBER | '[' ']' | '[' list more ']' ;
+		more -> %empty | ',' list more
+	`)
+	jc, nc := jsonlang.Grammar().Compiled(), nums.Compiled()
+	if a, _ := jc.TermIDOf("NUMBER"); a == mustTermID(t, nc, "NUMBER") {
+		t.Fatalf("NUMBER has ID %d in both grammars; the test needs different interning orders", a)
+	}
+	if _, ok := nc.TermIDOf("STRING"); ok {
+		t.Fatal("the subset grammar must lack STRING")
+	}
+	docs := []string{
+		`[1, [2, 3], [], [[4]]]`,
+		`[1, 2`,
+		`[1 2]`,
+		`-7.5e3`,
+		`{"a": [1, 2]}`,
+		`[1, "two", 3]`,
+		jsonlang.Generate(5, 300),
+		jsonlang.Generate(6, 600),
+	}
+	sessions := []*Parser{MustNew(jsonlang.Grammar(), Options{}), MustNew(nums, Options{})}
+	want := make([][]Result, len(sessions))
+	for k, p := range sessions {
+		for _, d := range docs {
+			toks, err := jsonlang.Tokenize(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k] = append(want[k], p.Parse(toks))
+		}
+	}
+	if want[0][0].Kind != Unique || want[1][0].Kind != Unique || want[1][4].Kind != Reject {
+		t.Fatalf("premise: want Unique, Unique, Reject; got %v, %v, %v", want[0][0].Kind, want[1][0].Kind, want[1][4].Kind)
+	}
+	const rounds = 20
+	got := make([][]Result, 2*len(sessions))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p := sessions[g%len(sessions)]
+			for i := 0; i < rounds; i++ {
+				for _, d := range docs {
+					got[g] = append(got[g], p.ParseReader(lex, strings.NewReader(d)))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, rs := range got {
+		k := g % len(sessions)
+		for i, res := range rs {
+			w := want[k][i%len(docs)]
+			if res.Kind != w.Kind || res.Consumed != w.Consumed || !slices.Equal(res.Expected, w.Expected) ||
+				(res.Tree == nil) != (w.Tree == nil) || (res.Tree != nil && !res.Tree.Equal(w.Tree)) {
+				t.Fatalf("session %d doc %d: reader %v after %d tokens (expected %v), slice %v after %d (expected %v)",
+					k, i%len(docs), res.Kind, res.Consumed, res.Expected, w.Kind, w.Consumed, w.Expected)
+			}
+		}
+	}
+}
+
+func mustTermID(t *testing.T, c *grammar.Compiled, name string) grammar.TermID {
+	t.Helper()
+	id, ok := c.TermIDOf(name)
+	if !ok {
+		t.Fatalf("no terminal %q", name)
+	}
+	return id
 }

@@ -163,6 +163,10 @@ type Parser struct {
 
 	statsMu sync.Mutex
 	stats   prediction.Stats // accumulated across parses
+
+	// bound is the last lexer ParseReader bound to this session's grammar;
+	// a parse with the same lexer reuses it after one pointer compare.
+	bound atomic.Pointer[lexer.Binding]
 }
 
 // parseScratch is the pooled per-parse state. Everything here is scratch
@@ -313,9 +317,20 @@ func (p *Parser) Parse(w []grammar.Token) Result {
 }
 
 // ParseReader lexes r incrementally with lex and parses the token stream
-// from the grammar's start symbol, in bounded memory end to end.
+// from the grammar's start symbol, in bounded memory end to end. It is
+// ParseInput with Input{Pull: lex.Pull(r)}, except that the lexer hands the
+// cursor each token's terminal ID: lex is bound to the session's grammar
+// once (lexer.Bind) and the binding is kept for later parses with the same
+// lexer.
 func (p *Parser) ParseReader(lex *lexer.Lexer, r io.Reader) Result {
-	return p.ParseInput(context.Background(), Input{Pull: lex.Pull(r)})
+	b := p.bound.Load()
+	if b == nil || b.Lexer() != lex {
+		b = lex.Bind(p.g.Compiled())
+		p.bound.Store(b)
+	}
+	sc := p.getScratch()
+	sc.cur.ResetIDPull(p.g.Compiled(), b.Pull(r))
+	return p.parse(context.Background(), p.g.Start, sc, &sc.cur, -1)
 }
 
 // ParseSource parses the tokens of src from the grammar's start symbol. The

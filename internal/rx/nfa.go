@@ -1,5 +1,7 @@
 package rx
 
+import "slices"
+
 // Thompson NFA construction. States are integers; each state owns ε-edges
 // and at most a small set of range-labeled edges.
 
@@ -12,6 +14,11 @@ type nfa struct {
 	// eps[s] lists ε-successors of s; edges[s] lists labeled successors.
 	eps   [][]int
 	edges [][]nfaEdge
+
+	// epsClosure's reusable visited set and work stack.
+	mark  []uint32
+	gen   uint32
+	stack []int
 }
 
 func (n *nfa) newState() int {
@@ -84,37 +91,38 @@ func (n *nfa) build(node Node) (int, int) {
 	}
 }
 
-// epsClosure expands set (sorted state ids) with ε-reachable states,
-// returning a sorted deduplicated slice.
-func (n *nfa) epsClosure(set []int) []int {
-	mark := make(map[int]bool, len(set)*2)
-	stack := append([]int{}, set...)
+// epsClosure writes into dst the ε-closure of set, sorted and
+// deduplicated, and returns it. The visited set is the generation-stamped
+// mark slice: state s is in the closure being built when mark[s] == gen, so
+// each call empties the set by bumping gen instead of allocating one.
+func (n *nfa) epsClosure(dst, set []int) []int {
+	if len(n.mark) < len(n.eps) {
+		n.mark = make([]uint32, len(n.eps))
+	}
+	if n.gen++; n.gen == 0 { // wrapped: stale stamps could collide
+		clear(n.mark)
+		n.gen = 1
+	}
+	out, stack := dst[:0], n.stack[:0]
 	for _, s := range set {
-		mark[s] = true
+		if n.mark[s] != n.gen {
+			n.mark[s] = n.gen
+			out = append(out, s)
+			stack = append(stack, s)
+		}
 	}
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, t := range n.eps[s] {
-			if !mark[t] {
-				mark[t] = true
+			if n.mark[t] != n.gen {
+				n.mark[t] = n.gen
+				out = append(out, t)
 				stack = append(stack, t)
 			}
 		}
 	}
-	out := make([]int, 0, len(mark))
-	for s := range mark {
-		out = append(out, s)
-	}
-	sortInts(out)
+	n.stack = stack
+	slices.Sort(out)
 	return out
-}
-
-func sortInts(xs []int) {
-	// insertion sort: sets are small
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

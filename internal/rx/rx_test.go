@@ -9,16 +9,24 @@ import (
 )
 
 // longest runs m's longest-match loop over s from its first byte, the way
-// the lexer's scanner does: the byte length of the longest accepted prefix,
-// the pattern that wins it, and whether any (possibly empty) prefix was
-// accepted.
+// the lexer's scanner does — an ASCII byte through the table (NextByte),
+// any other rune through the range search (Next): the byte length of the
+// longest accepted prefix, the pattern that wins it, and whether any
+// (possibly empty) prefix was accepted.
 func longest(m *MultiDFA, s string) (length, pattern int, ok bool) {
 	st := m.Start()
 	pattern = m.Accept(st)
 	ok = pattern >= 0
 	for i := 0; i < len(s); {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if st = m.Next(st, r); st < 0 {
+		size := 1
+		if b := s[i]; b < utf8.RuneSelf {
+			st = m.NextByte(st, b)
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			st = m.Next(st, r)
+		}
+		if st < 0 {
 			break
 		}
 		i += size
@@ -157,10 +165,14 @@ func TestStrAndRoundTrip(t *testing.T) {
 // which serves as the reference semantics: each pattern anchored at the
 // input's start, with (?s) so '.' matches anything, and leftmost-longest
 // matching. Across the list, the longest match wins and a tie goes to the
-// lowest index — maximal munch with rule priority.
+// lowest index — maximal munch with rule priority. The inputs mix ASCII
+// with two multi-byte runes, so both the byte table and the range search
+// run (and negated classes such as [^ab] match outside ASCII); every
+// automaton's byte table must also agree with its range search on every
+// state and every ASCII byte.
 func TestDifferentialAgainstStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	alphabet := "abc01"
+	alphabet := []rune("abc01é→")
 	for trial := 0; trial < 400; trial++ {
 		var pats []string
 		var nodes []Node
@@ -184,6 +196,7 @@ func TestDifferentialAgainstStdlib(t *testing.T) {
 			continue
 		}
 		m := CompileMulti(nodes)
+		checkByteTable(t, m, pats)
 		want := func(s string) (length, pattern int, ok bool) {
 			length, pattern = 0, -1
 			for i, re := range std {
@@ -200,13 +213,26 @@ func TestDifferentialAgainstStdlib(t *testing.T) {
 			n := rng.Intn(8)
 			var b strings.Builder
 			for j := 0; j < n; j++ {
-				b.WriteByte(alphabet[rng.Intn(len(alphabet))])
+				b.WriteRune(alphabet[rng.Intn(len(alphabet))])
 			}
 			s := b.String()
 			gl, gp, gok := longest(m, s)
 			wl, wp, wok := want(s)
 			if gl != wl || gp != wp || gok != wok {
 				t.Fatalf("patterns %q input %q: got (%d, %d, %v), stdlib (%d, %d, %v)", pats, s, gl, gp, gok, wl, wp, wok)
+			}
+		}
+	}
+}
+
+// checkByteTable requires NextByte(s, b) == Next(s, rune(b)) for every
+// state s of m and every ASCII byte b.
+func checkByteTable(t *testing.T, m *MultiDFA, pats []string) {
+	t.Helper()
+	for s := 0; s < m.NumStates(); s++ {
+		for b := 0; b < utf8.RuneSelf; b++ {
+			if got, want := m.NextByte(s, byte(b)), m.Next(s, rune(b)); got != want {
+				t.Fatalf("patterns %q: state %d byte %#x: NextByte %d, Next %d", pats, s, b, got, want)
 			}
 		}
 	}

@@ -17,9 +17,11 @@
 //	Pos()     absolute position = number of tokens consumed
 //	Err()     the producer failure that ended the stream, if any
 //
-// Terminal IDs are interned against the compiled grammar as tokens enter the
-// window, so the hot paths downstream stay on dense int32 comparisons
-// exactly as on the slice path.
+// Each token in the window carries its terminal ID in the compiled grammar,
+// so the hot paths downstream stay on dense int32 comparisons exactly as on
+// the slice path. A named producer (Pull) has each name looked up as its
+// token enters the window; a producer that already knows the IDs (IDPull,
+// a lexer bound to the grammar) hands them over with the tokens.
 //
 // A Cursor is a mutable, single-consumer value: the machine threads one
 // cursor linearly through its states. It is not safe for concurrent use —
@@ -35,6 +37,11 @@ import "costar/internal/grammar"
 // truncated at that point.
 type Pull func() (grammar.Token, bool, error)
 
+// IDPull is a Pull that also names each token's terminal ID in the cursor's
+// grammar (grammar.NoTerm for a terminal the grammar lacks), so the cursor
+// looks no name up. lexer.Binding's Pull is one.
+type IDPull func() (grammar.Token, grammar.TermID, bool, error)
+
 // compactAt bounds the dead prefix a pull-backed window may accumulate
 // before consumed entries are copied away. It is the "O(1) slack" in the
 // window-retention bound: retained entries <= max lookahead + compactAt.
@@ -43,16 +50,17 @@ const compactAt = 64
 // Cursor is the demand-driven token cursor. The zero value is not useful;
 // construct with FromTokens or FromPull.
 type Cursor struct {
-	c    *grammar.Compiled
-	toks []grammar.Token  // window; toks[head:] are fetched but unconsumed
-	ids  []grammar.TermID // interned terminal IDs, parallel to toks
-	head int              // cursor index into the window
-	pos  int              // absolute position (tokens consumed)
-	pull Pull             // nil when the window already holds the whole input
-	eof  bool             // producer exhausted (or failed)
-	err  error            // sticky producer failure
-	peak int              // peak window occupancy (diagnostics)
-	own  bool             // toks is cursor-allocated (reusable), not the caller's word
+	c      *grammar.Compiled
+	toks   []grammar.Token  // window; toks[head:] are fetched but unconsumed
+	ids    []grammar.TermID // terminal IDs, parallel to toks
+	head   int              // cursor index into the window
+	pos    int              // absolute position (tokens consumed)
+	pull   Pull             // named producer; nil when slice-backed or idPull is set
+	idPull IDPull           // producer with terminal IDs
+	eof    bool             // producer exhausted (or failed)
+	err    error            // sticky producer failure
+	peak   int              // peak window occupancy (diagnostics)
+	own    bool             // toks is cursor-allocated (reusable), not the caller's word
 }
 
 // FromTokens builds a slice-backed cursor over w. The entire word is the
@@ -87,6 +95,13 @@ func (s *Cursor) ResetPull(c *grammar.Compiled, pull Pull) {
 		toks = s.toks[:0]
 	}
 	*s = Cursor{c: c, toks: toks, ids: s.ids[:0], pull: pull, own: true}
+}
+
+// ResetIDPull is ResetPull over a producer that names each token's
+// terminal ID itself.
+func (s *Cursor) ResetIDPull(c *grammar.Compiled, pull IDPull) {
+	s.ResetPull(c, nil)
+	s.idPull = pull
 }
 
 // Clear drops every reference to caller-owned data — the token slice of a
@@ -135,7 +150,20 @@ func (s *Cursor) fetch(k int) bool {
 		if s.eof {
 			return false
 		}
-		t, ok, err := s.pull()
+		var (
+			t   grammar.Token
+			id  grammar.TermID
+			ok  bool
+			err error
+		)
+		if s.idPull != nil {
+			t, id, ok, err = s.idPull()
+		} else if t, ok, err = s.pull(); ok {
+			var known bool
+			if id, known = s.c.TermIDOf(t.Terminal); !known {
+				id = grammar.NoTerm
+			}
+		}
 		if err != nil {
 			s.eof, s.err = true, err
 			return false
@@ -143,10 +171,6 @@ func (s *Cursor) fetch(k int) bool {
 		if !ok {
 			s.eof = true
 			return false
-		}
-		id, known := s.c.TermIDOf(t.Terminal)
-		if !known {
-			id = grammar.NoTerm
 		}
 		s.toks = append(s.toks, t)
 		s.ids = append(s.ids, id)
@@ -167,7 +191,7 @@ func (s *Cursor) Advance() {
 	}
 	s.head++
 	s.pos++
-	if s.pull == nil {
+	if s.pull == nil && s.idPull == nil {
 		return // slice-backed: the input is resident anyway, just slide
 	}
 	if s.head == len(s.ids) {

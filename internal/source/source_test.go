@@ -76,6 +76,48 @@ func TestSliceAndPullCursorsAgree(t *testing.T) {
 	drain(t, FromPull(c, pullOf(w)), w, c)
 }
 
+// idPullOf is pullOf handing out each token's terminal ID, as a lexer bound
+// to c does; fail, when non-nil, ends the stream with that error.
+func idPullOf(c *grammar.Compiled, w []grammar.Token, fail error) IDPull {
+	i := 0
+	return func() (grammar.Token, grammar.TermID, bool, error) {
+		if i >= len(w) {
+			return grammar.Token{}, grammar.NoTerm, false, fail
+		}
+		i++
+		id, ok := c.TermIDOf(w[i-1].Terminal)
+		if !ok {
+			id = grammar.NoTerm
+		}
+		return w[i-1], id, true, nil
+	}
+}
+
+// TestIDPullCursorAgrees: a cursor fed terminal IDs by its producer
+// delivers what a named pull delivers, NoTerm included, across compactions,
+// keeps a producer failure sticky, and a pooled cursor flips between the
+// two producers.
+func TestIDPullCursorAgrees(t *testing.T) {
+	c := testCompiled(t)
+	var w []grammar.Token
+	for i := 0; i < 3*compactAt; i++ {
+		w = append(w, word("a", "unknown", "c", "b")[i%4])
+	}
+	var s Cursor
+	s.ResetIDPull(c, idPullOf(c, w, nil))
+	drain(t, &s, w, c)
+	s.ResetPull(c, pullOf(w))
+	drain(t, &s, w, c)
+	boom := errors.New("boom")
+	s.ResetIDPull(c, idPullOf(c, w[:2], boom))
+	if _, ok := s.Peek(2); ok || s.Err() != boom {
+		t.Fatalf("Peek past a failed producer: ok=%v err=%v", ok, s.Err())
+	}
+	if _, ok := s.Peek(3); ok || s.Err() != boom {
+		t.Fatalf("producer failure not sticky: ok=%v err=%v", ok, s.Err())
+	}
+}
+
 func TestPeekAheadAndEOF(t *testing.T) {
 	c := testCompiled(t)
 	w := word("a", "c", "b")
