@@ -72,15 +72,12 @@ func TestArtifactSessionsMatchSourceSessions(t *testing.T) {
 // misses its imported DFA must extend it exactly as the source session
 // extends its own. Both are warmed on a deliberately small corpus, then
 // parse unseen files, so the loaded side keeps running closure over
-// imported configs — whose stacks share tails through the artifact's frame
-// table, where the source session's copied states hold private chains —
-// and every result, statistic and cache size must still agree after every
-// parse, and the two DFAs must export identically at the end. Closure
-// merges configs whose tails are the same node, so shared tails could
-// only change a state where two configs of one alternative reach the same
-// stack, which takes two derivations of the same tokens; the bundled
-// grammars have none (TestArtifactSessionOnAmbiguousGrammar covers a
-// grammar that does).
+// imported configs — whose stacks Import hash-consed into its frame table,
+// while the source session's frames were interned by its parses — and
+// every result, statistic and cache size must still agree after every
+// parse, and the two DFAs must export identically at the end
+// (TestArtifactSessionOnAmbiguousGrammar holds the same on a grammar
+// where two configs of one alternative reach equal stacks).
 func TestArtifactSessionsExtendLikeSourceSessions(t *testing.T) {
 	misses := 0
 	for _, l := range bench.Languages() {
@@ -154,12 +151,12 @@ func TestArtifactSessionsExtendLikeSourceSessions(t *testing.T) {
 }
 
 // TestArtifactSessionOnAmbiguousGrammar: X derives each of a and z two
-// ways, so after z an SLL state holds two configs of one alternative with
-// the same stack. The source session copied their tails apart and keeps
-// both; the artifact session's imported frame table gives them one tail
-// node, closure merges them, and it interns a state the source does not
-// have. That is the one way the two DFAs can differ. Results must not:
-// every parse agrees in kind, steps and tree.
+// ways, so after z an SLL closure reaches two configs of one alternative
+// with equal stacks. Equal stacks have one frame ID in every session, so
+// closure merges them whether the stacks were built by the session's own
+// parses or imported from the artifact, and the loaded session interns
+// exactly the source session's states: every parse agrees in kind, steps,
+// tree, statistics and cache size, and the two DFAs export identically.
 func TestArtifactSessionOnAmbiguousGrammar(t *testing.T) {
 	g := MustParseBNF(`S -> Y c | Y d ; Y -> X e ; X -> A | B ; A -> a | z ; B -> a | z`)
 	src := MustNewParser(g, Options{})
@@ -181,6 +178,14 @@ func TestArtifactSessionOnAmbiguousGrammar(t *testing.T) {
 		if gs, ws := got.Tree.String(), want.Tree.String(); gs != ws {
 			t.Fatalf("%v: trees differ:\nartifact: %s\nsource:   %s", w, gs, ws)
 		}
+		if got.Stats != want.Stats {
+			t.Fatalf("%v: stats differ:\nartifact: %+v\nsource:   %+v", w, got.Stats, want.Stats)
+		}
+		gotStarts, gotStates := loaded.CacheSize()
+		wantStarts, wantStates := src.CacheSize()
+		if gotStarts != wantStarts || gotStates != wantStates {
+			t.Fatalf("%v: cache size (%d starts, %d states) vs source (%d, %d)", w, gotStarts, gotStates, wantStarts, wantStates)
+		}
 	}
 	ga, err := loaded.ExportArtifact("ambiguous", "")
 	if err != nil {
@@ -190,8 +195,9 @@ func TestArtifactSessionOnAmbiguousGrammar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(ga.Cache, wa.Cache) {
-		t.Fatal("the DFAs no longer differ on this grammar; the divergence this test and DESIGN §5g describe is gone, so revise both")
+	if !reflect.DeepEqual(ga.Cache, wa.Cache) {
+		t.Fatalf("the artifact session's DFA differs from the source session's (%d vs %d states, %d vs %d frames)",
+			len(ga.Cache.States), len(wa.Cache.States), len(ga.Cache.Frames), len(wa.Cache.Frames))
 	}
 }
 

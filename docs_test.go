@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"costar/tools/analyzers/registry"
 )
 
 // citedTestName matches a Test…, Benchmark… or Fuzz… name in prose; a
@@ -77,5 +79,59 @@ func TestDocsCiteExistingTests(t *testing.T) {
 	}
 	if cited == 0 {
 		t.Fatal("the documents cite no test names: the pattern has drifted from their text")
+	}
+}
+
+// An analyzer citation in prose: a backticked name followed by the word
+// analyzer, or the name in an allow annotation. A backticked name alone in
+// a table's Analyzer column is one too.
+var (
+	citedAnalyzerName = regexp.MustCompile("`([a-z]+)` analyzer|//costar:allow ([a-z]+)")
+	analyzerCell      = regexp.MustCompile("^`([a-z]+)`$")
+)
+
+// TestDocsCiteRegisteredAnalyzers: every costar-lint analyzer DESIGN.md
+// names is one costar-lint runs (tools/analyzers/registry), so a renamed
+// or deleted analyzer cannot leave the contract table pointing at nothing.
+func TestDocsCiteRegisteredAnalyzers(t *testing.T) {
+	registered := map[string]bool{}
+	for _, a := range registry.All() {
+		registered[a.Name] = true
+	}
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited, inTables := 0, 0
+	col := -1 // the Analyzer column of the table being read, -1 outside one
+	for i, line := range strings.Split(string(src), "\n") {
+		var names []string
+		if cells := strings.Split(strings.Trim(strings.TrimSpace(line), "|"), "|"); strings.HasPrefix(line, "|") {
+			for j, cell := range cells {
+				cell = strings.TrimSpace(cell)
+				if cell == "Analyzer" {
+					col = j
+				} else if j == col {
+					if m := analyzerCell.FindStringSubmatch(cell); m != nil {
+						names = append(names, m[1])
+						inTables++
+					}
+				}
+			}
+		} else {
+			col = -1
+		}
+		for _, m := range citedAnalyzerName.FindAllStringSubmatch(line, -1) {
+			names = append(names, m[1]+m[2])
+		}
+		for _, name := range names {
+			cited++
+			if !registered[name] {
+				t.Errorf("DESIGN.md:%d cites analyzer %s, which costar-lint does not run", i+1, name)
+			}
+		}
+	}
+	if inTables == 0 || cited <= inTables {
+		t.Fatalf("found %d analyzer citations, %d of them in tables: the patterns have drifted from DESIGN.md's text", cited, inTables)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // when its local stack empties at nonterminal X: the remainder Rest of some
 // production of Lhs after an occurrence of X (chased transitively through
 // empty remainders). Rest is always non-empty; it aliases the compiled
-// production array, so the address of its first element pins the grammar
-// position (prediction's config dedup relies on that).
+// production array, and Prod and Dot name its grammar position, which is
+// how prediction's frames record it.
 //
 // This is the Section 3.5 "stable return frames" idea: rather than tracking
 // the true caller (which SLL, by design, does not know), the subparser

@@ -103,10 +103,6 @@ func (a *Arena[T]) Reset() {
 	}
 }
 
-// Cap returns the number of elements the arena's slabs hold, used or not:
-// what a pooled arena retains between parses.
-func (a *Arena[T]) Cap() int { return slabsCap(a.slabs) }
-
 // Slab is a bump allocator for []T spans.
 // The zero value is ready to use.
 type Slab[T any] struct {
@@ -187,16 +183,4 @@ func (s *Slab[T]) Reset() {
 		s.cur = 0
 		s.buf = s.slabs[0]
 	}
-}
-
-// Cap returns the number of elements the allocator's slabs hold, used or
-// not: what a pooled slab allocator retains between parses.
-func (s *Slab[T]) Cap() int { return slabsCap(s.slabs) }
-
-func slabsCap[T any](slabs [][]T) int {
-	n := 0
-	for _, sl := range slabs {
-		n += len(sl)
-	}
-	return n
 }

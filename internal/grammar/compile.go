@@ -8,7 +8,7 @@ import "fmt"
 // The paper's §6.1 post-mortem attributes CoStar's worst slowdowns to
 // string-keyed symbol comparisons (compareNT inside AVL maps); compiling
 // the grammar up front removes that cost everywhere downstream — analysis
-// bitsets, machine stacks, prediction subparser sets, DFA fingerprints.
+// bitsets, machine stacks, prediction subparser sets, DFA state keys.
 //
 // The public API stays string-based at the edges (T/NT, BNF/g4 front ends,
 // pretty printers); Compiled is the session-internal currency.

@@ -144,11 +144,13 @@ type layoutState struct {
 	lineOpen bool // tokens emitted since last NEWLINE
 }
 
+// layoutLevels is how many indent levels a layout state holds before its
+// stack grows: generated corpora nest a handful of levels deep, and 16
+// absorbs any realistic hand-written nesting.
+const layoutLevels = 16
+
 func newLayoutState() *layoutState {
-	// Pre-size the indent stack: generated corpora nest a handful of levels
-	// deep, and 16 absorbs any realistic hand-written nesting without a
-	// single growth reallocation on the streaming path.
-	s := &layoutState{indents: make([]int, 1, 16)}
+	s := &layoutState{indents: make([]int, 1, layoutLevels)}
 	return s
 }
 
@@ -227,49 +229,61 @@ func Layout(lexs []lexer.Lexeme) ([]grammar.Token, error) {
 // tokens (a deep unindent emits a burst of DEDENTs), so a small queue
 // buffers the surplus; it never grows beyond one line's worth of layout
 // tokens. Errors — from the lexeme source or from the indentation rules —
-// are sticky.
+// are sticky. The whole pass is one allocation plus the returned closure:
+// the layout state, its indent stack and the queue live in one streamLayout.
 func StreamLayout(next func() (lexer.Lexeme, bool, error)) func() (grammar.Token, bool, error) {
-	st := newLayoutState()
-	var (
-		// One feed can emit at most a DEDENT burst plus the token itself, so
-		// a small pre-sized queue reaches steady state with no growth.
-		queue  = make([]grammar.Token, 0, 16)
-		head   int // queue[head:] is pending; queue[:head] already handed out
-		done   bool
-		sticky error
-	)
-	return func() (grammar.Token, bool, error) {
-		for {
-			if sticky != nil {
-				return grammar.Token{}, false, sticky
-			}
-			if head < len(queue) {
-				t := queue[head]
-				head++
-				return t, true, nil
-			}
-			// Drained: rewind onto the full backing array. Popping by
-			// reslicing (queue = queue[1:]) would strand the consumed
-			// prefix and force a reallocation on nearly every refill —
-			// about one extra allocation per token over a long stream.
-			queue, head = queue[:0], 0
-			if done {
-				return grammar.Token{}, false, nil
-			}
-			lx, ok, err := next()
-			if err != nil {
-				sticky = err
-				return grammar.Token{}, false, err
-			}
-			if !ok {
-				queue = st.finish(queue)
-				done = true
-				continue
-			}
-			if queue, err = st.feed(lx, queue); err != nil {
-				sticky = err
-				return grammar.Token{}, false, err
-			}
+	l := &streamLayout{next: next}
+	l.st.indents = l.levels[:1]
+	// One feed can emit at most a DEDENT burst plus the token itself, so
+	// the queue reaches steady state without growing.
+	l.queue = l.buf[:0]
+	return l.pull
+}
+
+// streamLayout is StreamLayout's state.
+type streamLayout struct {
+	next   func() (lexer.Lexeme, bool, error)
+	st     layoutState
+	queue  []grammar.Token
+	head   int // queue[head:] is pending; queue[:head] already handed out
+	done   bool
+	sticky error
+	levels [layoutLevels]int
+	buf    [16]grammar.Token
+}
+
+// pull returns the next parser token.
+func (l *streamLayout) pull() (grammar.Token, bool, error) {
+	for {
+		if l.sticky != nil {
+			return grammar.Token{}, false, l.sticky
+		}
+		if l.head < len(l.queue) {
+			t := l.queue[l.head]
+			l.head++
+			return t, true, nil
+		}
+		// Drained: rewind onto the full backing array. Popping by
+		// reslicing (queue = queue[1:]) would strand the consumed prefix
+		// and force a reallocation on nearly every refill — about one
+		// extra allocation per token over a long stream.
+		l.queue, l.head = l.queue[:0], 0
+		if l.done {
+			return grammar.Token{}, false, nil
+		}
+		lx, ok, err := l.next()
+		if err != nil {
+			l.sticky = err
+			return grammar.Token{}, false, err
+		}
+		if !ok {
+			l.queue = l.st.finish(l.queue)
+			l.done = true
+			continue
+		}
+		if l.queue, err = l.st.feed(lx, l.queue); err != nil {
+			l.sticky = err
+			return grammar.Token{}, false, err
 		}
 	}
 }

@@ -22,9 +22,12 @@ const errSnippet = 12
 // exactly its window string alive. On the batch path (ScanString / Scan)
 // the window is the input itself, so lexing performs zero literal copies;
 // on the reader path each refill folds the unconsumed tail and one read
-// chunk into a fresh window string, so the scanner retains only the bytes
-// of the token currently being matched plus at most one chunk, preserving
-// the bounded-memory streaming guarantee. It produces exactly the lexemes —
+// into a fresh window string. A read asks for as many bytes as the tail
+// holds, and never fewer than one 4 KiB chunk, so a token longer than a
+// chunk doubles the window at each refill and costs copying linear in its
+// length. The scanner retains only the bytes of the token currently being
+// matched plus at most as many again, or one chunk, preserving the
+// bounded-memory streaming guarantee. It produces exactly the lexemes —
 // and exactly the errors — that Scan produces on the same bytes; Scan
 // itself is implemented as a drain of a Scanner, so the equivalence holds
 // by construction.
@@ -33,7 +36,7 @@ const errSnippet = 12
 type Scanner struct {
 	l   *Lexer
 	r   io.Reader // nil on the batch path: the window is the whole input
-	tmp []byte    // reusable read chunk
+	tmp []byte    // reusable read chunk of fillChunk bytes
 
 	text  string // current window; text[start:] are unconsumed bytes
 	start int    // consumption offset into text
@@ -49,16 +52,21 @@ type Scanner struct {
 	err  error // sticky: first error returned by Next
 }
 
-// ScanReader starts an incremental scan of r.
+// ScanReader starts an incremental scan of r. The scanner, its first mode
+// and its read chunk are one allocation.
 func (l *Lexer) ScanReader(r io.Reader) *Scanner {
-	return &Scanner{
-		l:         l,
-		r:         r,
-		tmp:       make([]byte, fillChunk),
-		line:      1,
-		col:       1,
-		modeStack: []int{0},
-	}
+	rs := &readScanner{Scanner: Scanner{l: l, r: r, line: 1, col: 1}}
+	rs.tmp = rs.buf[:]
+	rs.modeStack = rs.modes[:]
+	return &rs.Scanner
+}
+
+// readScanner is a reader-path Scanner allocated with its mode stack's
+// first slot and its read chunk, which holds no pointers and comes last.
+type readScanner struct {
+	Scanner
+	modes [1]int
+	buf   [fillChunk]byte
 }
 
 // ScanString starts a scan over resident src. The window is src itself —
@@ -75,21 +83,27 @@ func (l *Lexer) ScanString(src string) *Scanner {
 	}
 }
 
-// fill pulls one chunk from the reader and rebases the window: the
-// unconsumed tail and the new chunk become a fresh string, so lexemes
-// already produced keep referencing their old window while the scan moves
-// on. It returns a non-nil error only for terminal reader failures (never
-// io.EOF, which just marks the window as final).
+// fill reads from the reader and rebases the window: the unconsumed tail
+// and what was read become a fresh string, so lexemes already produced keep
+// referencing their old window while the scan moves on. It asks for as many
+// bytes as the tail holds and at least fillChunk, so the refills under one
+// long token grow the window geometrically. It returns a non-nil error only
+// for terminal reader failures (never io.EOF, which just marks the window
+// as final).
 func (s *Scanner) fill() error {
 	if s.atEOF {
 		return s.ioErr
 	}
-	n, err := s.r.Read(s.tmp)
+	buf := s.tmp
+	if tail := len(s.text) - s.start; tail > fillChunk {
+		buf = make([]byte, tail) // only under a token longer than a chunk
+	}
+	n, err := s.r.Read(buf)
 	if n > 0 {
 		var b strings.Builder
 		b.Grow(len(s.text) - s.start + n)
 		b.WriteString(s.text[s.start:])
-		b.Write(s.tmp[:n])
+		b.Write(buf[:n])
 		s.text = b.String()
 		s.start = 0
 		s.zero = 0

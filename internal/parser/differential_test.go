@@ -15,8 +15,10 @@ package parser
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"costar/internal/artifact"
 	"costar/internal/earley"
 	"costar/internal/grammar"
 	"costar/internal/grammarlint"
@@ -99,7 +101,41 @@ func deriveWord(rng *rand.Rand, g *grammar.Grammar, maxLen int) ([]grammar.Token
 	return out, true
 }
 
+// probeGrammars are fixed seeds of the Earley differential: Fig. 6, the
+// dangling else, a nullable repetition of an ambiguous item, an ambiguous
+// expression grammar without left recursion, and a grammar whose
+// alternatives conflict until the last token. Each comes with words that
+// reach its ambiguity or its late conflict; random words are added. The
+// words of an ambiguous seed must draw at least one Ambig label.
+var probeGrammars = []struct {
+	name, bnf string
+	ambiguous bool
+	words     []string
+}{
+	{"fig6", `S -> X | Y ; X -> a ; Y -> a`, true, []string{"a", "a a", ""}},
+	{"dangling-else", `S -> if b then S | if b then S else S | s`, true,
+		[]string{"if b then if b then s else s", "if b then s else if b then s", "if b then if b then s else s else s"}},
+	{"nullable-repeat", `S -> A S | ; A -> a | a a`, true, []string{"a a", "a a a", "a a a a", ""}},
+	{"ambiguous-expr", `E -> T | T '+' E | S '+' T ; S -> T | T '+' S ; T -> n | '(' E ')'`, true,
+		[]string{"n + n", "n + n + n", "( n + n ) + n", "( n + n + n )"}},
+	{"late-conflict", `S -> A B c | A B d ; A -> a | a a ; B -> b B | b`, false,
+		[]string{"a b b b c", "a a b b d", "a a b b b b b", "a a b d c"}},
+}
+
 func TestDifferentialAgainstEarley(t *testing.T) {
+	for i, pg := range probeGrammars {
+		t.Run("seed/"+pg.name, func(t *testing.T) {
+			g := grammar.MustParseBNF(pg.bnf)
+			words := genWords(rand.New(rand.NewSource(int64(i+1))), g, 24)
+			for _, w := range pg.words {
+				words = append(words, word(strings.Fields(w)...))
+			}
+			if ambig := checkSessionsAgainstEarley(t, g, words); pg.ambiguous && ambig == 0 {
+				t.Fatal("no word of an ambiguous seed was labeled Ambig")
+			}
+		})
+	}
+
 	rng := rand.New(rand.NewSource(20210620)) // PLDI 2021 opening day
 	grammars, nlrCount, lrCount := 0, 0, 0
 	checked := 0
@@ -109,12 +145,8 @@ func TestDifferentialAgainstEarley(t *testing.T) {
 			continue
 		}
 		grammars++
-		leftRec := map[string]bool{}
-		for _, d := range grammarlint.LeftRecursion(g) {
-			leftRec[d.NT] = true
-		}
-		isLR := len(leftRec) > 0
-		if isLR {
+		leftRec := leftRecursive(g)
+		if len(leftRec) > 0 {
 			lrCount++
 		} else {
 			nlrCount++
@@ -125,60 +157,128 @@ func TestDifferentialAgainstEarley(t *testing.T) {
 		}
 		for _, w := range genWords(rng, g, 12) {
 			checked++
-			res := p.Parse(w)
-			cls := earley.Classify(g, g.Start, w)
-			ctx := func() string {
-				return "grammar:\n" + g.String() + "word: " + grammar.WordString(w)
-			}
-
-			// Unconditional soundness: any returned tree is a correct
-			// derivation of exactly the input.
-			if res.Kind == Unique || res.Kind == Ambig {
-				if err := tree.Validate(g, grammar.NT(g.Start), res.Tree, w); err != nil {
-					t.Fatalf("soundness violation: %v\n%s", err, ctx())
-				}
-				if !cls.Member {
-					t.Fatalf("accepted a non-member word\n%s", ctx())
-				}
-			}
-
-			if !isLR {
-				// Theorem 5.8: error-free termination.
-				if res.Kind == Error {
-					t.Fatalf("error on non-left-recursive grammar: %v\n%s", res.Err, ctx())
-				}
-				if cls.Cyclic {
-					t.Fatalf("oracle reports cycle on NLR grammar (oracle bug?)\n%s", ctx())
-				}
-				// Theorems 5.11/5.12: completeness with correct labels.
-				switch {
-				case cls.TreeCount == 0 && res.Kind != Reject:
-					t.Fatalf("non-member not rejected: %s\n%s", res, ctx())
-				case cls.TreeCount == 1 && res.Kind != Unique:
-					t.Fatalf("unique word labeled %s\n%s", res.Kind, ctx())
-				case cls.TreeCount >= 2 && res.Kind != Ambig:
-					t.Fatalf("ambiguous word labeled %s\n%s", res.Kind, ctx())
-				}
-			} else if res.Kind == Error {
-				// Lemma 5.10: left-recursion reports are sound.
-				merr, ok := res.Err.(*machine.Error)
-				if !ok {
-					t.Fatalf("unexpected error type %T: %v\n%s", res.Err, res.Err, ctx())
-				}
-				if merr.Kind != machine.ErrLeftRecursive {
-					t.Fatalf("non-LR error on LR grammar: %v\n%s", merr, ctx())
-				}
-				if !leftRec[merr.NT] {
-					t.Fatalf("LeftRecursive(%s) reported but %s is not left-recursive\n%s",
-						merr.NT, merr.NT, ctx())
-				}
-			}
+			checkAgainstEarley(t, g, leftRec, w, p.Parse(w))
 		}
 	}
 	if nlrCount < 50 {
 		t.Errorf("only %d/%d sampled grammars were non-left-recursive; generator needs rebalancing", nlrCount, grammars)
 	}
 	t.Logf("differential: %d grammars (%d NLR, %d LR), %d parses checked", grammars, nlrCount, lrCount, checked)
+}
+
+// leftRecursive names g's left-recursive nonterminals.
+func leftRecursive(g *grammar.Grammar) map[string]bool {
+	leftRec := map[string]bool{}
+	for _, d := range grammarlint.LeftRecursion(g) {
+		leftRec[d.NT] = true
+	}
+	return leftRec
+}
+
+// checkSessionsAgainstEarley holds the parses of words against the Earley
+// oracle in three session shapes: a fresh SLL cache per parse, a session
+// whose DFA every word has already warmed, and a session loaded from that
+// warm session's exported artifact. The loaded session must also agree
+// with the warm one in kind, tree and prediction statistics. It returns
+// how many words the loaded session labeled Ambig.
+func checkSessionsAgainstEarley(t *testing.T, g *grammar.Grammar, words [][]grammar.Token) (ambig int) {
+	t.Helper()
+	opts := Options{CheckInvariants: true, Limits: Limits{MaxSteps: 200000}}
+	leftRec := leftRecursive(g)
+	fresh := opts
+	fresh.FreshCachePerParse = true
+	pf, err := New(g, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := New(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range words {
+		checkAgainstEarley(t, g, leftRec, w, pf.Parse(w))
+		checkAgainstEarley(t, g, leftRec, w, warm.Parse(w))
+	}
+	a, err := warm.ExportArtifact("probe", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := artifact.Decode(artifact.Encode(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := NewFromArtifact(decoded, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range words {
+		want := warm.Parse(w)
+		got := loaded.Parse(w)
+		checkAgainstEarley(t, g, leftRec, w, want)
+		checkAgainstEarley(t, g, leftRec, w, got)
+		if got.Kind != want.Kind || !got.Tree.Equal(want.Tree) || got.Stats != want.Stats {
+			t.Fatalf("artifact session: %s %+v, warm session: %s %+v\nword: %s",
+				got, got.Stats, want, want.Stats, grammar.WordString(w))
+		}
+		if got.Kind == Ambig {
+			ambig++
+		}
+	}
+	return ambig
+}
+
+// checkAgainstEarley holds one parse result to the Earley oracle: the
+// soundness, error-freedom, completeness and detection-soundness theorems
+// listed at the top of this file.
+func checkAgainstEarley(t *testing.T, g *grammar.Grammar, leftRec map[string]bool, w []grammar.Token, res Result) {
+	t.Helper()
+	cls := earley.Classify(g, g.Start, w)
+	ctx := func() string {
+		return "grammar:\n" + g.String() + "word: " + grammar.WordString(w)
+	}
+
+	// Unconditional soundness: any returned tree is a correct
+	// derivation of exactly the input.
+	if res.Kind == Unique || res.Kind == Ambig {
+		if err := tree.Validate(g, grammar.NT(g.Start), res.Tree, w); err != nil {
+			t.Fatalf("soundness violation: %v\n%s", err, ctx())
+		}
+		if !cls.Member {
+			t.Fatalf("accepted a non-member word\n%s", ctx())
+		}
+	}
+
+	if len(leftRec) == 0 {
+		// Theorem 5.8: error-free termination.
+		if res.Kind == Error {
+			t.Fatalf("error on non-left-recursive grammar: %v\n%s", res.Err, ctx())
+		}
+		if cls.Cyclic {
+			t.Fatalf("oracle reports cycle on NLR grammar (oracle bug?)\n%s", ctx())
+		}
+		// Theorems 5.11/5.12: completeness with correct labels.
+		switch {
+		case cls.TreeCount == 0 && res.Kind != Reject:
+			t.Fatalf("non-member not rejected: %s\n%s", res, ctx())
+		case cls.TreeCount == 1 && res.Kind != Unique:
+			t.Fatalf("unique word labeled %s\n%s", res.Kind, ctx())
+		case cls.TreeCount >= 2 && res.Kind != Ambig:
+			t.Fatalf("ambiguous word labeled %s\n%s", res.Kind, ctx())
+		}
+	} else if res.Kind == Error {
+		// Lemma 5.10: left-recursion reports are sound.
+		merr, ok := res.Err.(*machine.Error)
+		if !ok {
+			t.Fatalf("unexpected error type %T: %v\n%s", res.Err, res.Err, ctx())
+		}
+		if merr.Kind != machine.ErrLeftRecursive {
+			t.Fatalf("non-LR error on LR grammar: %v\n%s", merr, ctx())
+		}
+		if !leftRec[merr.NT] {
+			t.Fatalf("LeftRecursive(%s) reported but %s is not left-recursive\n%s",
+				merr.NT, merr.NT, ctx())
+		}
+	}
 }
 
 // TestDifferentialAblations replays a smaller differential run under each

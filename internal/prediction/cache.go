@@ -2,13 +2,13 @@ package prediction
 
 import (
 	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"costar/internal/arena"
 	"costar/internal/grammar"
-	"costar/internal/machine"
 )
 
 // dfaState is one state of the SLL prediction DFA: a canonical set of
@@ -19,10 +19,10 @@ import (
 // of edges. A slot is written once, by a compare-and-swap from nil
 // (setEdge), and read with one atomic load (edge), so both the warm hit
 // path and a new edge are lock-free. Edges are indexed by dense terminal
-// IDs and state identity is the content of the canonical configs, filed
-// under the hash of their packed-int32 key; neither hashes a symbol name.
+// IDs, and a state's identity is its configs: sorted alt<<32 | frame ID
+// words over its generation's frame table, filed under their hash.
 type dfaState struct {
-	configs    []config  // stable, canonically ordered (halted included)
+	configs    []uint64  // the state key: stable configs, halted included, sorted
 	haltedAlts []int     // alts with a completed simulated parse
 	uniqueAlt  int       // converged alternative, or -1
 	anomalous  bool      // construction involved a subparser kill
@@ -34,6 +34,10 @@ type dfaState struct {
 	// reading a token.
 	edges []atomic.Pointer[dfaState]
 }
+
+// haltedTop is the frame half of a halted config's key word: it sorts
+// after every frame ID of the same alt.
+const haltedTop = ^uint32(0)
 
 // edge returns the successor of st over terminal t, or nil; lock-free. st
 // must have a row.
@@ -53,46 +57,96 @@ func (st *dfaState) setEdge(t grammar.TermID, next *dfaState) *dfaState {
 	return st.edges[t+1].Load()
 }
 
-// sameContent reports whether st is the state for the canonical configs
-// cfgs with the given anomaly flag. It checks exactly what the canonical
-// key encodes: per config the alt, halted-ness, and each frame's Lhs and
-// Rest symbols; visited sets are not part of a state's identity.
-func (st *dfaState) sameContent(anomalous bool, cfgs []config) bool {
-	if st.anomalous != anomalous || len(st.configs) != len(cfgs) {
-		return false
-	}
-	for i, cfg := range cfgs {
-		if !sameConfig(st.configs[i], cfg) {
-			return false
-		}
-	}
-	return true
+// genFrame is one frame of a generation's frame table: a grammar position
+// as in a decision's frame (prod -1 once the frame's rest is empty) and the
+// ID of the frame below it, -1 for none. It is the shape of FrameSnapshot.
+type genFrame struct {
+	lhs   grammar.NTID
+	prod  int32
+	dot   int32
+	below int32
 }
 
-// sameConfig compares two configs by content. Stacks are walked in step,
-// so unequal depths and halted-ness (a nil stack) both show as one side
-// ending first.
-func sameConfig(a, b config) bool {
-	if a.alt != b.alt {
-		return false
-	}
-	s, t := a.stack, b.stack
-	for ; s != nil && t != nil && s != t; s, t = s.Below, t.Below {
-		if s.F.Lhs != t.F.Lhs || !sameRest(s.F.Rest, t.F.Rest) {
-			return false
-		}
-	}
-	return s == t
+// frameChunks bounds a frame table: chunk k holds frameChunk0<<k frames, so
+// 24 chunks cover every int32 ID.
+const (
+	frameChunks = 24
+	frameChunk0 = 256
+)
+
+// genFrames is a generation's frame table: every frame of an interned
+// state's stacks, hash-consed, so equal stacks have equal IDs and a config
+// names its whole stack by its top frame's ID. Frames live in chunks that
+// are never moved, so a frame read by ID needs no lock: a reader gets the
+// ID from a published state, and the frame was written before the state
+// was published. mu guards the index, n and the chunks; it is a leaf —
+// stateKey releases it before a shard mutex is taken.
+type genFrames struct {
+	mu     sync.Mutex
+	slots  []int32 // open-addressing index: frame ID + 1, 0 empty
+	n      int32
+	chunks [frameChunks][]genFrame
 }
 
-// sameRest compares two Rest spans by their symbols. Spans built by closure
-// and by snapshot import both alias the compiled productions, so equal
-// spans usually share their first element and the loop is skipped.
-func sameRest(a, b []grammar.SymID) bool {
-	if len(a) != len(b) {
-		return false
+// frameSlot locates frame id: its chunk and its offset in the chunk.
+func frameSlot(id int32) (chunk, off int) {
+	chunk = bits.Len32(uint32(id)/frameChunk0+1) - 1
+	return chunk, int(id) + frameChunk0 - frameChunk0<<chunk
+}
+
+// at returns frame id. id must come from a published state, or the caller
+// holds mu.
+func (t *genFrames) at(id int32) genFrame {
+	k, off := frameSlot(id)
+	return t.chunks[k][off]
+}
+
+// intern returns the ID of frame f, adding it on first sight. The caller
+// holds mu or owns an unpublished generation.
+func (t *genFrames) intern(f genFrame) int32 {
+	if 2*(int(t.n)+1) > len(t.slots) {
+		t.grow()
 	}
-	return len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)
+	mask := uint64(len(t.slots) - 1)
+	//costar:allow governortick -- an open-addressing probe: the index is at most half full, so a probe meets an empty slot within its length
+	for i := frameHash(f.lhs, f.prod, f.dot, f.below) & mask; ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == 0 {
+			id := t.n
+			k, off := frameSlot(id)
+			if t.chunks[k] == nil {
+				t.chunks[k] = make([]genFrame, frameChunk0<<k)
+			}
+			t.chunks[k][off] = f
+			t.slots[i] = id + 1
+			t.n++
+			return id
+		}
+		if t.at(e-1) == f {
+			return e - 1
+		}
+	}
+}
+
+// grow doubles the index and refiles every frame.
+func (t *genFrames) grow() {
+	t.slots = make([]int32, max(256, 2*len(t.slots)))
+	mask := uint64(len(t.slots) - 1)
+	for id := int32(0); id < t.n; id++ {
+		f := t.at(id)
+		i := frameHash(f.lhs, f.prod, f.dot, f.below) & mask
+		//costar:allow governortick -- an open-addressing probe: the index is at most half full, so a probe meets an empty slot within its length
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = id + 1
+	}
+}
+
+// reset empties the table and keeps its index and chunks for reuse.
+func (t *genFrames) reset() {
+	clear(t.slots)
+	t.n = 0
 }
 
 // cacheGen is one generation of cached DFA states; Reset swaps the whole
@@ -100,13 +154,14 @@ func sameRest(a, b []grammar.SymID) bool {
 type cacheGen struct {
 	starts  []atomic.Pointer[dfaState] // start state per decision nonterminal, written like an edge slot
 	nStarts atomic.Int64               // filled start slots, readable without locks
+	frames  genFrames
 	shards  [internShards]internShard
 	nStates atomic.Int64 // interned states over all shards, readable without locks
 }
 
 // internShards is how many independently locked parts a generation's state
 // table is split into, by key hash. Misses that race to intern different
-// states copy them in parallel; two racers wait for each other only when
+// states build them in parallel; two racers wait for each other only when
 // their keys land in one shard.
 const internShards = 8
 
@@ -121,23 +176,32 @@ type internShard struct {
 // keySeed keys the state-key hash. Only equal keys must hash equally within
 // one process (artifacts never store a hash), so one process-wide seed
 // serves every cache.
-var keySeed = maphash.MakeSeed()
+var keySeed = maphash.Comparable(maphash.MakeSeed(), 0)
 
-// keyHash hashes a canonical state key. The hash picks the key's shard and
-// files its state there; the key itself is not kept.
-func keyHash(key []byte) uint64 { return maphash.Bytes(keySeed, key) }
+// keyHash hashes a state key and its anomaly flag. The hash picks the key's
+// shard and files its state there.
+func keyHash(anomalous bool, key []uint64) uint64 {
+	h := keySeed ^ uint64(len(key))
+	if anomalous {
+		h = ^h
+	}
+	for _, k := range key {
+		hi, lo := bits.Mul64(h^0xa0761d6478bd642f, k^0xe7037ed1a0b428db)
+		h = hi ^ lo
+	}
+	return h
+}
 
 // shard returns the shard that owns key hash h.
 func (g *cacheGen) shard(h uint64) *internShard {
 	return &g.shards[h%internShards]
 }
 
-// lookup returns the state filed under h whose content is the canonical
-// configs cfgs with the given anomaly flag, or nil. The caller holds sh.mu
-// or owns an unpublished generation.
-func (sh *internShard) lookup(h uint64, anomalous bool, cfgs []config) *dfaState {
+// lookup returns the state filed under h with the given key and anomaly
+// flag, or nil. The caller holds sh.mu or owns an unpublished generation.
+func (sh *internShard) lookup(h uint64, anomalous bool, key []uint64) *dfaState {
 	for st := sh.states[h]; st != nil; st = st.next {
-		if st.sameContent(anomalous, cfgs) {
+		if st.anomalous == anomalous && slices.Equal(st.configs, key) {
 			return st
 		}
 	}
@@ -171,42 +235,58 @@ func (g *cacheGen) all() []*dfaState {
 }
 
 // stateMem is the cache-owned memory interned states are carved from: bump
-// slabs for the states, their configs, suffix-stack frames, halted-alt
-// lists and edge rows. It belongs to one shard of one generation, so a new
-// state costs amortized O(1) allocations however many frames it copies. A shared cache
-// never resets it — Reset drops the whole generation, and the garbage
-// collector frees its slabs once no in-flight parse holds one of its
-// states; only Clear, on a cache no other goroutine can reach, rewinds it.
-// Carving happens under the owning shard's mu, or before the generation is
-// published.
+// slabs for the states, their keys, halted-alt lists and edge rows. It
+// belongs to one shard of one generation, so a new state costs amortized
+// O(1) allocations. A shared cache never resets it — Reset drops the whole
+// generation, and the garbage collector frees its slabs once no in-flight
+// parse holds one of its states; only Clear, on a cache no other goroutine
+// can reach, rewinds it. Carving happens under the owning shard's mu, or
+// before the generation is published.
 type stateMem struct {
-	states  arena.Arena[dfaState]
-	configs arena.Slab[config]
-	frames  arena.Slab[machine.SuffixStack] // one span per copied chain or imported frame table
-	ints    arena.Slab[int]
-	rows    arena.Slab[atomic.Pointer[dfaState]]
+	states arena.Arena[dfaState]
+	keys   arena.Slab[uint64]
+	ints   arena.Slab[int]
+	rows   arena.Slab[atomic.Pointer[dfaState]]
 }
 
-// newDFAState assembles a state from cache-owned configs and its alt
-// summary (alts drive uniqueAlt; haltedAlts is retained). cfgs and
-// haltedAlts must already be owned by the cache — callers copy scratch with
-// copyConfigs and copyInts before passing it here. A state whose configs
-// still disagree on the alternative gets an empty row of terms+1 edge
-// slots; an anomalous, resolved or dead state gets none, because SLL
-// answers there without following an edge.
-func (m *stateMem) newDFAState(cfgs []config, alts, haltedAlts []int, anomalous bool, terms int) *dfaState {
+// newDFAState assembles a state from a cache-owned key (callers copy
+// scratch with copyKey first) and derives its resolution facts: the key is
+// sorted by alt, so each run of one alt is a distinct alternative, and a
+// run's halted config sorts last in it. A state whose configs still
+// disagree on the alternative gets an empty row of terms+1 edge slots; an
+// anomalous, resolved or dead state gets none, because SLL answers there
+// without following an edge.
+func (m *stateMem) newDFAState(key []uint64, anomalous bool, terms int) *dfaState {
+	alts, halted := 0, 0
+	for i, k := range key {
+		if i == 0 || k>>32 != key[i-1]>>32 {
+			alts++
+		}
+		if uint32(k) == haltedTop && (i == 0 || k != key[i-1]) {
+			halted++
+		}
+	}
+	var haltedAlts []int
+	if halted > 0 {
+		haltedAlts = m.ints.Make(halted)
+		for i, k := range key {
+			if uint32(k) == haltedTop && (i == 0 || k != key[i-1]) {
+				haltedAlts = append(haltedAlts, int(k>>32))
+			}
+		}
+	}
 	unique := -1
 	var row []atomic.Pointer[dfaState]
 	switch {
-	case anomalous || len(alts) == 0:
+	case anomalous || alts == 0:
 		// LL fallback or reject: no row.
-	case len(alts) == 1:
-		unique = alts[0]
+	case alts == 1:
+		unique = int(key[0] >> 32)
 	default:
 		row = m.rows.Make(terms + 1)[:terms+1]
 	}
 	return m.states.New(dfaState{
-		configs:    cfgs,
+		configs:    key,
 		haltedAlts: haltedAlts,
 		uniqueAlt:  unique,
 		anomalous:  anomalous,
@@ -215,50 +295,18 @@ func (m *stateMem) newDFAState(cfgs []config, alts, haltedAlts []int, anomalous 
 }
 
 // reset rewinds every slab for reuse; the arenas zero what they handed out,
-// so a reset stateMem pins no state or frame and hands out empty rows.
+// so a reset stateMem pins no state and hands out empty rows.
 func (m *stateMem) reset() {
 	m.states.Reset()
-	m.configs.Reset()
-	m.frames.Reset()
+	m.keys.Reset()
 	m.ints.Reset()
 	m.rows.Reset()
 }
 
-// copyConfigs deep-copies configs into m: the slice and each stack chain.
-// Stack tails reaching into previously interned states are copied too
-// rather than detected — SLL stacks are shallow, and content-addressed
-// dedup bounds the total. Visited sets are dropped: the next move clears
-// them and state identity excludes them, so an interned config never
-// reads its own.
-func (m *stateMem) copyConfigs(cfgs []config) []config {
-	out := m.configs.Make(len(cfgs))[:len(cfgs)]
-	for i, cfg := range cfgs {
-		out[i] = config{alt: cfg.alt, stack: m.copyStack(cfg.stack)}
-	}
-	return out
-}
-
-// copyStack copies s into one span of m's frames, top first, linked
-// through Below. Field stores into the span replace a per-node typed copy.
-func (m *stateMem) copyStack(s *machine.SuffixStack) *machine.SuffixStack {
-	n := s.Height()
-	if n == 0 {
-		return nil
-	}
-	chain := m.frames.Make(n)[:n]
-	for i := range chain {
-		chain[i].F = s.F
-		if i+1 < n {
-			chain[i].Below = &chain[i+1]
-		}
-		s = s.Below
-	}
-	return &chain[0]
-}
-
-// copyInts copies xs into m.
-func (m *stateMem) copyInts(xs []int) []int {
-	return append(m.ints.Make(len(xs)), xs...)
+// copyKey copies a state key into m: the translation of a closure result
+// into cache memory ends here.
+func (m *stateMem) copyKey(key []uint64) []uint64 {
+	return append(m.keys.Make(len(key)), key...)
 }
 
 // Cache is the persistent SLL DFA: start states per decision nonterminal
@@ -272,8 +320,9 @@ func (m *stateMem) copyInts(xs []int) []int {
 // (interning is idempotent), so goroutines racing to extend the DFA
 // converge on identical states and losers discard their builds. Lookups on
 // the warm path (start-state fetch, edge following) are one atomic load,
-// and a new edge or start state is one compare-and-swap; only interning a
-// new state takes a short shard mutex.
+// and a new edge or start state is one compare-and-swap; only interning
+// takes locks: the frame table's mutex while new frames are hash-consed,
+// then, once that is released, a short shard mutex.
 type Cache struct {
 	gen        atomic.Pointer[cacheGen]
 	terms, nts int // the grammar's terminal and nonterminal counts
@@ -291,13 +340,13 @@ func (c *Cache) newGen() *cacheGen {
 	return &cacheGen{starts: make([]atomic.Pointer[dfaState], c.nts)}
 }
 
-// start returns the memoized start state for nt, building it on first use.
-// Racing builders both run build; interning makes their results the
-// identical state, so whichever publishes first wins without divergence.
-// A nil build result (the builder was halted by its parse's governor) is
-// returned as-is and never published: the next parse rebuilds cleanly.
-func (c *Cache) start(nt grammar.NTID, build func() *dfaState) *dfaState {
-	g := c.gen.Load()
+// start returns generation g's memoized start state for nt, building it on
+// first use. Racing builders both run build; interning makes their results
+// the identical state, so whichever publishes first wins without
+// divergence. A nil build result (the builder was halted by its parse's
+// governor) is returned as-is and never published: the next parse rebuilds
+// cleanly.
+func (g *cacheGen) start(nt grammar.NTID, build func() *dfaState) *dfaState {
 	if st := g.starts[nt].Load(); st != nil {
 		return st
 	}
@@ -312,37 +361,33 @@ func (c *Cache) start(nt grammar.NTID, build func() *dfaState) *dfaState {
 	return st
 }
 
-// intern canonicalizes a closure result into a DFA state, reusing an
-// existing identical state when possible. Canonical order and identity are
-// content-based (SLL stacks are shallow — bounded by lookahead depth — so
-// serialization is cheap, and it is what lets distinct parses share
-// states). The canonical key is a packed byte string of config
-// fingerprints, each length-prefixed so the binary keys cannot collide
-// across configs; a state is filed under the key's hash, and a candidate
-// under that hash is confirmed by comparing content (dfaState.sameContent),
-// which is the equality the key encodes. Content addressing also makes
-// interning idempotent under concurrency: the hash's shard mutex picks one
-// winner per content and every racer gets it.
+// intern canonicalizes a closure result into a DFA state of generation g,
+// reusing an existing identical state when possible. stateKey translates
+// the stable configs' stacks into g's frame table — hash-consing only the
+// frames of configs that reach a state, so frames closure built and
+// discarded never grow the cache — and sorts their alt<<32 | frameID words
+// into the key. Equal stacks have equal IDs, so the key is exact: a state
+// is filed under the key's hash and a candidate under that hash is
+// confirmed by comparing keys. That also makes interning idempotent under
+// concurrency: the hash's shard mutex picks one winner per key and every
+// racer gets it.
 //
 // The key is built and hashed in the engine's scratch, so a miss whose
-// successor state already exists allocates nothing, and a new state stores
-// no key. It pays only for a deep copy of what it retains into its shard's
-// stateMem: res.stable aliases the engine's decision-scoped scratch, and
-// the copy keeps cached configs from pinning that scratch and makes
-// publication race-free — no published state ever references another
-// predictor's recycled scratch. Warm-path cache hits never reach intern.
-func (c *Cache) intern(e *engine, res closureResult) *dfaState {
+// successor state already exists allocates nothing. A new state copies its
+// key into its shard's stateMem and copies no stack: the frames are already
+// the generation's, so no published state references another predictor's
+// recycled scratch. Warm-path cache hits never reach intern.
+func (c *Cache) intern(e *engine, g *cacheGen, res closureResult) *dfaState {
 	anomalous := res.anomaly != anomalyNone
-	h := keyHash(e.scr.keys.build(anomalous, res.stable))
-	g := c.gen.Load()
+	key := e.stateKey(&g.frames, res.stable)
+	h := keyHash(anomalous, key)
 	sh := g.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if st := sh.lookup(h, anomalous, res.stable); st != nil {
+	if st := sh.lookup(h, anomalous, key); st != nil {
 		return st
 	}
-	alts, halted := e.altSummary(res.stable)
-	st := sh.mem.newDFAState(sh.mem.copyConfigs(res.stable), alts, sh.mem.copyInts(halted), anomalous, c.terms)
+	st := sh.mem.newDFAState(sh.mem.copyKey(key), anomalous, c.terms)
 	sh.file(h, st)
 	g.nStates.Add(1)
 	return st
@@ -364,14 +409,15 @@ func (c *Cache) Reset() {
 }
 
 // Clear empties the cache in place and keeps its memory for the next use:
-// every shard's table and slabs are rewound (the slabs zero what they
-// handed out, edge rows included, so an idle cleared cache pins nothing)
-// and the start slots are zeroed. Unlike Reset, Clear is not safe
+// the frame table and every shard's table and slabs are rewound (the slabs
+// zero what they handed out, edge rows included, so an idle cleared cache
+// pins nothing) and the start slots are zeroed. Unlike Reset, Clear is not safe
 // concurrently with anything, and no state read from the cache before it
 // may be used after it: it is for a cache no other goroutine can reach,
 // such as a session's parse-private DFA recycled with its pooled scratch.
 func (c *Cache) Clear() {
 	g := c.gen.Load()
+	g.frames.reset()
 	for i := range g.shards {
 		sh := &g.shards[i]
 		clear(sh.states)

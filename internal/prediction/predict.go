@@ -66,7 +66,7 @@ func New(g *grammar.Grammar, opts Options) *AdaptivePredictor {
 // NewWith is New with a precomputed Targets (grammar analyses are pure, so
 // sharing across predictors is safe).
 func NewWith(g *grammar.Grammar, targets *analysis.Targets, opts Options) *AdaptivePredictor {
-	ap := &AdaptivePredictor{eng: engine{c: g.Compiled(), budget: closureBudget, scr: &scratch{}}}
+	ap := &AdaptivePredictor{eng: engine{c: g.Compiled(), budget: closureBudget, scr: newScratch(g.Compiled())}}
 	ap.eng.stats = &ap.Stats
 	ap.Reset(targets, opts)
 	return ap
@@ -143,14 +143,13 @@ func (ap *AdaptivePredictor) Predict(nt grammar.NTID, suffix *machine.SuffixStac
 func (ap *AdaptivePredictor) llPredict(nt grammar.NTID, suffix *machine.SuffixStack, la *source.Cursor) machine.Prediction {
 	c := ap.eng.c
 	scr := ap.eng.scr
-	caller := machine.SuffixFrame{Lhs: suffix.F.Lhs, Rest: suffix.F.Rest[1:]}
-	below := ap.eng.push(caller, suffix.Below)
+	below := scr.stacks.enterMachine(suffix)
 	v0 := machine.NTSet{}.AddIn(&scr.words, nt)
 	initial := scr.initial[:0]
 	for _, idx := range c.ProdsFor(nt) {
 		initial = append(initial, config{
-			alt:     idx,
-			stack:   ap.eng.push(machine.SuffixFrame{Lhs: nt, Rest: c.Rhs(idx)}, below),
+			alt:     int32(idx),
+			top:     scr.stacks.push(nt, int32(idx), 0, below),
 			visited: v0,
 		})
 	}
@@ -232,7 +231,11 @@ func (ap *AdaptivePredictor) resolveAtEOF(cfgs []config, depth int) machine.Pred
 // overapproximated context, and killed subparsers would also make RejectP
 // unsound).
 func (ap *AdaptivePredictor) sllPredict(nt grammar.NTID, la *source.Cursor) (machine.Prediction, bool) {
-	st := ap.cache.start(nt, func() *dfaState { return ap.buildStart(nt) })
+	// The decision works in one generation throughout: its frame IDs name
+	// that generation's frames. A concurrent Reset leaves the decision on
+	// its pre-Reset snapshot.
+	g := ap.cache.gen.Load()
+	st := g.start(nt, func() *dfaState { return ap.buildStart(g, nt) })
 	if st == nil {
 		// The governor halted start-state construction; the abort is final
 		// (true): retrying in LL would charge the same exhausted budget.
@@ -273,31 +276,32 @@ func (ap *AdaptivePredictor) sllPredict(nt grammar.NTID, la *source.Cursor) (mac
 			// on the same edge interns the identical state (content
 			// addressing), so setEdge converges regardless of who wins.
 			ap.Stats.CacheMisses++
-			res := ap.eng.closure(modeSLL, ap.eng.move(st.configs, term))
+			res := ap.eng.closure(modeSLL, ap.eng.moveState(&g.frames, st.configs, term))
 			if res.anomaly == anomalyGoverned {
 				// A governed abort reflects this parse's budget, not the
 				// grammar: never intern it into the shared DFA, where it
 				// would poison decisions of unrelated parses.
 				return machine.Prediction{Kind: machine.PredError, Err: res.govErr}, true
 			}
-			next = st.setEdge(term, ap.cache.intern(&ap.eng, res))
+			next = st.setEdge(term, ap.cache.intern(&ap.eng, g, res))
 		}
 		st = next
 	}
 }
 
-// buildStart computes the DFA start state for decision nonterminal nt. It
-// returns nil — without publishing anything — when the governor halted
-// construction; the governor's sticky error carries the cause.
-func (ap *AdaptivePredictor) buildStart(nt grammar.NTID) *dfaState {
+// buildStart computes generation g's DFA start state for decision
+// nonterminal nt. It returns nil — without publishing anything — when the
+// governor halted construction; the governor's sticky error carries the
+// cause.
+func (ap *AdaptivePredictor) buildStart(g *cacheGen, nt grammar.NTID) *dfaState {
 	c := ap.eng.c
 	scr := ap.eng.scr
 	v0 := machine.NTSet{}.AddIn(&scr.words, nt)
 	initial := scr.initial[:0]
 	for _, idx := range c.ProdsFor(nt) {
 		initial = append(initial, config{
-			alt:     idx,
-			stack:   ap.eng.push(machine.SuffixFrame{Lhs: nt, Rest: c.Rhs(idx)}, nil),
+			alt:     int32(idx),
+			top:     scr.stacks.push(nt, int32(idx), 0, -1),
 			visited: v0,
 		})
 	}
@@ -306,7 +310,7 @@ func (ap *AdaptivePredictor) buildStart(nt grammar.NTID) *dfaState {
 	if res.anomaly == anomalyGoverned {
 		return nil
 	}
-	return ap.cache.intern(&ap.eng, res)
+	return ap.cache.intern(&ap.eng, g, res)
 }
 
 func (ap *AdaptivePredictor) noteLookahead(depth int) {

@@ -308,30 +308,3 @@ func TestStatsLookaheadAccounting(t *testing.T) {
 		t.Errorf("MaxLookahead = %d; deciding S needs ≥ 3 tokens on 'a b d'", ap.Stats.MaxLookahead)
 	}
 }
-
-func TestFingerprints(t *testing.T) {
-	st := machine.PushSuffix(machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.TermSym(0), grammar.NTSym(1)}}, nil)
-	c1 := config{alt: 1, stack: st}
-	c2 := config{alt: 2, stack: st}
-	if c1.fingerprint() == c2.fingerprint() {
-		t.Error("alt not encoded in fingerprint")
-	}
-	// A halted config (nil stack) must differ from a live config whose
-	// stack has one frame with an empty Rest.
-	halted := config{alt: 1}
-	emptyFrame := config{alt: 1, stack: machine.PushSuffix(machine.SuffixFrame{Lhs: 0}, nil)}
-	if halted.fingerprint() == emptyFrame.fingerprint() {
-		t.Error("halted configs must be distinguishable from empty stacks")
-	}
-	// Terminal 1 vs nonterminal 1: the sign encoding must separate them.
-	sa := machine.PushSuffix(machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.TermSym(1)}}, nil)
-	sb := machine.PushSuffix(machine.SuffixFrame{Lhs: 0, Rest: []grammar.SymID{grammar.NTSym(1)}}, nil)
-	if (config{alt: 1, stack: sa}).fingerprint() == (config{alt: 1, stack: sb}).fingerprint() {
-		t.Error("terminal/nonterminal kind not encoded in fingerprint")
-	}
-	// Visited sets do not participate.
-	cv := config{alt: 1, stack: st, visited: machine.NTSet{}.Add(3)}
-	if c1.fingerprint() != cv.fingerprint() {
-		t.Error("visited set must not affect canonical identity")
-	}
-}

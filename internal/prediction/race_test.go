@@ -8,6 +8,7 @@ package prediction
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -80,12 +81,26 @@ func TestCacheConcurrentWarm(t *testing.T) {
 	}
 
 	// The shared cache must have converged to the same DFA the sequential
-	// reference built: content addressing means equal state sets.
+	// reference built: content addressing means equal state sets, and the
+	// frame IDs racing goroutines assigned in their own orders never reach
+	// an export.
 	refStarts, refStates := ref.Cache().Size()
 	starts, states := shared.Size()
 	if starts != refStarts || states != refStates {
 		t.Errorf("shared cache (%d starts, %d states) != sequential cache (%d, %d)",
 			starts, states, refStarts, refStates)
+	}
+	refSnap, err := ref.Cache().Export(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := shared.Export(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, refSnap) {
+		t.Errorf("the shared cache exports differently from the sequential cache (%d vs %d frames)",
+			len(snap.Frames), len(refSnap.Frames))
 	}
 }
 
@@ -145,9 +160,11 @@ func TestCacheEdgeIdempotence(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			ap := New(g, Options{Cache: shared})
-			st := shared.start(startID, func() *dfaState { return ap.buildStart(startID) })
-			res := ap.eng.closure(modeSLL, ap.eng.move(st.configs, aID))
-			got[k] = st.setEdge(aID, shared.intern(&ap.eng, res))
+			gen := shared.gen.Load()
+			ap.eng.beginDecision()
+			st := gen.start(startID, func() *dfaState { return ap.buildStart(gen, startID) })
+			res := ap.eng.closure(modeSLL, ap.eng.moveState(&gen.frames, st.configs, aID))
+			got[k] = st.setEdge(aID, shared.intern(&ap.eng, gen, res))
 		}(k)
 	}
 	wg.Wait()
@@ -173,7 +190,9 @@ func TestCacheStartIdempotence(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			ap := New(g, Options{Cache: shared})
-			got[k] = shared.start(startID, func() *dfaState { return ap.buildStart(startID) })
+			gen := shared.gen.Load()
+			ap.eng.beginDecision()
+			got[k] = gen.start(startID, func() *dfaState { return ap.buildStart(gen, startID) })
 		}(k)
 	}
 	wg.Wait()

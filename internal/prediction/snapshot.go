@@ -4,59 +4,49 @@ package prediction
 // session that is expensive to rebuild (it is warmed by parsing a corpus)
 // and the reason ahead-of-time artifacts (internal/artifact) exist.
 //
-// The cache's content-addressed design makes it snapshot-friendly: a
-// dfaState's identity is a pure function of its configs, so the snapshot
-// stores configs as grammar positions and the import re-derives keys,
-// uniqueAlt, and haltedAlts instead of trusting serialized copies. States
-// keep no key, so Export re-derives each one to order the states, and
-// Import files every state under its re-derived key's hash exactly as
-// Cache.intern does.
+// A snapshot has the live cache's shape. The cache keeps one hash-consed
+// frame table per generation, each frame a grammar position (Lhs, Prod,
+// Dot) plus the ID of the frame below it, and a config names only its top
+// frame; the snapshot carries one table of distinct frames of the same
+// shape, each naming the frame beneath it by index. SLL stacks in one DFA
+// share most of their tails (the configs of a warmed Python cache reach
+// ~250 k frames, ~7 k of them distinct), so both store each frame once.
+// Visited sets are not stored at all: move clears them and state identity
+// excludes them.
 //
-// Stacks are stored once: the snapshot carries one table of distinct
-// frames, each naming the frame beneath it by index, and a config names
-// only its top frame. SLL stacks in one DFA share most of their tails (the
-// configs of a warmed Python cache reach ~250 k frames, ~7 k of them
-// distinct), and the import rebuilds the table as one span of linked nodes that every
-// imported config points into, so imported states share tails the way the
-// paper's persistent lists do. Visited sets are not stored at all: move
-// clears them and state identity excludes them, so an interned config's
-// visited set is never read.
+// Import maps the snapshot's frame table straight onto the generation's:
+// each frame is validated against the grammar and hash-consed, bottom
+// first, so an imported stack gets the ID a parse would give it, and each
+// state's key is rebuilt from its configs' frame IDs — never read from the
+// snapshot — and filed under its hash exactly as Cache.intern does. An
+// imported state is therefore the state a parse would intern, and later
+// warm-up extends the imported DFA seamlessly.
 //
-// Two invariants make the grammar-position encoding mandatory rather than
-// a size optimization:
-//
-//   - Frame Rest slices must alias the compiled production arrays
-//     (prediction's closure dedup keys on the address of Rest's first
-//     element — subparser.go's dedupKey). A snapshot that serialized the
-//     symbols themselves would import states whose configs never merge
-//     with natively built ones, silently degrading closure to exponential
-//     on some grammars. Every Rest is therefore stored as (Prod, Dot) and
-//     rebuilt as Rhs(Prod)[Dot:].
-//
-//   - Imported states must be owned by the cache (the §5f lifetime
-//     contract): the frame table and the configs are carved from the new
-//     generation's stateMem slabs, where Cache.intern copies scratch on the
-//     cold path, so an imported generation pins no decoder memory.
-//
-// Export is deterministic (states sorted by canonical key, edges by
-// terminal with NoTerm first, starts by nonterminal — the slot order of
-// edge rows and start slots — and frames numbered in the order the sorted
-// states first reach them) so that identical warm-ups produce
-// byte-identical artifacts and golden files are stable.
+// Frame IDs depend on the order frames were interned, which racing
+// goroutines decide, so Export orders by content only: configs within a
+// state by alt and then by their stacks' packed little-endian int32
+// serialization (per frame from the top: nonterminal, rest length, rest
+// symbols), states by the concatenation of their configs' serializations,
+// edges by terminal with NoTerm first, starts by nonterminal, and frames in
+// the order the sorted states first reach them, bottom first. Identical
+// warm-ups therefore produce byte-identical artifacts, and golden files are
+// stable.
 //
 // Shared frames let a small snapshot name long stacks: one deep chain under
 // many configs costs the snapshot a frame per level plus a config each, but
-// Import serializes every config's whole stack into its state's key. The
-// stacks a snapshot names are therefore bounded by its size
+// Export's content order serializes every config's whole stack. The stacks
+// a snapshot names are therefore bounded by its size
 // (stackSymbolsPerEntry), and Export refuses to write a snapshot that
 // Import would refuse.
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"costar/internal/grammar"
-	"costar/internal/machine"
 )
 
 // FrameSnapshot is one suffix-stack frame as a grammar position plus the
@@ -107,10 +97,10 @@ type CacheSnapshot struct {
 
 // stackSymbolsPerEntry bounds the stacks a snapshot's configs name. Count
 // each frame of a config's stack as its nonterminal plus its remaining
-// right-hand side, which is what a state key serializes per frame; all
-// configs together may name at most this many stack symbols per frame or
-// config the snapshot stores. A warmed Python cache, the deepest bundled
-// grammar, names 14.7 per entry.
+// right-hand side, which is what Export's content order serializes per
+// frame; all configs together may name at most this many stack symbols per
+// frame or config the snapshot stores. A warmed Python cache, the deepest
+// bundled grammar, names 14.7 per entry.
 const stackSymbolsPerEntry = 64
 
 // stackBudget is the most stack symbols the configs of a snapshot with the
@@ -119,42 +109,26 @@ func stackBudget(frames, configs int) int64 {
 	return stackSymbolsPerEntry * (int64(frames) + int64(configs))
 }
 
-// restPos locates a compiled RHS suffix: Rest == Rhs(prod)[dot:].
-type restPos struct {
-	prod, dot int32
-}
-
-// restIndex maps the address of each compiled RHS element to its grammar
-// position, inverting the aliasing that pins frames to productions.
-func restIndex(cg *grammar.Compiled) map[*grammar.SymID]restPos {
-	n := len(cg.Grammar().Prods)
-	idx := make(map[*grammar.SymID]restPos)
-	for i := 0; i < n; i++ {
-		rhs := cg.Rhs(i)
-		for d := range rhs {
-			idx[&rhs[d]] = restPos{prod: int32(i), dot: int32(d)}
-		}
-	}
-	return idx
-}
-
 // Export snapshots the cache's current generation. cg must be the compiled
-// grammar the cache was warmed against. The snapshot is deterministic:
-// re-exporting an identical cache yields an identical value.
+// grammar the cache was warmed against. The snapshot's order depends on
+// content only, never on the order states or frames were interned, so
+// re-exporting an equal DFA yields an equal value.
 func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 	gen := c.gen.Load()
+	var snap CacheSnapshot
 	sts := gen.all()
-	sortByKey(sts)
+	if len(sts) == 0 {
+		return snap, nil
+	}
+	ex := exporter{cg: cg, frames: &gen.frames, num: map[int32]int32{}, symCount: map[int32]int64{}}
+	order, err := ex.sortStates(sts)
+	if err != nil {
+		return CacheSnapshot{}, err
+	}
 	index := make(map[*dfaState]int32, len(sts))
 	for i, st := range sts {
 		index[st] = int32(i)
 	}
-
-	var snap CacheSnapshot
-	if len(sts) == 0 {
-		return snap, nil
-	}
-	ft := frameTable{cg: cg, pos: restIndex(cg), ids: make(map[FrameSnapshot]int32)}
 	snap.States = make([]StateSnapshot, len(sts))
 	var (
 		configs int
@@ -162,19 +136,17 @@ func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 	)
 	for i, st := range sts {
 		ss := StateSnapshot{Anomalous: st.anomalous}
-		if len(st.configs) > 0 {
-			ss.Configs = make([]ConfigSnapshot, len(st.configs))
-			for j, cfg := range st.configs {
-				top, err := ft.number(cfg.stack)
-				if err != nil {
-					return CacheSnapshot{}, err
-				}
+		if cfgs := order[i]; len(cfgs) > 0 {
+			ss.Configs = make([]ConfigSnapshot, len(cfgs))
+			for j, k := range cfgs {
+				top := int32(uint32(k))
 				if top >= 0 {
-					named += ft.syms[top]
+					named += ex.syms(top)
+					top = ex.number(top)
 				}
-				ss.Configs[j] = ConfigSnapshot{Alt: int32(cfg.alt), Top: top}
+				ss.Configs[j] = ConfigSnapshot{Alt: int32(k >> 32), Top: top}
 			}
-			configs += len(st.configs)
+			configs += len(cfgs)
 		}
 		for k := range st.edges {
 			target := st.edges[k].Load()
@@ -190,10 +162,10 @@ func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 		}
 		snap.States[i] = ss
 	}
-	if budget := stackBudget(len(ft.frames), configs); named > budget {
-		return CacheSnapshot{}, fmt.Errorf("prediction: cache export: configs name %d stack symbols, more than the %d an import of %d frames and %d configs accepts", named, budget, len(ft.frames), configs)
+	if budget := stackBudget(len(ex.out), configs); named > budget {
+		return CacheSnapshot{}, fmt.Errorf("prediction: cache export: configs name %d stack symbols, more than the %d an import of %d frames and %d configs accepts", named, budget, len(ex.out), configs)
 	}
-	snap.Frames = ft.frames
+	snap.Frames = ex.out
 
 	for nt := range gen.starts {
 		st := gen.starts[nt].Load()
@@ -209,81 +181,163 @@ func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 	return snap, nil
 }
 
-// sortByKey orders states by their canonical keys, re-derived from each
-// state's configs. keyBuf.build may reorder equal configs in place, so each
-// state's configs are copied first: a published state is never written.
-func sortByKey(sts []*dfaState) {
-	var (
-		kb  keyBuf
-		tmp []config
-	)
-	keys := make(map[*dfaState]string, len(sts))
-	for _, st := range sts {
-		tmp = append(tmp[:0], st.configs...)
-		keys[st] = string(kb.build(st.anomalous, tmp))
-	}
-	sort.Slice(sts, func(i, j int) bool { return keys[sts[i]] < keys[sts[j]] })
+// exporter orders a generation's states by content and numbers the frames
+// they reach in that order.
+type exporter struct {
+	cg       *grammar.Compiled
+	frames   *genFrames
+	num      map[int32]int32 // generation frame ID → snapshot index
+	out      []FrameSnapshot
+	symCount map[int32]int64 // generation frame ID → stack symbols to the bottom
 }
 
-// frameTable builds a snapshot's frame table: every distinct frame once,
-// numbered after the frames beneath it.
-type frameTable struct {
-	cg     *grammar.Compiled
-	pos    map[*grammar.SymID]restPos
-	ids    map[FrameSnapshot]int32 // frame content (Below included) → index
-	frames []FrameSnapshot
-	syms   []int64 // per frame: stack symbols from it to the bottom
+// rest returns the symbols left in frame f, checking that its position is
+// one of cg's.
+func (ex *exporter) rest(f genFrame) ([]grammar.SymID, error) {
+	if f.prod < 0 {
+		return nil, nil
+	}
+	if int(f.prod) >= len(ex.cg.Grammar().Prods) || int(f.dot) >= len(ex.cg.Rhs(int(f.prod))) {
+		return nil, fmt.Errorf("prediction: cache export: frame position (%d, %d) is not in the grammar", f.prod, f.dot)
+	}
+	return ex.cg.Rhs(int(f.prod))[f.dot:], nil
 }
 
-// number returns the table index of s's top frame, -1 for a halted
-// config's empty stack. The tail is numbered first, and a frame whose
-// position and tail are already in the table is reused, so each distinct
-// stack suffix is stored once and every Below precedes its frame.
-func (ft *frameTable) number(s *machine.SuffixStack) (int32, error) {
-	if s == nil {
-		return -1, nil
-	}
-	below, err := ft.number(s.Below)
-	if err != nil {
-		return 0, err
-	}
-	f := FrameSnapshot{Lhs: s.F.Lhs, Prod: -1, Below: below}
-	if rest := s.F.Rest; len(rest) > 0 {
-		p, ok := ft.pos[&rest[0]]
-		if !ok {
-			return 0, fmt.Errorf("prediction: cache export: frame rest does not alias a compiled production")
+// appendContent appends config (alt, top)'s content serialization: the alt,
+// then per frame from the top a marker byte, the nonterminal, the rest's
+// length and its symbols, then a byte telling a live stack from a halted
+// config, all int32s packed little-endian. Frames are prefix-free (a rest's
+// length precedes it), so byte order is a total order on contents. pos
+// gets the frames' positions, which break ties between equal symbols at
+// different grammar positions.
+func (ex *exporter) appendContent(b, pos []byte, alt int32, top int32) ([]byte, []byte, error) {
+	b = binary.LittleEndian.AppendUint32(b, uint32(alt))
+	for id := top; id >= 0; {
+		f := ex.frames.at(id)
+		rest, err := ex.rest(f)
+		if err != nil {
+			return nil, nil, err
 		}
-		if len(rest) != len(ft.cg.Rhs(int(p.prod)))-int(p.dot) {
-			return 0, fmt.Errorf("prediction: cache export: frame rest is not a production suffix")
+		b = append(b, 1)
+		b = binary.LittleEndian.AppendUint32(b, uint32(f.lhs))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(rest)))
+		for _, sym := range rest {
+			b = binary.LittleEndian.AppendUint32(b, uint32(sym))
 		}
-		f.Prod, f.Dot = p.prod, p.dot
+		pos = binary.LittleEndian.AppendUint32(pos, uint32(f.prod))
+		pos = binary.LittleEndian.AppendUint32(pos, uint32(f.dot))
+		id = f.below
 	}
-	id, ok := ft.ids[f]
-	if !ok {
-		id = int32(len(ft.frames))
-		ft.frames = append(ft.frames, f)
-		ft.ids[f] = id
-		syms := int64(1 + len(s.F.Rest))
-		if below >= 0 {
-			syms += ft.syms[below]
+	if top < 0 {
+		return append(b, 2), pos, nil
+	}
+	return append(b, 0), pos, nil
+}
+
+// sortStates sorts sts by content and returns each state's configs in
+// content order: by alt, then content serialization, then positions. A
+// state's order key is its anomaly byte followed by each config's
+// serialization in that order, behind its length.
+func (ex *exporter) sortStates(sts []*dfaState) ([][]uint64, error) {
+	type entry struct {
+		key uint64
+		fp  string
+		pos string
+	}
+	type state struct {
+		st       *dfaState
+		cfgs     []uint64
+		key, pos string
+	}
+	all := make([]state, len(sts))
+	var fp, pos []byte
+	for i, st := range sts {
+		es := make([]entry, len(st.configs))
+		for j, k := range st.configs {
+			var err error
+			fp, pos, err = ex.appendContent(fp[:0], pos[:0], int32(k>>32), int32(uint32(k)))
+			if err != nil {
+				return nil, err
+			}
+			es[j] = entry{key: k, fp: string(fp), pos: string(pos)}
 		}
-		ft.syms = append(ft.syms, syms)
+		slices.SortFunc(es, func(a, b entry) int {
+			return cmp.Or(cmp.Compare(a.key>>32, b.key>>32), strings.Compare(a.fp, b.fp), strings.Compare(a.pos, b.pos))
+		})
+		var key, p []byte
+		if st.anomalous {
+			key = append(key, 1)
+		} else {
+			key = append(key, 0)
+		}
+		cfgs := make([]uint64, len(es))
+		for j, e := range es {
+			key = binary.LittleEndian.AppendUint32(key, uint32(len(e.fp)))
+			key = append(key, e.fp...)
+			p = append(p, e.pos...)
+			cfgs[j] = e.key
+		}
+		all[i] = state{st: st, cfgs: cfgs, key: string(key), pos: string(p)}
 	}
-	return id, nil
+	slices.SortFunc(all, func(a, b state) int {
+		return cmp.Or(strings.Compare(a.key, b.key), strings.Compare(a.pos, b.pos))
+	})
+	order := make([][]uint64, len(all))
+	for i, s := range all {
+		sts[i] = s.st
+		order[i] = s.cfgs
+	}
+	return order, nil
+}
+
+// number returns the snapshot index of generation frame id, numbering the
+// frames beneath it first, so every Below precedes its frame and each
+// distinct stack suffix is stored once.
+func (ex *exporter) number(id int32) int32 {
+	if i, ok := ex.num[id]; ok {
+		return i
+	}
+	f := ex.frames.at(id)
+	below := int32(-1)
+	if f.below >= 0 {
+		below = ex.number(f.below)
+	}
+	i := int32(len(ex.out))
+	ex.out = append(ex.out, FrameSnapshot{Lhs: f.lhs, Prod: f.prod, Dot: f.dot, Below: below})
+	ex.num[id] = i
+	return i
+}
+
+// syms returns the stack symbols from generation frame id to the bottom:
+// per frame its nonterminal and its rest.
+func (ex *exporter) syms(id int32) int64 {
+	if n, ok := ex.symCount[id]; ok {
+		return n
+	}
+	f := ex.frames.at(id)
+	n := int64(1)
+	if f.prod >= 0 {
+		n += int64(len(ex.cg.Rhs(int(f.prod))) - int(f.dot))
+	}
+	if f.below >= 0 {
+		n += ex.syms(f.below)
+	}
+	ex.symCount[id] = n
+	return n
 }
 
 // Import replaces the cache's generation with one rebuilt from snap,
-// re-interning every state into cache-owned heap memory. cg must be the
-// grammar the cache was made for. Every reference is bounds-checked
-// against it — Import is the trust boundary for deserialized caches, so
-// malformed snapshots yield an error and leave the cache untouched. State
-// keys, uniqueAlt, and haltedAlts are recomputed from the reconstructed
-// configs, so an imported state is content-addressed identically to a
-// natively interned one and later warm-up seamlessly extends the imported
-// DFA. Edges and starts fill their slots by the same compare-and-swap from
-// nil that a parse uses, so a slot named twice fails the swap, and an edge
-// out of a state without a row — one SLL answers at without reading a
-// token — is refused.
+// re-interning every state into cache-owned memory. cg must be the grammar
+// the cache was made for. Every reference is bounds-checked against it —
+// Import is the trust boundary for deserialized caches, so malformed
+// snapshots yield an error and leave the cache untouched. Frames are
+// hash-consed into the generation's table, and state keys, uniqueAlt, and
+// haltedAlts are recomputed from the imported configs, so an imported
+// state is content-addressed identically to a natively interned one and
+// later warm-up seamlessly extends the imported DFA. Edges and starts fill
+// their slots by the same compare-and-swap from nil that a parse uses, so
+// a slot named twice fails the swap, and an edge out of a state without a
+// row — one SLL answers at without reading a token — is refused.
 func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 	if cg.NumTerms() != c.terms || cg.NumNTs() != c.nts {
 		return fmt.Errorf("prediction: cache snapshot: grammar has %d terminals and %d nonterminals, the cache was made for %d and %d", cg.NumTerms(), cg.NumNTs(), c.terms, c.nts)
@@ -293,11 +347,10 @@ func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 	for i := range gen.shards {
 		gen.shards[i].states = make(map[uint64]*dfaState, n/internShards+1)
 	}
-	// The generation is not published yet, so every state is carved from
-	// one shard's memory without locks; the shards' tables file them by key
-	// hash.
-	mem := &gen.shards[0].mem
-	frames, syms, err := mem.importFrames(cg, snap.Frames)
+	// The generation is not published yet, so frames are hash-consed and
+	// every state is carved from one shard's memory without locks; the
+	// shards' tables file the states by key hash.
+	ids, syms, err := gen.frames.importFrames(cg, snap.Frames)
 	if err != nil {
 		return err
 	}
@@ -305,29 +358,21 @@ func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 	for _, ss := range snap.States {
 		configs += len(ss.Configs)
 	}
-	// Every config charges its stack to this budget before any key walks
-	// that stack.
+	// Every config charges its stack to this budget.
 	left := stackBudget(len(snap.Frames), configs)
+	mem := &gen.shards[0].mem
 	sts := make([]*dfaState, n)
-	var (
-		keys         keyBuf
-		alts, halted []int
-	)
 	for i, ss := range snap.States {
-		cfgs, err := mem.importConfigs(cg, ss.Configs, frames, syms, &left)
+		key, err := mem.importKey(cg, ss.Configs, ids, syms, &left)
 		if err != nil {
 			return fmt.Errorf("state %d: %w", i, err)
 		}
-		// The key is re-derived from the imported configs — never trusted
-		// from the snapshot — so a rebuilt state lands on exactly the
-		// identity it would have been interned under natively.
-		h := keyHash(keys.build(ss.Anomalous, cfgs))
+		h := keyHash(ss.Anomalous, key)
 		sh := gen.shard(h)
-		if sh.lookup(h, ss.Anomalous, cfgs) != nil {
+		if sh.lookup(h, ss.Anomalous, key) != nil {
 			return fmt.Errorf("prediction: cache snapshot: states %d duplicates an earlier state", i)
 		}
-		alts, halted = summarizeAlts(cfgs, alts[:0], halted[:0])
-		st := mem.newDFAState(cfgs, alts, mem.copyInts(halted), ss.Anomalous, c.terms)
+		st := mem.newDFAState(key, ss.Anomalous, c.terms)
 		sh.file(h, st)
 		sts[i] = st
 	}
@@ -371,16 +416,18 @@ func (c *Cache) Import(cg *grammar.Compiled, snap CacheSnapshot) error {
 	return nil
 }
 
-// importFrames rebuilds the snapshot's frame table in m as one span of
-// stack nodes linked through Below, validating every reference against cg.
-// A frame may only sit on an earlier frame, so no stack walk can cycle. It
-// also returns, per frame, the stack symbols from that frame to the bottom.
-func (m *stateMem) importFrames(cg *grammar.Compiled, snaps []FrameSnapshot) ([]machine.SuffixStack, []int64, error) {
+// importFrames hash-conses the snapshot's frame table into t, validating
+// every reference against cg, and returns each snapshot frame's ID in t
+// and its stack symbols to the bottom. A frame may only sit on an earlier
+// frame, so no stack walk can cycle. A frame with nothing left (Prod < 0)
+// loses its position, as in a parse.
+func (t *genFrames) importFrames(cg *grammar.Compiled, snaps []FrameSnapshot) ([]int32, []int64, error) {
 	nProds := len(cg.Grammar().Prods)
-	nodes := m.frames.Make(len(snaps))[:len(snaps)]
+	ids := make([]int32, len(snaps))
 	syms := make([]int64, len(snaps))
 	for i, f := range snaps {
-		var rest []grammar.SymID
+		g := genFrame{lhs: f.Lhs, prod: -1, below: -1}
+		syms[i] = 1
 		if f.Prod >= 0 {
 			if int(f.Prod) >= nProds {
 				return nil, nil, fmt.Errorf("prediction: cache snapshot: frame %d: production %d out of range", i, f.Prod)
@@ -392,50 +439,48 @@ func (m *stateMem) importFrames(cg *grammar.Compiled, snaps []FrameSnapshot) ([]
 			if cg.Lhs(int(f.Prod)) != f.Lhs {
 				return nil, nil, fmt.Errorf("prediction: cache snapshot: frame %d: lhs %d does not own production %d", i, f.Lhs, f.Prod)
 			}
-			// The aliasing invariant: Rest is the production's own
-			// backing array, so closure dedup merges imported and
-			// natively built configs by pointer identity.
-			rest = rhs[f.Dot:]
+			g.prod, g.dot = f.Prod, f.Dot
+			syms[i] += int64(len(rhs) - int(f.Dot))
 		} else if f.Lhs < 0 || int(f.Lhs) >= cg.NumNTs() {
 			return nil, nil, fmt.Errorf("prediction: cache snapshot: frame %d: nonterminal %d out of range", i, f.Lhs)
 		}
 		if f.Below < -1 || int(f.Below) >= i {
 			return nil, nil, fmt.Errorf("prediction: cache snapshot: frame %d: below %d is not an earlier frame", i, f.Below)
 		}
-		nodes[i].F = machine.SuffixFrame{Lhs: f.Lhs, Rest: rest}
-		syms[i] = int64(1 + len(rest))
 		if f.Below >= 0 {
-			nodes[i].Below = &nodes[f.Below]
+			g.below = ids[f.Below]
 			syms[i] += syms[f.Below]
 		}
+		ids[i] = t.intern(g)
 	}
-	return nodes, syms, nil
+	return ids, syms, nil
 }
 
-// importConfigs rebuilds snapshot configs in m, pointing each at its top
-// node in the imported frame table and charging the stack symbols it names
-// (syms) to the import's budget, *left.
-func (m *stateMem) importConfigs(cg *grammar.Compiled, snaps []ConfigSnapshot, frames []machine.SuffixStack, syms []int64, left *int64) ([]config, error) {
+// importKey builds a state's key in m from its snapshot configs, naming
+// each config's top frame by its ID in the generation (ids) and charging
+// the stack symbols it names (syms) to the import's budget, *left.
+func (m *stateMem) importKey(cg *grammar.Compiled, snaps []ConfigSnapshot, ids []int32, syms []int64, left *int64) ([]uint64, error) {
 	if len(snaps) == 0 {
 		return nil, nil
 	}
 	nProds := len(cg.Grammar().Prods)
-	out := m.configs.Make(len(snaps))
+	key := m.keys.Make(len(snaps))
 	for ci, cs := range snaps {
 		if cs.Alt < 0 || int(cs.Alt) >= nProds {
 			return nil, fmt.Errorf("config %d: alt %d out of range", ci, cs.Alt)
 		}
-		if cs.Top < -1 || int(cs.Top) >= len(frames) {
-			return nil, fmt.Errorf("config %d: top frame %d outside the %d-frame table", ci, cs.Top, len(frames))
+		if cs.Top < -1 || int(cs.Top) >= len(ids) {
+			return nil, fmt.Errorf("config %d: top frame %d outside the %d-frame table", ci, cs.Top, len(ids))
 		}
-		var stack *machine.SuffixStack
+		top := haltedTop
 		if cs.Top >= 0 {
 			if *left -= syms[cs.Top]; *left < 0 {
 				return nil, fmt.Errorf("config %d: the configs' stacks name more than %d symbols per stored frame or config", ci, stackSymbolsPerEntry)
 			}
-			stack = &frames[cs.Top]
+			top = uint32(ids[cs.Top])
 		}
-		out = append(out, config{alt: int(cs.Alt), stack: stack})
+		key = append(key, uint64(uint32(cs.Alt))<<32|uint64(top))
 	}
-	return out, nil
+	slices.Sort(key)
+	return key, nil
 }

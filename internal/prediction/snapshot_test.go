@@ -52,22 +52,18 @@ func TestSnapshotStackBudget(t *testing.T) {
 			continue
 		}
 
-		chain := make([]machine.SuffixStack, tc.n)
-		for i := range chain {
-			chain[i].F = machine.SuffixFrame{Lhs: s}
-			if i > 0 {
-				chain[i].Below = &chain[i-1]
-			}
-		}
-		cfgs := make([]config, tc.n)
-		for i := range cfgs {
-			cfgs[i] = config{alt: 0, stack: &chain[tc.n-1]}
-		}
-		var kb keyBuf
-		h := keyHash(kb.build(false, cfgs))
 		g := c.gen.Load()
+		top := int32(-1)
+		for range tc.n {
+			top = g.frames.intern(genFrame{lhs: s, prod: -1, below: top})
+		}
+		key := make([]uint64, tc.n)
+		for i := range key {
+			key[i] = uint64(top)
+		}
+		h := keyHash(false, key)
 		sh := g.shard(h)
-		sh.file(h, sh.mem.newDFAState(cfgs, []int{0}, nil, false, cg.NumTerms()))
+		sh.file(h, sh.mem.newDFAState(key, false, cg.NumTerms()))
 		g.nStates.Add(1)
 		if _, err := c.Export(cg); err == nil {
 			t.Fatalf("n=%d: Export wrote a snapshot Import refuses", tc.n)

@@ -73,8 +73,25 @@ func FromTokens(c *grammar.Compiled, w []grammar.Token) *Cursor {
 // FromPull builds a pull-backed cursor: tokens are fetched from pull on
 // demand, interned against c as they arrive, and dropped from the window
 // once consumed and out of reach of any outstanding peek.
+//
+// The cursor and the first pullWindow entries of its window are one
+// allocation.
 func FromPull(c *grammar.Compiled, pull Pull) *Cursor {
-	return &Cursor{c: c, pull: pull, own: true}
+	sc := &seededCursor{Cursor: Cursor{c: c, pull: pull, own: true}}
+	sc.toks, sc.ids = sc.tok0[:0], sc.id0[:0]
+	return &sc.Cursor
+}
+
+// pullWindow is how many tokens a new pull-backed cursor's window holds
+// before it grows: most lookahead stays within a few tokens.
+const pullWindow = 8
+
+// seededCursor is a pull-backed Cursor allocated with its window's first
+// entries.
+type seededCursor struct {
+	Cursor
+	tok0 [pullWindow]grammar.Token
+	id0  [pullWindow]grammar.TermID
 }
 
 // ResetTokens re-initializes s as a slice-backed cursor over w (the

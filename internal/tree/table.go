@@ -51,8 +51,28 @@ func (r *rec) isLeaf() bool { return r.meta&leafBit != 0 }
 func (r *rec) isErr() bool  { return r.meta&errBit != 0 }
 
 // NewTable returns an empty table whose interior labels index names. The
-// table keeps names and never writes to it.
-func NewTable(names []string) *Table { return &Table{names: names} }
+// table keeps names and never writes to it. The table and the first chunk
+// of each column are one allocation, so a parse's tree costs one
+// allocation until it outgrows those chunks.
+func NewTable(names []string) *Table {
+	s := &seededTable{Table: Table{names: names}}
+	s.recs.seed(s.rec0[:])
+	s.kids.seed(s.kid0[:])
+	s.toks.seed(s.tok0[:])
+	return &s.Table
+}
+
+// seededTable is a table allocated with its columns' first chunks. The
+// token chunk comes first, so its 32-byte tokens sit on cache-line
+// boundaries as a chunk of their own does, and the pointer-free chunks
+// come last, so the collector's scan of the allocation ends where they
+// begin.
+type seededTable struct {
+	tok0 [firstChunk]grammar.Token
+	Table
+	rec0 [firstChunk]rec
+	kid0 [firstChunk]ID
+}
 
 // Tree returns a handle on node id.
 func (t *Table) Tree(id ID) *Tree { return &Tree{t: t, id: id} }
@@ -162,6 +182,12 @@ func (c *column[T]) alloc(n int) (ID, []T) {
 	id := ID(k<<chunkShift | c.used)
 	c.used += n
 	return id, s
+}
+
+// seed gives an empty column first, of firstChunk elements, as its first
+// chunk.
+func (c *column[T]) seed(first []T) {
+	c.chunks = append(c.inline[:0], first)
 }
 
 func (c *column[T]) grow(n int) {

@@ -16,8 +16,17 @@
 //
 // Tables are built in composite literals, which are not writes. The one
 // wholesale zeroing, Cache.Clear on a cache no other goroutine can reach,
-// carries a //costar:allow annotation. The check is syntactic, as the
-// fields are unexported: every access site lives in package prediction.
+// carries a //costar:allow annotation.
+//
+// A generation's frame table (genFrames) is read the same way: a frame is
+// read by ID with no lock, by any goroutine holding a state that names it.
+// Its chunks are therefore written only by genFrames.intern, which fills
+// the slot of the ID it is allocating, under the table's mutex, before any
+// state can name it; any other write through chunks could change a
+// published frame under a reader.
+//
+// The check is syntactic, as the fields are unexported: every access site
+// lives in package prediction.
 package cowedges
 
 import (
@@ -29,6 +38,13 @@ import (
 // slotTables are the fields that hold atomic.Pointer slots.
 var slotTables = map[string]bool{"edges": true, "starts": true}
 
+// frameTable is the frame table's chunk field, and frameWriter the one
+// method (receiver type and name) that may write through it.
+const (
+	frameTable  = "chunks"
+	frameWriter = "genFrames.intern"
+)
+
 // mutators are the atomic.Pointer methods that write a slot.
 var mutators = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap": true}
 
@@ -37,7 +53,8 @@ var Analyzer = &analyzerkit.Analyzer{
 	Name: "cowedges",
 	Doc: "flag writes to the SLL DFA's edge and start slots other than CompareAndSwap(nil, …)\n\n" +
 		"dfaState.edges and cacheGen.starts are lock-free shared slot tables; a slot is\n" +
-		"written once, by a compare-and-swap from nil.",
+		"written once, by a compare-and-swap from nil. The frame table's chunks are read\n" +
+		"without a lock too, and only genFrames.intern writes them.",
 	Run: run,
 }
 
@@ -51,6 +68,11 @@ func run(pass *analyzerkit.Pass) error {
 				pass.Reportf(sel.Sel.Pos(),
 					"plain write through DFA slot table %s races with lock-free readers: a slot is written only by CompareAndSwap(nil, …)",
 					sel.Sel.Name)
+			}
+			if sel := selectorNamed(w.Target, frameTable); sel != nil && enclosingMethod(f, w.Node) != frameWriter {
+				pass.Reportf(sel.Sel.Pos(),
+					"write through the frame table's %s outside %s races with lock-free readers: a frame is written once, at the ID intern allocates",
+					frameTable, frameWriter)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -90,6 +112,41 @@ func slotTable(e ast.Expr) *ast.SelectorExpr {
 		}
 	}
 	return nil
+}
+
+// selectorNamed returns the selector of field name that e reaches through,
+// or nil.
+func selectorNamed(e ast.Expr, name string) *ast.SelectorExpr {
+	for _, sel := range analyzerkit.SelectorsIn(e) {
+		if sel.Sel.Name == name {
+			return sel
+		}
+	}
+	return nil
+}
+
+// enclosingMethod names the function declaration of f around n as
+// "Recv.Name" for a method (the receiver's type name, pointer or not) or
+// "Name" for a function; "" outside any.
+func enclosingMethod(f *ast.File, n ast.Node) string {
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || n.Pos() < fd.Pos() || n.End() > fd.End() {
+			continue
+		}
+		if fd.Recv == nil || len(fd.Recv.List) == 0 {
+			return fd.Name.Name
+		}
+		recv := fd.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if id, ok := recv.(*ast.Ident); ok {
+			return id.Name + "." + fd.Name.Name
+		}
+		return fd.Name.Name
+	}
+	return ""
 }
 
 func isNil(e ast.Expr) bool {

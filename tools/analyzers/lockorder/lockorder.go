@@ -5,21 +5,26 @@
 //     any function touching `.stats` must have acquired `.statsMu`
 //     first (and not released it before the access).
 //  2. The watched mutexes are leaves: no function may acquire one while
-//     holding another (statsMu vs. the SLL cache's shard mutexes, or two
-//     shards, in either order). A consistent never-nest rule cannot
-//     deadlock; any nesting is a latent lock-inversion the moment a
-//     second nesting appears.
+//     holding another (statsMu, the SLL cache's shard mutexes and its
+//     frame table's mutex, in any pairing and either order), either
+//     directly or by calling a function of the package that acquires one.
+//     So the cache hash-conses frames before it takes a shard mutex, never
+//     under it. A consistent never-nest rule cannot deadlock; any nesting
+//     is a latent lock-inversion the moment a second nesting appears.
 //
-// The checks are syntactic over a linear in-source-order walk of each
-// function body — the same soundness argument as cowedges: the fields
-// involved (mu, statsMu, stats) are unexported, so every access site
-// lives in the matched packages, and `defer mu.Unlock()` keeps the mutex
-// held to function end. Suppress a provably-safe site with
-// `//costar:allow lockorder -- <why>`.
+// The checks run over a linear in-source-order walk of each function body
+// — the same soundness argument as cowedges: the fields involved (mu,
+// statsMu, stats) are unexported, so every access site lives in the
+// matched packages, and `defer mu.Unlock()` keeps the mutex held to
+// function end. Calls are resolved with go/types: a function acquires a
+// watched mutex when its body locks one or statically calls a function
+// that does (calls through func values are not followed). Suppress a
+// provably-safe site with `//costar:allow lockorder -- <why>`.
 package lockorder
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 
 	"costar/tools/analyzers/analyzerkit"
@@ -30,34 +35,93 @@ var Analyzer = &analyzerkit.Analyzer{
 	Name: "lockorder",
 	Doc: "enforce the stats-mutex contract and the leaf-mutex rule\n\n" +
 		"parser's stats field needs statsMu, and the watched mutexes (statsMu, the SLL\n" +
-		"cache's shard mu) are leaves — acquiring one while holding another is a latent\n" +
-		"lock inversion.",
-	Run: run,
+		"cache's shard and frame-table mu) are leaves — acquiring one while holding another,\n" +
+		"directly or through a call, is a latent lock inversion.",
+	Run:       run,
+	NeedTypes: true,
 	Match: func(pkgName, pkgPath string) bool {
 		return pkgName == "prediction" || pkgName == "parser"
 	},
 }
 
 func run(pass *analyzerkit.Pass) error {
+	var decls []*ast.FuncDecl
 	for _, f := range pass.Files {
 		if strings.HasSuffix(pass.Filename(f.Pos()), "_test.go") {
 			continue
 		}
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				decls = append(decls, fd)
 			}
-			walkBody(pass, fd.Body)
 		}
 	}
+	acq := acquirers(pass, decls)
+	for _, fd := range decls {
+		walkBody(pass, acq, fd.Body)
+	}
 	return nil
+}
+
+// acquirers maps every function of the package that acquires a watched
+// mutex when called — its body locks one, or calls a function that does —
+// to the first such mutex, for diagnostics. Closures inside a body run
+// under their own discipline and do not count. Without type information
+// (see Pass.TypesErr) calls cannot be resolved and the map is empty.
+func acquirers(pass *analyzerkit.Pass, decls []*ast.FuncDecl) map[*types.Func]string {
+	acq := map[*types.Func]string{}
+	if pass.Info == nil {
+		return acq
+	}
+	calls := map[*types.Func][]*types.Func{}
+	var fns []*types.Func
+	for _, fd := range decls {
+		fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
+		if !ok {
+			continue
+		}
+		fns = append(fns, fn)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Lock" {
+					if path, ok := mutexPath(sel.X); ok {
+						if _, seen := acq[fn]; !seen {
+							acq[fn] = path
+						}
+					}
+				}
+				if callee := analyzerkit.CalleeOf(pass.Info, n); callee != nil {
+					calls[fn] = append(calls[fn], callee)
+				}
+			}
+			return true
+		})
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range fns {
+			if _, ok := acq[fn]; ok {
+				continue
+			}
+			for _, callee := range calls[fn] {
+				if path, ok := acq[callee]; ok {
+					acq[fn] = path
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	return acq
 }
 
 // walkBody walks one function or closure body in source order, tracking
 // which watched mutexes are held, and reports discipline violations at
 // each site.
-func walkBody(pass *analyzerkit.Pass, body *ast.BlockStmt) {
+func walkBody(pass *analyzerkit.Pass, acq map[*types.Func]string, body *ast.BlockStmt) {
 	held := []string{} // mutex paths currently held, in acquisition order
 	holding := func() string { return strings.Join(held, ", ") }
 	release := func(path string) {
@@ -74,13 +138,20 @@ func walkBody(pass *analyzerkit.Pass, body *ast.BlockStmt) {
 			// A closure runs later, under its own discipline; checking
 			// it against the enclosing held-set would be wrong in both
 			// directions. It gets the same walk, fresh.
-			walkBody(pass, n.Body)
+			walkBody(pass, acq, n.Body)
 			return false
 		case *ast.DeferStmt:
 			// defer mu.Unlock() keeps the mutex held to function end;
 			// deliberately not treated as a release.
 			return false
 		case *ast.CallExpr:
+			if callee := analyzerkit.CalleeOf(pass.Info, n); callee != nil && len(held) > 0 {
+				if path, ok := acq[callee]; ok {
+					pass.Reportf(n.Pos(),
+						"calling %s, which acquires %s, while holding %s: the watched mutexes (statsMu, cache mu) are leaves and must never nest — a second nesting elsewhere is a deadlock",
+						callee.Name(), path, holding())
+				}
+			}
 			sel, ok := n.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true

@@ -4,10 +4,10 @@
 // pooled parseScratch — must
 // never flow into anything that outlives the parse: a Result (other than
 // the documented machine.Result.Final exception), or the shared SLL DFA
-// cache's retained structures (dfaState fields, the retained parameters
-// of newDFAState) without first passing a recognized deep copy
-// (stateMem.copyConfigs/copyInts, or an element-copying append of a
-// value-typed slice).
+// cache's retained structures (dfaState fields, the retained parameter
+// of newDFAState) without first passing a recognized copy into cache
+// memory (stateMem.copyKey, which ends the translation of a closure result
+// into a state key, or an element-copying append of a value-typed slice).
 //
 // The analysis is analyzerkit's intra-procedural taint walker: scratch
 // taint enters at a declarative list of field reads (the arena fields of
@@ -53,21 +53,21 @@ var sourceFields = map[string]map[string]map[string]bool{
 	},
 }
 
-// sanitizers are the recognized deep-copy functions: calls whose result
-// is cache-owned no matter what went in. Bare names are package
-// functions, Type.Method names are methods.
+// sanitizers are the recognized copies into cache memory: calls whose
+// result is cache-owned no matter what went in. Bare names are package
+// functions, Type.Method names are methods. A state key is translated in
+// scratch (engine.stateKey: frame IDs of the generation's frame table,
+// which owns its frames) and copyKey carves the cache's copy.
 var sanitizers = map[string]bool{
-	"stateMem.copyConfigs": true, // carves from the cache generation's slabs
-	"stateMem.copyInts":    true,
+	"stateMem.copyKey": true, // carves from the cache generation's slabs
 }
 
 // retainedParams maps same-package functions that retain specific
 // parameters into cache-owned structure: function name → retained
 // parameter indices. These are the "annotated summaries" for the intern
-// path: newDFAState stores cfgs and haltedAlts into the dfaState it
-// returns, but only reads alts.
+// path: newDFAState stores its key into the dfaState it returns.
 var retainedParams = map[string][]int{
-	"newDFAState": {0, 2}, // (cfgs, alts, haltedAlts, anomalous)
+	"newDFAState": {0}, // (key, anomalous, terms)
 }
 
 // retainedTypes are the structs whose fields are retention boundaries:
@@ -93,7 +93,7 @@ var resultTypes = map[string]map[string]map[string]bool{
 // grammar.Token, Usage values — cannot.
 var taintCapable = map[string]map[string]bool{
 	"machine":    {"State": true, "PrefixStack": true, "SuffixStack": true, "PrefixFrame": true, "SuffixFrame": true, "NTSet": true, "Mem": true, "Result": true, "level": true},
-	"prediction": {"config": true, "scratch": true, "engine": true},
+	"prediction": {"config": true, "scratch": true, "engine": true, "stacks": true},
 	"arena":      {"Arena": true, "Slab": true},
 }
 
@@ -103,7 +103,7 @@ var Analyzer = &analyzerkit.Analyzer{
 	Doc: "flag pooled scratch escaping into Results or the shared DFA cache\n\n" +
 		"Per-parse scratch (machine.Mem's in-place nodes and buffers, prediction decision\n" +
 		"scratch) is reused by the next parse; anything that outlives the parse — Result\n" +
-		"fields, interned dfaStates — must hold deep copies (stateMem.copyConfigs/copyInts).\n" +
+		"fields, interned dfaStates — must hold copies in cache memory (stateMem.copyKey).\n" +
 		"An escape is a use-after-reset when the pooled Mem serves its next parse.",
 	Run:       run,
 	NeedTypes: true,
@@ -214,7 +214,7 @@ func checkFunc(pass *analyzerkit.Pass, flow *analyzerkit.Flow, fd *ast.FuncDecl)
 				}
 				if retainedTypes[pkg][typ] {
 					pass.Reportf(n.Pos(),
-						"scratch-allocated value stored into cache-retained %s.%s.%s: the shared DFA cache outlives the parse; deep-copy first (stateMem.copyConfigs/copyInts)",
+						"scratch-allocated value stored into cache-retained %s.%s.%s: the shared DFA cache outlives the parse; copy into cache memory first (stateMem.copyKey)",
 						pkg, typ, field)
 					continue
 				}
@@ -298,7 +298,7 @@ func checkRetainingCall(pass *analyzerkit.Pass, flow *analyzerkit.Flow, call *as
 		}
 		if flow.Tainted(call.Args[idx]) {
 			pass.Reportf(call.Args[idx].Pos(),
-				"scratch-allocated value passed to %s parameter %d, which is retained by the DFA cache: deep-copy first (stateMem.copyConfigs/copyInts)",
+				"scratch-allocated value passed to %s parameter %d, which is retained by the DFA cache: copy into cache memory first (stateMem.copyKey)",
 				fn.Name(), idx)
 		}
 	}

@@ -1,16 +1,17 @@
-// Fixture: the intern-copy fast path. The SLL DFA cache interns decision
-// scratch into dfaStates; newDFAState retains parameters 0 (cfgs) and 2
-// (haltedAlts), so raw scratch slices must be deep-copied before the
-// call, and dfaState field stores must hold copies too. Matching is by
+// Fixture: the intern path. The SLL DFA cache interns decision scratch into
+// dfaStates: stateKey translates a closure result's stacks into frame IDs
+// and leaves the state key in scratch, and newDFAState retains parameter 0
+// (the key), so the key must be copied into cache memory (copyKey) before
+// the call, and dfaState field stores must hold copies too. Matching is by
 // declared package name, so this replica is held to the same spec as the
 // real internal/prediction.
 package prediction
 
-type config struct{ state, alt int }
+type config struct{ alt, top int32 }
 
 // scratch is the decision scratch: every field aliases pooled memory.
 type scratch struct {
-	stable []config
+	key    []uint64
 	halted []int
 }
 
@@ -24,76 +25,69 @@ type closureResult struct {
 
 // dfaState is cache-retained: it outlives every parse.
 type dfaState struct {
-	configs    []config
+	configs    []uint64
 	haltedAlts []int
 }
 
-// stateMem is the cache generation's memory; its copy methods are the
-// recognized deep copies.
+// stateMem is the cache generation's memory; copyKey is the recognized
+// copy into it.
 type stateMem struct {
-	configs []config
-	ints    []int
+	keys []uint64
 }
 
-func (m *stateMem) copyConfigs(cfgs []config) []config {
-	m.configs = append(m.configs, cfgs...)
-	return m.configs[len(m.configs)-len(cfgs):]
+func (m *stateMem) copyKey(key []uint64) []uint64 {
+	m.keys = append(m.keys, key...)
+	return m.keys[len(m.keys)-len(key):]
 }
 
-func (m *stateMem) copyInts(xs []int) []int {
-	m.ints = append(m.ints, xs...)
-	return m.ints[len(m.ints)-len(xs):]
+// stateKey builds a closure result's key in scratch.
+func (e *engine) stateKey(cfgs []config) []uint64 {
+	key := e.scr.key[:0]
+	for _, c := range cfgs {
+		key = append(key, uint64(uint32(c.alt))<<32|uint64(uint32(c.top)))
+	}
+	e.scr.key = key
+	return key
 }
 
-// newDFAState retains cfgs and haltedAlts (params 0 and 2) in the state
-// it returns; alts is only read.
-func (m *stateMem) newDFAState(cfgs []config, alts []int, haltedAlts []int, anomalous bool) *dfaState {
-	_, _ = alts, anomalous
-	return &dfaState{configs: cfgs, haltedAlts: haltedAlts}
+// newDFAState retains key (param 0) in the state it returns.
+func (m *stateMem) newDFAState(key []uint64, anomalous bool, terms int) *dfaState {
+	_, _ = anomalous, terms
+	return &dfaState{configs: key}
 }
 
-// internRaw hands scratch-aliasing slices straight to the cache: both
-// retained arguments are flagged.
-func internRaw(e *engine, m *stateMem, alts []int) *dfaState {
-	return m.newDFAState(
-		e.scr.stable, // want "retained by the DFA cache"
-		alts,
-		e.scr.halted, // want "retained by the DFA cache"
-		false)
+// internRaw hands the scratch-built key straight to the cache: flagged.
+func internRaw(e *engine, m *stateMem, res closureResult) *dfaState {
+	return m.newDFAState(e.stateKey(res.stable), res.anomaly != 0, 0) // want "retained by the DFA cache"
 }
 
-// internCopied is the sanctioned path: the generation's copies for the
-// configs and the halted alternatives.
-func internCopied(e *engine, m *stateMem, alts []int) *dfaState {
-	return m.newDFAState(m.copyConfigs(e.scr.stable), alts, m.copyInts(e.scr.halted), false)
+// internCopied is the sanctioned path: the key is copied into cache
+// memory; accepted.
+func internCopied(e *engine, m *stateMem, res closureResult) *dfaState {
+	return m.newDFAState(m.copyKey(e.stateKey(res.stable)), res.anomaly != 0, 0)
 }
 
-// internAppended copies the halted alternatives with an element-copying
-// append (int elements cannot alias pooled memory, so the fresh backing
-// array is a deep copy); accepted.
-func internAppended(e *engine, m *stateMem, alts []int) *dfaState {
-	return m.newDFAState(m.copyConfigs(e.scr.stable), alts, append([]int(nil), e.scr.halted...), false)
+// internScratchKey reads the key buffer directly: flagged.
+func internScratchKey(e *engine, m *stateMem) *dfaState {
+	return m.newDFAState(e.scr.key, false, 0) // want "retained by the DFA cache"
 }
 
-// internResult hands a closure result's stable configs to the cache
-// uncopied: flagged, with no visited-set clone anywhere on the path.
-func internResult(res closureResult, m *stateMem, alts []int) *dfaState {
-	return m.newDFAState(res.stable, alts, nil, res.anomaly != 0) // want "retained by the DFA cache"
-}
-
-// internResultCopied copies the stable configs first; accepted.
-func internResultCopied(res closureResult, m *stateMem, alts []int) *dfaState {
-	return m.newDFAState(m.copyConfigs(res.stable), alts, nil, res.anomaly != 0)
+// internAppended copies the key with an element-copying append (uint64
+// elements cannot alias pooled memory, so the fresh backing array is a
+// copy); accepted.
+func internAppended(e *engine, m *stateMem) *dfaState {
+	return m.newDFAState(append([]uint64(nil), e.scr.key...), false, 0)
 }
 
 // storeRaw writes scratch into an interned state after construction.
 func storeRaw(e *engine, st *dfaState) {
-	st.configs = e.scr.stable // want "cache-retained"
+	st.configs = e.scr.key       // want "cache-retained"
+	st.haltedAlts = e.scr.halted // want "cache-retained"
 }
 
-// storeCopied holds a deep copy; accepted.
+// storeCopied holds a copy in cache memory; accepted.
 func storeCopied(e *engine, m *stateMem, st *dfaState) {
-	st.configs = m.copyConfigs(e.scr.stable)
+	st.configs = m.copyKey(e.scr.key)
 }
 
 // readBack reads cache-owned data; nothing escapes.
