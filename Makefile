@@ -56,7 +56,7 @@ serve-smoke:
 alloc-guard:
 	$(GO) test -run 'TestAllocGuard' -count=1 .
 	GOMAXPROCS=8 $(GO) test -race -count=1 \
-		-run 'TestAllocGuard|TestPooled|TestAborted|TestArena|TestSlab' \
+		-run 'TestAllocGuard|TestPooled|TestAborted|TestSlab' \
 		. ./internal/parser ./internal/arena
 
 # Short fuzz smoke. One invocation per target because -fuzz must match

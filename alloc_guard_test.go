@@ -216,3 +216,53 @@ func TestAllocGuardWarmServeSession(t *testing.T) {
 		t.Errorf("warm serve session allocates %.1f per request, ceiling %d — requests no longer reuse the pooled cursor", perReq, ceiling)
 	}
 }
+
+// TestAllocGuardExport guards the DFA snapshot's content order. A Python
+// session warmed on eight 4,000-token files (516 states, 6,922 frames,
+// 26,137 configs) exports in 0.97 MB per call: Export numbers the frames
+// by one walk of the frame table and sorts integer config words. Ordering
+// the snapshot by each config's stack serialized to bytes took 36.3 MB.
+// The ceiling of 4 MB fails a return to per-config serialization.
+func TestAllocGuardExport(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte ceilings are not meaningful under -race")
+	}
+	p := warmPythonExportSession(t)
+	export := func() {
+		if _, err := p.ExportArtifact("python", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	export()
+	const (
+		runs    = 5
+		ceiling = 4 << 20
+	)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		export()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	_, states := p.CacheSize()
+	t.Logf("%d B per export of %d states (ceiling %d)", perOp, states, ceiling)
+	if perOp > ceiling {
+		t.Errorf("exporting the warmed Python DFA allocates %d B, ceiling %d — the snapshot order serializes stacks again", perOp, ceiling)
+	}
+}
+
+// warmPythonExportSession returns a Python session warmed on eight
+// 4,000-token files, the DFA that TestAllocGuardExport and
+// BenchmarkExportPython export.
+func warmPythonExportSession(tb testing.TB) *parser.Parser {
+	tb.Helper()
+	p := parser.MustNew(pylang.Lang.Grammar(), parser.Options{})
+	for seed := int64(1); seed <= 8; seed++ {
+		src := pylang.Generate(seed, 4000)
+		if res := p.ParseSource(pylang.Lang.Cursor(strings.NewReader(src))); res.Kind != machine.Unique {
+			tb.Fatalf("seed %d: %v (%s)", seed, res.Kind, res.Reason)
+		}
+	}
+	return p
+}

@@ -1,7 +1,8 @@
 package costar
 
 // Benchmark suite: one benchmark per paper table/figure (run the printable
-// versions with cmd/costar-bench), plus the DESIGN.md §5 ablations.
+// versions with cmd/costar-bench), plus the DESIGN.md §5 ablations and the
+// DFA snapshot export.
 //
 //	go test -bench=. -benchmem
 //
@@ -175,6 +176,23 @@ func BenchmarkFig11WarmCache(b *testing.B) {
 		}
 	}
 	reportPerToken(b, len(toks))
+}
+
+// ---------------------------------------------------------------------------
+// DFA snapshot export (DESIGN.md §5g)
+// ---------------------------------------------------------------------------
+
+// BenchmarkExportPython times ExportArtifact on the warmed Python DFA whose
+// allocation TestAllocGuardExport bounds.
+func BenchmarkExportPython(b *testing.B) {
+	p := warmPythonExportSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.ExportArtifact("python", ""); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

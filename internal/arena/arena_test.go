@@ -5,54 +5,17 @@ import (
 	"unsafe"
 )
 
-func TestArenaDistinctAddressesAndValues(t *testing.T) {
-	var a Arena[int]
-	const n = 1000
-	ps := make([]*int, n)
-	for i := 0; i < n; i++ {
-		ps[i] = a.New(i)
-	}
-	seen := make(map[*int]bool, n)
-	for i, p := range ps {
-		if *p != i {
-			t.Fatalf("element %d: got %d", i, *p)
-		}
-		if seen[p] {
-			t.Fatalf("element %d: address reused", i)
-		}
-		seen[p] = true
-	}
-}
-
-func TestArenaAmortizedAllocations(t *testing.T) {
-	// 1000 elements should cost O(slabs) heap allocations, far fewer than
-	// one per element: 64+128+256+512+1024 covers 1000 in 5 slabs.
+func TestSlabAmortizedAllocations(t *testing.T) {
+	// 1000 one-element spans should cost O(slabs) heap allocations, far
+	// fewer than one per span: 64+128+256+512+1024 covers 1000 in 5 slabs.
 	allocs := testing.AllocsPerRun(10, func() {
-		var a Arena[[4]uint64]
+		var s Slab[[4]uint64]
 		for i := 0; i < 1000; i++ {
-			a.New([4]uint64{uint64(i)})
+			_ = append(s.Make(1), [4]uint64{uint64(i)})
 		}
 	})
 	if allocs > 8 {
-		t.Fatalf("1000 arena elements cost %.0f heap allocations; want O(slabs)", allocs)
-	}
-}
-
-func TestArenaResetClearsUsedPrefix(t *testing.T) {
-	var a Arena[*int]
-	x := 7
-	p := a.New(&x)
-	if *p != &x {
-		t.Fatal("stored value lost")
-	}
-	a.Reset()
-	// The slot must be zeroed so pooled arenas don't pin dead objects.
-	if *p != nil {
-		t.Fatal("Reset left a stale pointer in the recycled slab")
-	}
-	q := a.New(nil)
-	if q != p {
-		t.Fatal("Reset did not rewind the bump offset")
+		t.Fatalf("1000 one-element spans cost %.0f heap allocations; want O(slabs)", allocs)
 	}
 }
 
@@ -107,35 +70,28 @@ func TestSlabResetZeroesAndRewinds(t *testing.T) {
 }
 
 func TestZeroValueGrowthSequence(t *testing.T) {
-	var a Arena[byte]
+	var s Slab[byte]
 	// Fill more than maxSlab elements to exercise the growth cap.
 	for i := 0; i < 3*maxSlab; i++ {
-		a.New(byte(i))
+		s.Make(1)
 	}
-	if len(a.buf) != maxSlab {
-		t.Fatalf("slab size after growth cap: %d, want %d", len(a.buf), maxSlab)
+	if len(s.buf) != maxSlab {
+		t.Fatalf("slab size after growth cap: %d, want %d", len(s.buf), maxSlab)
 	}
 }
 
 // TestResetWithNothingCarvedKeepsRewind: a Reset with nothing carved since
-// the last one returns at once and leaves both allocators rewound, so the
+// the last one returns at once and leaves the allocator rewound, so the
 // next carve reuses the first slot.
 func TestResetWithNothingCarvedKeepsRewind(t *testing.T) {
-	var a Arena[int]
 	var s Slab[int]
 	for i := 0; i < 3*minSlab; i++ {
-		a.New(i)
 		s.Make(1)
 	}
-	a.Reset()
 	s.Reset()
-	a.Reset()
 	s.Reset()
-	if a.cur != 0 || a.off != 0 || s.cur != 0 || s.off != 0 {
-		t.Fatalf("second Reset moved the allocators: arena at slab %d+%d, slab at %d+%d", a.cur, a.off, s.cur, s.off)
-	}
-	if p := a.New(9); p != &a.slabs[0][0] || *p != 9 {
-		t.Fatal("the arena does not carve from its first slot after a second Reset")
+	if s.cur != 0 || s.off != 0 {
+		t.Fatalf("second Reset moved the allocator: at slab %d+%d", s.cur, s.off)
 	}
 	if sp := s.Make(1); unsafe.SliceData(sp[:1]) != &s.slabs[0][0] {
 		t.Fatal("the slab allocator does not carve from its first slot after a second Reset")

@@ -334,6 +334,47 @@ func TestGoldenArtifact(t *testing.T) {
 	}
 }
 
+// TestByteOrderArtifactStillLoads: calc_v3_byte_order.csar is the golden
+// as Export wrote it while it ordered snapshots by their stacks' byte
+// serialization. It has the current format and the golden's DFA in another
+// order, so it must still decode, realize certified and parse, and its
+// re-export must equal the golden byte for byte.
+func TestByteOrderArtifactStillLoads(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "calc_v3_byte_order.csar"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "calc_v3.csar"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(old, golden) {
+		t.Fatal("the byte-order fixture equals the golden, so it checks no other order")
+	}
+	a, err := artifact.Decode(old)
+	if err != nil {
+		t.Fatalf("byte-order artifact no longer decodes: %v", err)
+	}
+	p, err := parser.NewFromArtifact(a, parser.Options{})
+	if err != nil {
+		t.Fatalf("byte-order artifact no longer realizes: %v", err)
+	}
+	if !p.Certified() {
+		t.Fatal("byte-order artifact session is not certified")
+	}
+	again, err := p.ExportArtifact(a.Name, a.LexerG4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(artifact.Encode(again), golden) {
+		t.Fatal("re-exporting the byte-order artifact does not reproduce the golden")
+	}
+	word := []grammar.Token{grammar.Tok("num", "1"), grammar.Tok("plus", "+"), grammar.Tok("num", "2")}
+	if res := p.Parse(word); res.Kind != machine.Unique {
+		t.Fatalf("byte-order artifact session rejects num plus num: %v", res.Kind)
+	}
+}
+
 // TestVersion1ArtifactRejected: a decoder reads exactly one version, so
 // the older goldens must fail with ErrVersion rather than be misread as
 // current payload — version 1 (per-config frame chains and visited lists,

@@ -70,11 +70,6 @@ type SuffixStack struct {
 	Below *SuffixStack
 }
 
-// PushSuffix returns the stack with a new top frame.
-func PushSuffix(f SuffixFrame, below *SuffixStack) *SuffixStack {
-	return &SuffixStack{F: f, Below: below}
-}
-
 // Height returns the number of frames.
 func (s *PrefixStack) Height() int {
 	n := 0

@@ -235,15 +235,15 @@ func (g *cacheGen) all() []*dfaState {
 }
 
 // stateMem is the cache-owned memory interned states are carved from: bump
-// slabs for the states, their keys, halted-alt lists and edge rows. It
-// belongs to one shard of one generation, so a new state costs amortized
-// O(1) allocations. A shared cache never resets it — Reset drops the whole
-// generation, and the garbage collector frees its slabs once no in-flight
-// parse holds one of its states; only Clear, on a cache no other goroutine
-// can reach, rewinds it. Carving happens under the owning shard's mu, or
-// before the generation is published.
+// slabs for the states (a one-element span each), their keys, halted-alt
+// lists and edge rows. It belongs to one shard of one generation, so a new
+// state costs amortized O(1) allocations. A shared cache never resets it —
+// Reset drops the whole generation, and the garbage collector frees its
+// slabs once no in-flight parse holds one of its states; only Clear, on a
+// cache no other goroutine can reach, rewinds it. Carving happens under
+// the owning shard's mu, or before the generation is published.
 type stateMem struct {
-	states arena.Arena[dfaState]
+	states arena.Slab[dfaState]
 	keys   arena.Slab[uint64]
 	ints   arena.Slab[int]
 	rows   arena.Slab[atomic.Pointer[dfaState]]
@@ -285,16 +285,16 @@ func (m *stateMem) newDFAState(key []uint64, anomalous bool, terms int) *dfaStat
 	default:
 		row = m.rows.Make(terms + 1)[:terms+1]
 	}
-	return m.states.New(dfaState{
+	return &append(m.states.Make(1), dfaState{
 		configs:    key,
 		haltedAlts: haltedAlts,
 		uniqueAlt:  unique,
 		anomalous:  anomalous,
 		edges:      row,
-	})
+	})[0]
 }
 
-// reset rewinds every slab for reuse; the arenas zero what they handed out,
+// reset rewinds every slab for reuse; the slabs zero what they handed out,
 // so a reset stateMem pins no state and hands out empty rows.
 func (m *stateMem) reset() {
 	m.states.Reset()

@@ -7,8 +7,6 @@ import (
 	"costar/internal/source"
 )
 
-type targetsAlias = analysis.Targets
-
 // Stats counts prediction activity; the Figure 10/11 benchmarks and the
 // ablation tests read these.
 type Stats struct {

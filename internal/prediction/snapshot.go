@@ -23,28 +23,26 @@ package prediction
 // warm-up extends the imported DFA seamlessly.
 //
 // Frame IDs depend on the order frames were interned, which racing
-// goroutines decide, so Export orders by content only: configs within a
-// state by alt and then by their stacks' packed little-endian int32
-// serialization (per frame from the top: nonterminal, rest length, rest
-// symbols), states by the concatenation of their configs' serializations,
-// edges by terminal with NoTerm first, starts by nonterminal, and frames in
-// the order the sorted states first reach them, bottom first. Identical
-// warm-ups therefore produce byte-identical artifacts, and golden files are
-// stable.
+// goroutines decide, so Export numbers by content only. Under their below
+// links the frames the states' configs reach form a forest whose roots are
+// stack bottoms. Export walks it in preorder, siblings in (Lhs, Prod, Dot)
+// order — hash-consing makes siblings distinct — so each frame is numbered
+// after the frame below it. Configs within a state then sort by alt and
+// top frame index, halted configs last in their alt; states by anomaly
+// flag and then their configs; edges by terminal with NoTerm first; starts
+// by nonterminal. Identical warm-ups therefore produce byte-identical
+// artifacts, and golden files are stable.
 //
 // Shared frames let a small snapshot name long stacks: one deep chain under
-// many configs costs the snapshot a frame per level plus a config each, but
-// Export's content order serializes every config's whole stack. The stacks
-// a snapshot names are therefore bounded by its size
+// many configs costs the snapshot a frame per level plus a config each. The
+// stacks a snapshot names are therefore bounded by its size
 // (stackSymbolsPerEntry), and Export refuses to write a snapshot that
 // Import would refuse.
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
-	"strings"
 
 	"costar/internal/grammar"
 )
@@ -97,10 +95,9 @@ type CacheSnapshot struct {
 
 // stackSymbolsPerEntry bounds the stacks a snapshot's configs name. Count
 // each frame of a config's stack as its nonterminal plus its remaining
-// right-hand side, which is what Export's content order serializes per
-// frame; all configs together may name at most this many stack symbols per
-// frame or config the snapshot stores. A warmed Python cache, the deepest
-// bundled grammar, names 14.7 per entry.
+// right-hand side; all configs together may name at most this many stack
+// symbols per frame or config the snapshot stores. A warmed Python cache,
+// the deepest bundled grammar, names 14.7 per entry.
 const stackSymbolsPerEntry = 64
 
 // stackBudget is the most stack symbols the configs of a snapshot with the
@@ -115,41 +112,64 @@ func stackBudget(frames, configs int) int64 {
 // re-exporting an equal DFA yields an equal value.
 func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 	gen := c.gen.Load()
-	var snap CacheSnapshot
 	sts := gen.all()
 	if len(sts) == 0 {
-		return snap, nil
+		return CacheSnapshot{}, nil
 	}
-	ex := exporter{cg: cg, frames: &gen.frames, num: map[int32]int32{}, symCount: map[int32]int64{}}
-	order, err := ex.sortStates(sts)
+	num, syms, frames, err := walkFrames(cg, &gen.frames, sts)
 	if err != nil {
 		return CacheSnapshot{}, err
 	}
-	index := make(map[*dfaState]int32, len(sts))
-	for i, st := range sts {
-		index[st] = int32(i)
+	// Each state's configs as alt<<32 | snapshot frame index, sorted, so a
+	// halted config (haltedTop) comes last in its alt.
+	type state struct {
+		st        *dfaState
+		anomalous int
+		cfgs      []uint64
 	}
-	snap.States = make([]StateSnapshot, len(sts))
+	all := make([]state, len(sts))
 	var (
 		configs int
 		named   int64 // stack symbols the configs name
 	)
 	for i, st := range sts {
-		ss := StateSnapshot{Anomalous: st.anomalous}
-		if cfgs := order[i]; len(cfgs) > 0 {
-			ss.Configs = make([]ConfigSnapshot, len(cfgs))
-			for j, k := range cfgs {
-				top := int32(uint32(k))
-				if top >= 0 {
-					named += ex.syms(top)
-					top = ex.number(top)
-				}
-				ss.Configs[j] = ConfigSnapshot{Alt: int32(k >> 32), Top: top}
+		cfgs := make([]uint64, len(st.configs))
+		for j, k := range st.configs {
+			if top := uint32(k); top != haltedTop {
+				named += syms[top]
+				k = k>>32<<32 | uint64(num[top])
 			}
-			configs += len(cfgs)
+			cfgs[j] = k
 		}
-		for k := range st.edges {
-			target := st.edges[k].Load()
+		slices.Sort(cfgs)
+		all[i] = state{st: st, cfgs: cfgs}
+		if st.anomalous {
+			all[i].anomalous = 1
+		}
+		configs += len(cfgs)
+	}
+	if budget := stackBudget(len(frames), configs); named > budget {
+		return CacheSnapshot{}, fmt.Errorf("prediction: cache export: configs name %d stack symbols, more than the %d an import of %d frames and %d configs accepts", named, budget, len(frames), configs)
+	}
+	slices.SortFunc(all, func(a, b state) int {
+		return cmp.Or(cmp.Compare(a.anomalous, b.anomalous), slices.Compare(a.cfgs, b.cfgs))
+	})
+
+	index := make(map[*dfaState]int32, len(all))
+	for i, s := range all {
+		index[s.st] = int32(i)
+	}
+	snap := CacheSnapshot{Frames: frames, States: make([]StateSnapshot, len(all))}
+	for i, s := range all {
+		ss := StateSnapshot{Anomalous: s.st.anomalous}
+		if len(s.cfgs) > 0 {
+			ss.Configs = make([]ConfigSnapshot, len(s.cfgs))
+			for j, k := range s.cfgs {
+				ss.Configs[j] = ConfigSnapshot{Alt: int32(k >> 32), Top: int32(uint32(k))}
+			}
+		}
+		for k := range s.st.edges {
+			target := s.st.edges[k].Load()
 			if target == nil {
 				continue
 			}
@@ -162,11 +182,6 @@ func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 		}
 		snap.States[i] = ss
 	}
-	if budget := stackBudget(len(ex.out), configs); named > budget {
-		return CacheSnapshot{}, fmt.Errorf("prediction: cache export: configs name %d stack symbols, more than the %d an import of %d frames and %d configs accepts", named, budget, len(ex.out), configs)
-	}
-	snap.Frames = ex.out
-
 	for nt := range gen.starts {
 		st := gen.starts[nt].Load()
 		if st == nil {
@@ -181,149 +196,82 @@ func (c *Cache) Export(cg *grammar.Compiled) (CacheSnapshot, error) {
 	return snap, nil
 }
 
-// exporter orders a generation's states by content and numbers the frames
-// they reach in that order.
-type exporter struct {
-	cg       *grammar.Compiled
-	frames   *genFrames
-	num      map[int32]int32 // generation frame ID → snapshot index
-	out      []FrameSnapshot
-	symCount map[int32]int64 // generation frame ID → stack symbols to the bottom
-}
-
-// rest returns the symbols left in frame f, checking that its position is
-// one of cg's.
-func (ex *exporter) rest(f genFrame) ([]grammar.SymID, error) {
-	if f.prod < 0 {
-		return nil, nil
-	}
-	if int(f.prod) >= len(ex.cg.Grammar().Prods) || int(f.dot) >= len(ex.cg.Rhs(int(f.prod))) {
-		return nil, fmt.Errorf("prediction: cache export: frame position (%d, %d) is not in the grammar", f.prod, f.dot)
-	}
-	return ex.cg.Rhs(int(f.prod))[f.dot:], nil
-}
-
-// appendContent appends config (alt, top)'s content serialization: the alt,
-// then per frame from the top a marker byte, the nonterminal, the rest's
-// length and its symbols, then a byte telling a live stack from a halted
-// config, all int32s packed little-endian. Frames are prefix-free (a rest's
-// length precedes it), so byte order is a total order on contents. pos
-// gets the frames' positions, which break ties between equal symbols at
-// different grammar positions.
-func (ex *exporter) appendContent(b, pos []byte, alt int32, top int32) ([]byte, []byte, error) {
-	b = binary.LittleEndian.AppendUint32(b, uint32(alt))
-	for id := top; id >= 0; {
-		f := ex.frames.at(id)
-		rest, err := ex.rest(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		b = append(b, 1)
-		b = binary.LittleEndian.AppendUint32(b, uint32(f.lhs))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(rest)))
-		for _, sym := range rest {
-			b = binary.LittleEndian.AppendUint32(b, uint32(sym))
-		}
-		pos = binary.LittleEndian.AppendUint32(pos, uint32(f.prod))
-		pos = binary.LittleEndian.AppendUint32(pos, uint32(f.dot))
-		id = f.below
-	}
-	if top < 0 {
-		return append(b, 2), pos, nil
-	}
-	return append(b, 0), pos, nil
-}
-
-// sortStates sorts sts by content and returns each state's configs in
-// content order: by alt, then content serialization, then positions. A
-// state's order key is its anomaly byte followed by each config's
-// serialization in that order, behind its length.
-func (ex *exporter) sortStates(sts []*dfaState) ([][]uint64, error) {
-	type entry struct {
-		key uint64
-		fp  string
-		pos string
-	}
-	type state struct {
-		st       *dfaState
-		cfgs     []uint64
-		key, pos string
-	}
-	all := make([]state, len(sts))
-	var fp, pos []byte
-	for i, st := range sts {
-		es := make([]entry, len(st.configs))
-		for j, k := range st.configs {
-			var err error
-			fp, pos, err = ex.appendContent(fp[:0], pos[:0], int32(k>>32), int32(uint32(k)))
-			if err != nil {
-				return nil, err
+// walkFrames numbers the frames that the configs of sts reach, in content
+// order: a preorder walk of the forest their below links form, from the
+// stack bottoms, visiting siblings in (lhs, prod, dot) order. Indexed by
+// generation frame ID, it returns each frame's snapshot index (num) and
+// stack symbols to the bottom (per frame its nonterminal and its rest),
+// and it checks that every position is one of cg's.
+func walkFrames(cg *grammar.Compiled, t *genFrames, sts []*dfaState) (num []int32, syms []int64, frames []FrameSnapshot, err error) {
+	// A frame is interned after the frame below it, so the highest top is
+	// the highest frame ID reached.
+	n := 0
+	for _, st := range sts {
+		for _, k := range st.configs {
+			if top := uint32(k); top != haltedTop {
+				n = max(n, int(top)+1)
 			}
-			es[j] = entry{key: k, fp: string(fp), pos: string(pos)}
 		}
-		slices.SortFunc(es, func(a, b entry) int {
-			return cmp.Or(cmp.Compare(a.key>>32, b.key>>32), strings.Compare(a.fp, b.fp), strings.Compare(a.pos, b.pos))
-		})
-		var key, p []byte
-		if st.anomalous {
-			key = append(key, 1)
-		} else {
-			key = append(key, 0)
-		}
-		cfgs := make([]uint64, len(es))
-		for j, e := range es {
-			key = binary.LittleEndian.AppendUint32(key, uint32(len(e.fp)))
-			key = append(key, e.fp...)
-			p = append(p, e.pos...)
-			cfgs[j] = e.key
-		}
-		all[i] = state{st: st, cfgs: cfgs, key: string(key), pos: string(p)}
 	}
-	slices.SortFunc(all, func(a, b state) int {
-		return cmp.Or(strings.Compare(a.key, b.key), strings.Compare(a.pos, b.pos))
+	type node struct {
+		genFrame
+		id int32
+	}
+	seen := make([]bool, n)
+	nodes := make([]node, 0, n)
+	for _, st := range sts {
+		for _, k := range st.configs {
+			for id := int32(uint32(k)); id >= 0 && !seen[id]; id = t.at(id).below {
+				seen[id] = true
+				nodes = append(nodes, node{t.at(id), id})
+			}
+		}
+	}
+	// Sorted by the frame below, each frame's children are one run in
+	// content order: nodes[off[b+1]:off[b+2]] for frame b, the stack
+	// bottoms (b = -1) first.
+	slices.SortFunc(nodes, func(a, b node) int {
+		return cmp.Or(cmp.Compare(a.below, b.below), cmp.Compare(a.lhs, b.lhs), cmp.Compare(a.prod, b.prod), cmp.Compare(a.dot, b.dot))
 	})
-	order := make([][]uint64, len(all))
-	for i, s := range all {
-		sts[i] = s.st
-		order[i] = s.cfgs
+	off := make([]int32, n+2)
+	for _, nd := range nodes {
+		off[nd.below+2]++
 	}
-	return order, nil
-}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
 
-// number returns the snapshot index of generation frame id, numbering the
-// frames beneath it first, so every Below precedes its frame and each
-// distinct stack suffix is stored once.
-func (ex *exporter) number(id int32) int32 {
-	if i, ok := ex.num[id]; ok {
-		return i
+	num, syms = make([]int32, n), make([]int64, n)
+	frames = slices.Grow(frames, len(nodes))
+	nProds := len(cg.Grammar().Prods)
+	stack := make([]int32, 0, len(nodes)) // positions in nodes
+	// push stacks the children of frame b so that they pop in order.
+	push := func(b int32) {
+		for i := off[b+2] - 1; i >= off[b+1]; i-- {
+			stack = append(stack, i)
+		}
 	}
-	f := ex.frames.at(id)
-	below := int32(-1)
-	if f.below >= 0 {
-		below = ex.number(f.below)
+	push(-1)
+	//costar:allow governortick -- every reached frame is pushed once, with its siblings, when the frame below it is visited, so the walk runs once per frame the states reach
+	for len(stack) > 0 {
+		nd := nodes[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		below, count := int32(-1), int64(1)
+		if nd.prod >= 0 {
+			if int(nd.prod) >= nProds || int(nd.dot) >= len(cg.Rhs(int(nd.prod))) {
+				return nil, nil, nil, fmt.Errorf("prediction: cache export: frame position (%d, %d) is not in the grammar", nd.prod, nd.dot)
+			}
+			count += int64(len(cg.Rhs(int(nd.prod))) - int(nd.dot))
+		}
+		if nd.below >= 0 {
+			below = num[nd.below]
+			count += syms[nd.below]
+		}
+		num[nd.id], syms[nd.id] = int32(len(frames)), count
+		frames = append(frames, FrameSnapshot{Lhs: nd.lhs, Prod: nd.prod, Dot: nd.dot, Below: below})
+		push(nd.id)
 	}
-	i := int32(len(ex.out))
-	ex.out = append(ex.out, FrameSnapshot{Lhs: f.lhs, Prod: f.prod, Dot: f.dot, Below: below})
-	ex.num[id] = i
-	return i
-}
-
-// syms returns the stack symbols from generation frame id to the bottom:
-// per frame its nonterminal and its rest.
-func (ex *exporter) syms(id int32) int64 {
-	if n, ok := ex.symCount[id]; ok {
-		return n
-	}
-	f := ex.frames.at(id)
-	n := int64(1)
-	if f.prod >= 0 {
-		n += int64(len(ex.cg.Rhs(int(f.prod))) - int(f.dot))
-	}
-	if f.below >= 0 {
-		n += ex.syms(f.below)
-	}
-	ex.symCount[id] = n
-	return n
+	return num, syms, frames, nil
 }
 
 // Import replaces the cache's generation with one rebuilt from snap,

@@ -71,6 +71,52 @@ func TestSnapshotStackBudget(t *testing.T) {
 	}
 }
 
+// TestExportRefusesUnnumberableReferences: Export fails, instead of
+// writing a snapshot, on a frame whose position is not one of the
+// grammar's and on an edge or start whose target was never interned.
+func TestExportRefusesUnnumberableReferences(t *testing.T) {
+	cg := fig2().Compiled()
+	s, _ := cg.NTIDOf("S")
+	// file interns a state with key into c, as Cache.intern does.
+	file := func(c *Cache, key []uint64) *dfaState {
+		g := c.gen.Load()
+		h := keyHash(false, key)
+		sh := g.shard(h)
+		st := sh.mem.newDFAState(key, false, cg.NumTerms())
+		sh.file(h, st)
+		g.nStates.Add(1)
+		return st
+	}
+	// Two halted alts: a state with an edge row.
+	twoAlts := []uint64{0<<32 | uint64(haltedTop), 1<<32 | uint64(haltedTop)}
+
+	for _, f := range []genFrame{
+		{lhs: s, prod: int32(len(cg.Grammar().Prods)), below: -1},
+		{lhs: s, prod: 0, dot: int32(len(cg.Rhs(0))), below: -1},
+	} {
+		c := NewCache(cg)
+		top := c.gen.Load().frames.intern(f)
+		file(c, []uint64{uint64(top)})
+		if _, err := c.Export(cg); err == nil {
+			t.Errorf("Export wrote a frame at position (%d, %d), outside the grammar", f.prod, f.dot)
+		}
+	}
+
+	c := NewCache(cg)
+	stray := c.gen.Load().shards[0].mem.newDFAState(twoAlts, false, cg.NumTerms())
+	file(c, twoAlts).setEdge(0, stray)
+	if _, err := c.Export(cg); err == nil {
+		t.Error("Export wrote an edge to a state that was never interned")
+	}
+
+	c = NewCache(cg)
+	file(c, twoAlts)
+	c.gen.Load().starts[s].CompareAndSwap(nil, stray)
+	if _, err := c.Export(cg); err == nil {
+		t.Error("Export wrote a start state that was never interned")
+	}
+}
+
 // TestClearedCacheRebuildsFreshDFA recycles one cache the way a
 // FreshCachePerParse session does: parse A, Clear, parse B. The DFA B
 // leaves must export equal to the one a new cache builds from B alone, so

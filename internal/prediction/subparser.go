@@ -31,6 +31,7 @@ import (
 	"slices"
 	"sort"
 
+	"costar/internal/analysis"
 	"costar/internal/arena"
 	"costar/internal/grammar"
 	"costar/internal/machine"
@@ -112,7 +113,7 @@ const (
 // scratch buffers.
 type engine struct {
 	c       *grammar.Compiled
-	targets *Targets
+	targets *analysis.Targets
 	gov     *machine.Governor
 	budget  int // per-closure-call expansion budget (closureBudget)
 	stats   *Stats
@@ -155,10 +156,6 @@ func (e *engine) beginDecision() {
 	e.scr.stacks.reset()
 	e.scr.words.Reset()
 }
-
-// Targets is re-exported from analysis to keep this package's surface
-// self-contained.
-type Targets = targetsAlias
 
 // frame is one suffix-stack frame [β] of a decision's subparsers at a
 // grammar position: its rest is Rhs(prod)[dot:]. Once the rest is empty

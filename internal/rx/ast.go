@@ -469,10 +469,3 @@ func hexVal(r rune) int {
 	}
 	return -1
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -94,7 +94,7 @@ var resultTypes = map[string]map[string]map[string]bool{
 var taintCapable = map[string]map[string]bool{
 	"machine":    {"State": true, "PrefixStack": true, "SuffixStack": true, "PrefixFrame": true, "SuffixFrame": true, "NTSet": true, "Mem": true, "Result": true, "level": true},
 	"prediction": {"config": true, "scratch": true, "engine": true, "stacks": true},
-	"arena":      {"Arena": true, "Slab": true},
+	"arena":      {"Slab": true},
 }
 
 // Analyzer is the exported instance for multichecker bundling.
